@@ -43,7 +43,7 @@ from .formula import (
     map_atoms, parse_expr_tokens, parse_statement_tokens, primed, tokenize,
 )
 from .numeric import ExtRat, Rat
-from .smt import SmtBackendError
+from .smt import SmtBackendError, solver_session
 
 SMT_ENV_VAR = "INVGEN_SMT"
 
@@ -317,12 +317,14 @@ def analyze(path: str, *, solver: Optional[str] = None, local_opt: bool = False,
     if not no_compress:
         cut = frozenset(prog.cutset) if prog.cutset is not None else feedback_vertex_set(g)
         g = compress(g, cut)
-    opts = EngineOptions(local_opt=local_opt, smt_cmd=solver,
-                         max_iters=max_iters, trace=trace)
-    bounds, stats = run(g, template, opts)
+    with solver_session(solver) as backend:
+        opts = EngineOptions(local_opt=local_opt, smt_cmd=backend,
+                             max_iters=max_iters, trace=trace)
+        bounds, stats = run(g, template, opts)
+        cert = check_post_fixpoint(g, template, bounds, backend=backend,
+                                   stats=stats) if check else None
     report = Report(list(g.nodes), list(template.labels), bounds, stats, lints=lints)
-    if check:
-        cert = check_post_fixpoint(g, template, bounds, backend=solver, stats=stats)
+    if cert is not None:
         report.certified = cert.verified
         if not cert.verified:
             edge = g.edges[cert.edge_index]
@@ -344,6 +346,7 @@ def emit_report(report: Report, fmt: str = "text", show_stats: bool = False) -> 
                 for node in report.nodes
             },
             "stats": report.stats.as_dict(),
+            "final": report.stats.converged,
             "certified": report.certified,
         }
         return json.dumps(doc, indent=2)
@@ -359,8 +362,8 @@ def emit_report(report: Report, fmt: str = "text", show_stats: bool = False) -> 
         lines.append(f"smt queries:       {s['smt_queries']}")
         lines.append(f"linear programs:   {s['lp_solves']}")
         lines.append(f"wall time:         {s['wall_ms']} ms")
-        if not report.stats.converged:
-            lines.append("note: iteration cap hit; bounds are sound from below but not final")
+    if not report.stats.converged:
+        lines.append("note: iteration cap hit; bounds are sound from below but not final")
     if report.certified is not None:
         lines.append(f"certified: {'yes' if report.certified else 'NO'}")
         if report.counterexample:

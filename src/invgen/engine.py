@@ -32,7 +32,7 @@ from .formula import (
 )
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
 from .numeric import NEG_INF, POS_INF, ExtRat, Rat, ext
-from .smt import SmtResult, smt_check, smt_check_external
+from .smt import SmtResult, SmtSession, smt_check, smt_check_external, solver_session
 
 VarKey = Tuple[str, int]  # (node, template row index)
 Bounds = Dict[VarKey, ExtRat]
@@ -397,7 +397,8 @@ def evaluate(eq: EquationSystem, strategy, bounds,
 @dataclass
 class EngineOptions:
     local_opt: bool = False
-    smt_cmd: Optional[Union[str, Sequence[str]]] = None  # None = internal backend
+    # None = internal backend; a solver command gets one session per run
+    smt_cmd: Optional[Union[SmtSession, str, Sequence[str]]] = None
     max_iters: Optional[int] = None
     batch: bool = True
     trace: Optional[object] = None  # file-like, one JSON record per iteration
@@ -437,7 +438,8 @@ def run(g: Cfg, template: Template,
     Starts from all-bottom / all minus-infinity and alternates improvement
     and evaluation until stable.  If ``opts.max_iters`` is hit first, the
     current (sound from below, possibly non-least) bounds are returned with
-    ``stats.converged`` off.
+    ``stats.converged`` off.  An external solver command in ``opts.smt_cmd``
+    runs as one session for the whole run, closed before returning.
     """
     opts = opts or EngineOptions()
     eq = build_equation_system(g, template)
@@ -445,21 +447,22 @@ def run(g: Cfg, template: Template,
     bounds = eq.initial_bounds()
     stats = Stats()
     started = time.perf_counter()
-    while True:
-        improved = improve(eq, strategy, bounds, stats=stats, backend=opts.smt_cmd,
-                           local=opts.local_opt, batch=opts.batch)
-        if improved is None:
-            break
-        changed_keys = [k for k in eq.order if improved[k] != strategy[k]]
-        strategy = improved
-        bounds = evaluate(eq, strategy, bounds, stats)
-        stats.improvement_steps += 1
-        if opts.trace is not None:
-            _trace_record(opts.trace, eq, stats.improvement_steps, changed_keys,
-                          strategy, bounds, stats)
-        if opts.max_iters is not None and stats.improvement_steps >= opts.max_iters:
-            stats.converged = False
-            break
+    with solver_session(opts.smt_cmd) as backend:
+        while True:
+            improved = improve(eq, strategy, bounds, stats=stats, backend=backend,
+                               local=opts.local_opt, batch=opts.batch)
+            if improved is None:
+                break
+            changed_keys = [k for k in eq.order if improved[k] != strategy[k]]
+            strategy = improved
+            bounds = evaluate(eq, strategy, bounds, stats)
+            stats.improvement_steps += 1
+            if opts.trace is not None:
+                _trace_record(opts.trace, eq, stats.improvement_steps, changed_keys,
+                              strategy, bounds, stats)
+            if opts.max_iters is not None and stats.improvement_steps >= opts.max_iters:
+                stats.converged = False
+                break
     stats.wall_time = time.perf_counter() - started
     return bounds, stats
 
@@ -484,18 +487,21 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
 
     Checks, per edge and finite row, that the improvement formula against
     the candidate's own bound is unsatisfiable; a model is a concrete
-    escaping transition (counterexample to inductiveness).
+    escaping transition (counterexample to inductiveness).  ``backend`` is
+    None (internal), an open ``SmtSession``, or a solver command run as one
+    session for the whole check.
     """
-    for idx, edge in enumerate(g.edges):
-        d = [bounds[(edge.source, i)] for i in range(len(template))]
-        for j in range(len(template)):
-            c = bounds[(edge.target, j)]
-            if c.is_pos_inf:
-                continue
-            psi = build_psi(edge.statement, d, template, j, c)
-            res = _smt(psi, stats, backend)
-            if res.is_sat:
-                return CertResult(False, idx, j, res.model)
+    with solver_session(backend) as session:
+        for idx, edge in enumerate(g.edges):
+            d = [bounds[(edge.source, i)] for i in range(len(template))]
+            for j in range(len(template)):
+                c = bounds[(edge.target, j)]
+                if c.is_pos_inf:
+                    continue
+                psi = build_psi(edge.statement, d, template, j, c)
+                res = _smt(psi, stats, session)
+                if res.is_sat:
+                    return CertResult(False, idx, j, res.model)
     return CertResult(True)
 
 

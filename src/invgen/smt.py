@@ -7,18 +7,26 @@ The internal backend searches selector assignments in index order and asks
 the exact LP layer whether the atoms forced so far are consistent (strict
 atoms are handled natively); an infeasible prefix prunes the whole subtree.
 
-An external SMT-LIB2 solver can be used instead; its Boolean assignment is
-trusted only after the rational part has been checked (or re-derived) by
-exact substitution, so a misbehaving solver surfaces as a backend error,
-never as a wrong verdict.
+An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
+one solver process for many queries: each query is sent inside a
+``(push 1)`` / ``(pop 1)`` frame and every answer is read under a deadline.
+The solver's Boolean assignment is trusted only after the rational part has
+been checked (or re-derived) by exact substitution, so a misbehaving solver
+surfaces as a backend error, never as a wrong verdict.
 """
 
 from __future__ import annotations
 
+import codecs
+import os
 import shlex
 import subprocess
+import tempfile
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .formula import (
     And, Atom, Or, SmtProblem, UNSAT_PROBLEM,  # noqa: F401  (re-exported)
@@ -166,63 +174,66 @@ def _smt_formula(node) -> str:
             f" (and {a} {_smt_formula(node.right)}))")
 
 
+def _smt_declarations(problem: SmtProblem) -> str:
+    from .formula import selectors_of
+
+    lines = [f"(declare-const {_selector_name(sel)} Bool)"
+             for sel in sorted(selectors_of(problem.skeleton))]
+    lines.extend(f"(declare-const {_sym(v)} Real)" for v in problem.real_vars)
+    lines.append(f"(assert {_smt_formula(problem.skeleton)})")
+    return "\n".join(lines) + "\n"
+
+
 def emit_smtlib2(problem: SmtProblem) -> str:
     """Print the problem as an SMT-LIB2 script (logic QF_LRA), without the
     check-sat / get-value epilogue."""
-    from .formula import selectors_of
-
-    lines = ["(set-logic QF_LRA)"]
-    for sel in sorted(selectors_of(problem.skeleton)):
-        lines.append(f"(declare-const {_selector_name(sel)} Bool)")
-    for v in problem.real_vars:
-        lines.append(f"(declare-const {_sym(v)} Real)")
-    lines.append(f"(assert {_smt_formula(problem.skeleton)})")
-    return "\n".join(lines) + "\n"
+    return "(set-logic QF_LRA)\n" + _smt_declarations(problem)
 
 
 # ---------------------------------------------------------------------------
 # external backend
 # ---------------------------------------------------------------------------
 
-def _sexp_tokens(text: str) -> List[str]:
-    tokens: List[str] = []
+def _lex(text: str):
+    """(token, end offset) pairs of SMT-LIB2 text; a string or quoted
+    symbol cut off by the end of the text comes last, with end None."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
+            continue
+        if ch == ";":
+            i = text.find("\n", i)
+            if i < 0:
+                return
+            continue
+        if ch in "()":
+            j = i + 1
         elif ch == '"':
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
-            tokens.append(text[i:j + 1])
-            i = j + 1
+            j = j + 1 if j < n else None
         elif ch == "|":
             j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtBackendError("unterminated quoted symbol in solver output")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
+            j = j + 1 if j >= 0 else None
         else:
             j = i
             while j < n and not text[j].isspace() and text[j] not in "()":
                 j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+        yield text[i:j], j
+        if j is None:
+            return
+        i = j
 
 
 def _parse_sexps(text: str) -> List:
-    tokens = _sexp_tokens(text)
     out: List = []
     stack: List[List] = []
-    for tok in tokens:
+    for tok, end in _lex(text):
+        if end is None and tok.startswith("|"):
+            raise SmtBackendError("unterminated quoted symbol in solver output")
         if tok == "(":
             stack.append([])
         elif tok == ")":
@@ -235,6 +246,19 @@ def _parse_sexps(text: str) -> List:
     if stack:
         raise SmtBackendError("unbalanced solver output")
     return out
+
+
+def _sexp_end(text: str) -> Optional[int]:
+    """Offset just past the first complete s-expression in ``text``, or
+    None while more input is needed."""
+    depth = 0
+    for tok, end in _lex(text):
+        if end is None or (end == len(text) and tok[0] not in '()"|'):
+            return None  # cut off, or an atom that may go on
+        depth += (tok == "(") - (tok == ")")
+        if depth <= 0:
+            return end
+    return None
 
 
 def _sexp_rat(node) -> Rat:
@@ -258,46 +282,201 @@ def _strip_sym(name: str) -> str:
     return name
 
 
-def smt_check_external(problem: SmtProblem,
-                       solver_cmd: Union[str, Sequence[str]],
-                       timeout: float = 300.0) -> SmtResult:
-    """Decide the problem through an external SMT-LIB2 solver subprocess.
+class SmtSession:
+    """One external SMT-LIB2 solver process that answers many queries.
 
-    The solver must read a script on stdin and answer check-sat / get-value
-    on stdout (e.g. ``z3 -in``).  Boolean selector values come from the
-    solver; rational values are taken from the solver only when they pass
-    exact substitution, otherwise they are re-derived internally on the
-    selected path.  Everything unexpected raises ``SmtBackendError``.
+    The solver reads commands on stdin and answers on stdout as it goes
+    (e.g. ``z3 -in``).  The session sends ``(set-logic QF_LRA)`` once;
+    ``ask`` writes commands and reads one s-expression per expected answer,
+    skipping the bare ``success`` tokens a solver prints when its
+    ``:print-success`` option is on.  End of output, an ``(error ...)``
+    answer or a timeout raises ``SmtBackendError`` and closes the session.
+    Stderr goes to a temporary file whose last lines are quoted in those
+    errors.  Use it as a context manager, or call ``close``: no solver
+    process outlives it.
     """
+
+    def __init__(self, solver_cmd: Union[str, Sequence[str]]):
+        cmd = shlex.split(solver_cmd) if isinstance(solver_cmd, str) else list(solver_cmd)
+        if not cmd:
+            raise SmtBackendError("empty solver command")
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self._proc: Optional[subprocess.Popen] = subprocess.Popen(
+                cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=self._stderr, bufsize=0)
+        except OSError as err:
+            self._stderr.close()
+            raise SmtBackendError(f"cannot launch solver {cmd[0]!r}: {err}") from None
+        self._stdin = self._proc.stdin.fileno()
+        self._stdout = self._proc.stdout.fileno()
+        os.set_blocking(self._stdin, False)
+        self._selector = DefaultSelector()
+        self._selector.register(self._stdout, EVENT_READ)
+        self._decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        self._text = ""  # solver output not yet returned by ``ask``
+        self.ask("(set-logic QF_LRA)\n", 0)
+
+    def __enter__(self) -> "SmtSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def ask(self, commands: str, answers: int = 1, timeout: float = 300.0) -> List:
+        """Send ``commands`` and return the next ``answers`` answers, all
+        within ``timeout`` seconds."""
+        if self._proc is None:
+            raise SmtBackendError("solver session is closed")
+        deadline = time.monotonic() + timeout
+        data = commands.encode()
+        if data:
+            self._selector.register(self._stdin, EVENT_WRITE)
+        replies: List = []
+        try:
+            while True:
+                while len(replies) < answers:
+                    reply = self._next_answer()
+                    if reply is None:
+                        break
+                    replies.append(reply)
+                if len(replies) == answers and not data:
+                    return replies
+                remaining = deadline - time.monotonic()
+                ready = self._selector.select(remaining) if remaining > 0 else []
+                if not ready:
+                    raise self._fail(f"solver timed out after {timeout}s")
+                for key, _ in ready:
+                    if key.fd == self._stdin:
+                        data = data[self._write(data):]
+                        if not data:
+                            self._selector.unregister(self._stdin)
+                    else:
+                        chunk = os.read(self._stdout, 1 << 16)
+                        if not chunk:
+                            raise self._fail("solver closed its output")
+                        self._text += self._decoder.decode(chunk)
+        except SmtBackendError:
+            self.close()
+            raise
+
+    def _write(self, data: bytes) -> int:
+        try:
+            return os.write(self._stdin, data)
+        except BlockingIOError:
+            return 0
+        except OSError:
+            raise self._fail("solver closed its input") from None
+
+    def _next_answer(self):
+        """The next complete answer in the output read so far, or None."""
+        while True:
+            end = _sexp_end(self._text)
+            if end is None:
+                return None
+            sexps = _parse_sexps(self._text[:end])
+            self._text = self._text[end:]
+            if not sexps or sexps[0] == "success":
+                continue
+            answer = sexps[0]
+            if isinstance(answer, list) and answer and answer[0] == "error":
+                raise self._fail(f"solver error: {' '.join(map(str, answer[1:]))}")
+            return answer
+
+    def _fail(self, message: str) -> SmtBackendError:
+        """Kill the solver; the error to raise, with the end of its stderr."""
+        if self._proc is not None:
+            self._proc.kill()
+            self._proc.wait()
+        self._stderr.seek(0)
+        tail = self._stderr.read().decode(errors="replace").strip().splitlines()[-5:]
+        self.close()
+        if tail:
+            message += "; solver stderr: " + " | ".join(tail)
+        return SmtBackendError(message)
+
+    def close(self) -> None:
+        """Ask the solver to exit, kill it if it does not, and reap it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            if proc.returncode is None:
+                os.write(self._stdin, b"(exit)\n")
+                proc.stdin.close()
+                proc.wait(timeout=2.0)
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+        finally:
+            if proc.returncode is None:
+                proc.kill()
+                proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
+            self._selector.close()
+            self._stderr.close()
+
+
+@contextmanager
+def solver_session(backend) -> Iterator[Optional[SmtSession]]:
+    """``backend`` ready for a series of queries: None (the internal
+    backend) and open sessions are yielded as they are; a solver command is
+    opened as a session, which is closed on exit."""
+    if backend is None or isinstance(backend, SmtSession):
+        yield backend
+    else:
+        with SmtSession(backend) as session:
+            yield session
+
+
+def smt_check_external(problem: SmtProblem,
+                       solver: Union[SmtSession, str, Sequence[str]],
+                       timeout: float = 300.0) -> SmtResult:
+    """Decide the problem through an external SMT-LIB2 solver.
+
+    ``solver`` is an open ``SmtSession`` or a solver command, for which a
+    session is opened for this one query and closed again.  The query is
+    framed by ``(push 1)`` / ``(pop 1)``, so a session can answer any number
+    of them in turn; each answer must arrive within ``timeout`` seconds.
+    Boolean selector values come from the solver; rational values are taken
+    from the solver only when they pass exact substitution, otherwise they
+    are re-derived internally on the selected path.  Everything unexpected
+    raises ``SmtBackendError`` and closes the session.
+    """
+    if not isinstance(solver, SmtSession):
+        with SmtSession(solver) as session:
+            return smt_check_external(problem, session, timeout)
+    try:
+        return _external_query(problem, solver, timeout)
+    except SmtBackendError:
+        solver.close()
+        raise
+
+
+def _external_query(problem: SmtProblem, session: SmtSession,
+                    timeout: float) -> SmtResult:
     from .formula import selectors_of
 
-    cmd = shlex.split(solver_cmd) if isinstance(solver_cmd, str) else list(solver_cmd)
     sels = sorted(selectors_of(problem.skeleton))
-    script = [emit_smtlib2(problem), "(check-sat)\n"]
+    (verdict,) = session.ask(
+        "(push 1)\n" + _smt_declarations(problem) + "(check-sat)\n", 1, timeout)
+    if verdict == "unknown":
+        raise SmtBackendError("solver answered 'unknown'")
+    if verdict not in (SAT, UNSAT):
+        raise SmtBackendError(f"no check-sat answer in solver output: {verdict!r}")
+    if verdict == UNSAT:
+        session.ask("(pop 1)\n", 0, timeout)
+        return SmtResult(UNSAT)
+
+    script = []
     if sels:
         script.append("(get-value (" + " ".join(_selector_name(s) for s in sels) + "))\n")
     if problem.real_vars:
         script.append("(get-value (" + " ".join(_sym(v) for v in problem.real_vars) + "))\n")
-    try:
-        proc = subprocess.run(cmd, input="".join(script), text=True,
-                              capture_output=True, timeout=timeout)
-    except FileNotFoundError as err:
-        raise SmtBackendError(f"cannot launch solver {cmd[0]!r}: {err}") from None
-    except subprocess.TimeoutExpired:
-        raise SmtBackendError(f"solver timed out after {timeout}s") from None
-
-    sexps = _parse_sexps(proc.stdout)
-    verdict = next((s for s in sexps if s in (SAT, UNSAT, "unknown")), None)
-    if verdict is None:
-        raise SmtBackendError(
-            f"no check-sat answer in solver output: {proc.stdout!r}")
-    if verdict == "unknown":
-        raise SmtBackendError("solver answered 'unknown'")
-    if verdict == UNSAT:
-        return SmtResult(UNSAT)
+    values = session.ask("".join(script) + "(pop 1)\n", len(script), timeout)
 
     pairs: Dict[str, object] = {}
-    for s in sexps:
+    for s in values:
         if isinstance(s, list):
             for entry in s:
                 if isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str):

@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
 """A miniature SMT-LIB2 solver for wire-protocol tests.
 
-Reads a script on stdin (set-logic / declare-const / assert / check-sat /
-get-value), decides it with the library's own internal checker and answers
-on stdout.  Misbehavior modes let tests exercise the client's error paths:
+Reads commands on stdin (set-logic / declare-const / assert / check-sat /
+get-value / push / pop / exit) and answers each one on stdout as soon as
+its closing parenthesis arrives, so it serves one-shot scripts and
+interactive sessions alike.  Satisfiability is decided by the library's own
+internal checker.  Declarations and assertions are scoped by push/pop;
+declaring a symbol that is already declared answers ``(error ...)``, as a
+real solver does.  Modes let tests exercise the client's error paths:
 
-    --mode garbage      print something that is not SMT-LIB2
-    --mode unknown      answer unknown
-    --mode claim-sat    answer sat with all-false Booleans, no values
-    --mode claim-unsat  answer unsat regardless of the problem
+    --mode garbage        print something that is not SMT-LIB2
+    --mode unknown        answer unknown
+    --mode claim-sat      answer sat with all-false Booleans, no values
+    --mode claim-unsat    answer unsat regardless of the problem
+    --mode print-success  answer success to every command without output
 """
 
 import argparse
+import os
 import sys
 
 from invgen.formula import And, Atom, LinExpr, Or, SmtProblem
 from invgen.numeric import Rat
-from invgen.smt import _parse_sexps, smt_check  # reuse the s-expression reader
+from invgen.smt import _parse_sexps, _sexp_end, smt_check  # reuse the s-expression reader
 
 
 def parse_rat(node):
@@ -60,6 +66,8 @@ def parse_expr(node):
 
 
 def parse_formula(node):
+    if node == "true":
+        return And(())
     head = node[0]
     if head in ("<=", "<"):
         diff = parse_expr(node[1]).sub(parse_expr(node[2]))
@@ -82,56 +90,121 @@ def emit_rat(q):
     return f"(/ {q.numerator} {q.denominator})"
 
 
+def commands(fd):
+    """Top-level s-expressions read from ``fd``, each as soon as complete."""
+    text = ""
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            return
+        text += chunk.decode()
+        end = _sexp_end(text)
+        while end is not None:
+            yield from _parse_sexps(text[:end])
+            text = text[end:]
+            end = _sexp_end(text)
+
+
+class Frame:
+    def __init__(self):
+        self.bools, self.reals, self.assertions = [], [], []
+
+
+class Loopback:
+    def __init__(self, mode):
+        self.mode = mode
+        self.frames = [Frame()]
+        self.result = None  # the last check-sat, until the assertions change
+
+    def declared(self, name):
+        return any(name in f.bools or name in f.reals for f in self.frames)
+
+    def execute(self, cmd):
+        """The answer to one command: a string, or None for no output."""
+        head = cmd[0] if isinstance(cmd, list) and cmd else cmd
+        if head in ("set-logic", "set-option", "exit"):
+            return None
+        if head == "push":
+            self.frames.extend(Frame() for _ in range(int(cmd[1])))
+            self.result = None
+            return None
+        if head == "pop":
+            levels = int(cmd[1])
+            if levels >= len(self.frames):
+                return '(error "pop below the base level")'
+            del self.frames[-levels:]
+            self.result = None
+            return None
+        if head == "declare-const":
+            name = strip(cmd[1])
+            if self.declared(name):
+                return f'(error "symbol {name} already declared")'
+            frame = self.frames[-1]
+            (frame.bools if cmd[2] == "Bool" else frame.reals).append(name)
+            self.result = None
+            return None
+        if head == "assert":
+            self.frames[-1].assertions.append(parse_formula(cmd[1]))
+            self.result = None
+            return None
+        if head == "check-sat":
+            return self.check_sat()
+        if head == "get-value":
+            return self.get_value([strip(n) for n in cmd[1]])
+        return f'(error "unsupported command {head}")'
+
+    def check_sat(self):
+        if self.mode == "unknown":
+            return "unknown"
+        if self.mode == "claim-unsat":
+            return "unsat"
+        if self.mode == "claim-sat":
+            self.result = "claimed"
+            return "sat"
+        assertions = [a for f in self.frames for a in f.assertions]
+        reals = [v for f in self.frames for v in f.reals]
+        formula = assertions[0] if len(assertions) == 1 else And(assertions)
+        self.result = smt_check(SmtProblem(formula, tuple(reals)))
+        return self.result.status
+
+    def get_value(self, names):
+        if self.result == "claimed":
+            return "(" + " ".join(f"({n} false)" for n in names if n.startswith("a")) + ")"
+        if self.result is None or not self.result.is_sat:
+            return '(error "no model available")'
+        parts = []
+        for n in names:
+            if n.startswith("a") and n[1:].isdigit():
+                v = self.result.model.selectors.get(int(n[1:]), 0)
+                parts.append(f"({n} {'true' if v else 'false'})")
+            else:
+                q = self.result.model.reals.get(n, Rat(0))
+                sym = n if n.isalnum() else f"|{n}|"
+                parts.append(f"({sym} {emit_rat(q)})")
+        return "(" + " ".join(parts) + ")"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--mode", default="normal")
     mode = ap.parse_args().mode
 
     if mode == "garbage":
-        print("this is not an smt solver")
+        print("this is not an smt solver", flush=True)
         return
 
-    script = _parse_sexps(sys.stdin.read())
-    bools, reals, assertion, queries = [], [], None, []
-    for cmd in script:
-        if not isinstance(cmd, list):
-            continue
-        if cmd[0] == "declare-const":
-            (bools if cmd[2] == "Bool" else reals).append(strip(cmd[1]))
-        elif cmd[0] == "assert":
-            assertion = parse_formula(cmd[1])
-        elif cmd[0] == "get-value":
-            queries.append([strip(n) for n in cmd[1]])
-
-    if mode == "unknown":
-        print("unknown")
-        return
-    if mode == "claim-unsat":
-        print("unsat")
-        return
-
-    result = smt_check(SmtProblem(assertion, tuple(reals)))
-    if mode == "claim-sat":
-        print("sat")
-        for names in queries:
-            print("(" + " ".join(f"({n} false)" for n in names
-                                 if n.startswith("a")) + ")")
-        return
-
-    print(result.status)
-    if not result.is_sat:
-        return
-    for names in queries:
-        parts = []
-        for n in names:
-            if n.startswith("a") and n[1:].isdigit():
-                v = result.model.selectors.get(int(n[1:]), 0)
-                parts.append(f"({n} {'true' if v else 'false'})")
-            else:
-                q = result.model.reals.get(n, Rat(0))
-                sym = n if n.isalnum() else f"|{n}|"
-                parts.append(f"({sym} {emit_rat(q)})")
-        print("(" + " ".join(parts) + ")")
+    solver = Loopback(mode)
+    for cmd in commands(sys.stdin.fileno()):
+        try:
+            answer = solver.execute(cmd)
+        except (ValueError, IndexError, TypeError) as err:
+            answer = f'(error "{type(err).__name__}")'
+        if answer is None and mode == "print-success":
+            answer = "success"
+        if answer is not None:
+            print(answer, flush=True)
+        if cmd == ["exit"]:
+            return
 
 
 if __name__ == "__main__":

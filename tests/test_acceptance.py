@@ -15,10 +15,10 @@ from invgen.cli import analyze, gen_expo, parse_program, program_to_cfg
 from invgen.engine import (
     EngineOptions, check_post_fixpoint, kleene_oracle, run,
 )
-from invgen.formula import build_psi, eval_formula
+from invgen.formula import build_psi, eval_formula, selectors_of
 from invgen.lp import OPTIMAL, lp_solve
 from invgen.numeric import ext
-from invgen.smt import check_model, smt_check, smt_check_external
+from invgen.smt import SmtSession, check_model, smt_check, smt_check_external
 
 from conftest import CORPUS_DIR, corpus_files, external_solver_cmd
 from generators import random_cfg, random_lp, random_psi_inputs, random_state
@@ -173,26 +173,36 @@ def test_criterion_7_lp_matches_fourier_motzkin():
 
 def test_criterion_8_smt_matches_brute_force_and_external():
     rng = random.Random(4096)
-    solver = external_solver_cmd()
     total, sat_count, external_checked = 0, 0, 0
-    for _ in range(500):
-        stmt, rows, d, j, c = random_psi_inputs(rng)
-        problem = build_psi(stmt, d, rows, j, c)
-        got = smt_check(problem)
-        assert got.is_sat == brute_force_smt(problem)
-        if got.is_sat:
-            assert check_model(problem, got.model)
-            sat_count += 1
-        external = smt_check_external(problem, solver)
-        assert external.status == got.status
-        if external.is_sat:
-            assert check_model(problem, external.model)
-        external_checked += 1
-        total += 1
-    verdict(8, total >= 500 and external_checked == total,
+    declarations = set()
+    with SmtSession(external_solver_cmd()) as session:
+        for _ in range(500):
+            stmt, rows, d, j, c = random_psi_inputs(rng)
+            problem = build_psi(stmt, d, rows, j, c)
+            got = smt_check(problem)
+            assert got.is_sat == brute_force_smt(problem)
+            if got.is_sat:
+                assert check_model(problem, got.model)
+                sat_count += 1
+            external = smt_check_external(problem, session)
+            assert external.status == got.status
+            if external.is_sat:
+                assert check_model(problem, external.model)
+            external_checked += 1
+            total += 1
+            declarations.update(f"(declare-const a{s} Bool)"
+                                for s in selectors_of(problem.skeleton))
+            declarations.update(f"(declare-const |{v}| Real)" for v in problem.real_vars)
+        # nothing survived the 500 (push 1) / (pop 1) frames: every symbol is
+        # free to declare again, and no assertion is left to contradict
+        leftover = session.ask("(push 1)\n" + "\n".join(sorted(declarations)) +
+                               "\n(check-sat)\n(pop 1)\n")
+    clean = leftover == ["sat"]
+    verdict(8, total >= 500 and external_checked == total and clean,
             f"{total} improvement queries match selector enumeration "
             f"({sat_count} sat, all models substitution-checked; "
-            f"external backend agreed on all {external_checked})")
+            f"external backend agreed on all {external_checked} through one "
+            f"session, no state left after its frames: {clean})")
 
 
 def test_criterion_9_compression_preserves_reachability():

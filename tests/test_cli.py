@@ -16,7 +16,7 @@ from conftest import CORPUS_DIR
 
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["nodes", "stats", "certified"],
+    "required": ["nodes", "stats", "final", "certified"],
     "additionalProperties": False,
     "properties": {
         "nodes": {
@@ -40,6 +40,7 @@ REPORT_SCHEMA = {
                 "wall_ms": {"type": "integer"},
             },
         },
+        "final": {"type": "boolean"},
         "certified": {"type": ["boolean", "null"]},
     },
 }
@@ -164,6 +165,7 @@ def test_json_report_schema_and_exact_strings():
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["nodes"]["n1"]["x1"] == "2001"
     assert doc["nodes"]["st"]["x1"] == "inf"
+    assert doc["final"] is True
     assert doc["certified"] is True
     report = analyze(corpus("half_step.prg"))
     doc = json.loads(emit_report(report, "json"))
@@ -245,6 +247,20 @@ def test_cli_main_trace_and_max_iters(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["step"] == 1
+
+
+def test_capped_result_is_marked_not_final(capsys):
+    # one step leaves n1 at -inf, which would claim n1 unreachable if final
+    assert main(["analyze", corpus("running.prg"), "--max-iters", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["nodes"]["n1"]["x1"] == "-inf"
+    assert doc["final"] is False
+    assert main(["analyze", corpus("running.prg"), "--max-iters", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "x1  <= -inf" in out and "not final" in out
+    assert main(["analyze", corpus("running.prg")]) == 0
+    assert "not final" not in capsys.readouterr().out
 
 
 def test_cli_main_no_compress(capsys):

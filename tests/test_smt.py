@@ -1,4 +1,9 @@
+import os
 import random
+import shlex
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -8,10 +13,11 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, check_model, emit_smtlib2, smt_check, smt_check_external,
+    SmtBackendError, SmtSession, check_model, emit_smtlib2, smt_check,
+    smt_check_external,
 )
 
-from conftest import LOOPBACK, external_solver_cmd
+from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
 from generators import random_psi_inputs
 from oracles import brute_force_smt
 
@@ -151,3 +157,106 @@ def test_lying_unsat_claim_is_caught_by_differential_harness():
     internal = smt_check(problem)
     external = smt_check_external(problem, LOOPBACK + ["--mode", "claim-unsat"])
     assert internal.status != external.status  # the harness flags the mismatch
+
+
+# -- external sessions ---------------------------------------------------------
+
+@pytest.fixture
+def launched(monkeypatch):
+    """Every solver process started during the test."""
+    procs = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return procs
+
+
+def same_answer(problem, first, second):
+    assert first.status == second.status
+    if first.is_sat:
+        assert first.model == second.model
+        assert check_model(problem, first.model)
+
+
+def test_session_matches_one_shot_calls_on_reused_names(launched):
+    # every problem declares a0 and x, so a frame left open fails loudly
+    problems = [problem_of("x <= -1 | x = 2"), problem_of("(x <= 0 & 0 < x) | x < x"),
+                problem_of("(x = 7 & 7 < x) | 3*x = 5")]
+    one_shot = [smt_check_external(p, LOOPBACK) for p in problems]
+    assert len(launched) == 3
+    with SmtSession(LOOPBACK) as session:
+        for problem, want in zip(problems, one_shot):
+            same_answer(problem, smt_check_external(problem, session), want)
+    assert len(launched) == 4
+    assert [r.status for r in one_shot] == ["sat", "unsat", "sat"]
+    assert all(p.returncode is not None for p in launched)
+
+
+def test_print_success_solver_frames_correctly():
+    problems = [running_psi((0, 0), 0, ext(0)), problem_of("x <= 0 & 0 < x"),
+                problem_of("x = 2 | x = 3")]
+    with SmtSession(LOOPBACK + ["--mode", "print-success"]) as session:
+        for problem in problems:
+            same_answer(problem, smt_check_external(problem, session), smt_check(problem))
+
+
+def test_redeclaration_is_a_backend_error_and_closes_the_session(launched):
+    session = SmtSession(LOOPBACK)
+    with pytest.raises(SmtBackendError, match="already declared"):
+        session.ask("(declare-const x Real)\n(declare-const x Real)\n(check-sat)\n")
+    assert launched[0].returncode is not None
+    with pytest.raises(SmtBackendError, match="closed"):
+        smt_check_external(problem_of("x <= 0"), session)
+
+
+def test_silent_solver_times_out_and_is_reaped(launched):
+    started = time.monotonic()
+    with pytest.raises(SmtBackendError, match="timed out"):
+        smt_check_external(problem_of("x <= 0"),
+                           [sys.executable, "-c", "import time; time.sleep(30)"],
+                           timeout=0.5)
+    assert time.monotonic() - started < 5.0
+    assert len(launched) == 1 and launched[0].returncode is not None
+
+
+def test_solver_stderr_is_quoted_in_the_error():
+    crash = [sys.executable, "-c", "import sys; sys.stderr.write('bad licence\\n')"]
+    with pytest.raises(SmtBackendError, match="bad licence"):
+        smt_check_external(problem_of("x <= 0"), crash)
+
+
+def load_updown():
+    from invgen.cfg import compress, feedback_vertex_set
+    from invgen.cli import parse_program, program_to_cfg
+
+    with open(os.path.join(CORPUS_DIR, "updown.prg")) as handle:
+        g, T = program_to_cfg(parse_program(handle.read()))
+    return compress(g, feedback_vertex_set(g)), T
+
+
+def test_engine_phases_reap_their_sessions(launched):
+    from invgen.engine import EngineOptions, check_post_fixpoint, run
+
+    g, T = load_updown()
+    bounds, _ = run(g, T, EngineOptions(smt_cmd=LOOPBACK))
+    assert check_post_fixpoint(g, T, bounds, backend=LOOPBACK).verified
+    assert len(launched) == 2  # one process per phase, not per query
+    with pytest.raises(SmtBackendError):
+        run(g, T, EngineOptions(smt_cmd=LOOPBACK + ["--mode", "unknown"]))
+    with pytest.raises(SmtBackendError):
+        check_post_fixpoint(g, T, bounds, backend=LOOPBACK + ["--mode", "unknown"])
+    assert len(launched) == 4
+    assert all(p.returncode is not None for p in launched)
+
+
+def test_analyze_shares_one_session_for_run_and_check(launched):
+    from invgen.cli import analyze
+
+    report = analyze(os.path.join(CORPUS_DIR, "updown.prg"),
+                     solver=shlex.join(LOOPBACK), check=True)
+    assert report.certified is True
+    assert len(launched) == 1 and launched[0].returncode is not None
