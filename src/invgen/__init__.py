@@ -19,7 +19,7 @@ from .formula import (
     nonstrict_relaxation, parse_linexpr, parse_statement, select_path,
 )
 from .smt import SAT, UNSAT, SmtBackendError, SmtModel, SmtResult, \
-    check_model, emit_smtlib2, smt_check, smt_check_external
+    check_model, smt_check, smt_check_external
 from .cfg import Cfg, CfgError, Edge, compress, feedback_vertex_set, is_valid_cutset
 from .engine import (
     BOTTOM, CertResult, EngineError, EngineOptions, EquationSystem, Stats,

@@ -485,6 +485,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as err:
+        print(f"error: input too large to analyze ({type(err).__name__})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,10 +3,13 @@
 A two-phase simplex over exact rationals.  Free variables are split into
 nonnegative pairs, ``=`` rows are expanded into two ``<=`` rows and Bland's
 least-index pivoting rule guarantees termination without any perturbation.
-The tableau is stored densely, but a pivot updates only the columns where
-the pivot row is nonzero; the pivot sequence is exactly that of a full
-dense update.  Every outcome (infeasible / optimal with witness /
-unbounded) is exact; there is no floating point anywhere.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
+dense list of ``int`` numerators over one positive ``int`` denominator, so
+the pivot loop does integer arithmetic only, and ``Rat`` values appear only
+when the problem is read in and the witness is read out.  The pivot
+sequence is exactly that of a tableau of rationals.  Every outcome
+(infeasible / optimal with witness / unbounded) is exact; there is no
+floating point anywhere.
 
 Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
 maximize an auxiliary slack that strict rows must leave open.
@@ -15,6 +18,7 @@ maximize an auxiliary slack that strict rows must leave open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .numeric import Rat, ZERO, ONE, as_rat, rat_str
@@ -149,12 +153,16 @@ def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int]) -> FeasResult:
 
 
 class _Tableau:
-    """Simplex tableau; every free variable is split as u - w >= 0.
+    """Fraction-free simplex tableau; every free variable is split as u - w >= 0.
 
-    Rows are dense lists, one column per split variable, slack and
-    artificial.  A pivot touches only the nonzero columns of the pivot row;
-    Bland's rule, the ratio test and its tie-breaks, and exactness are as
-    for a full dense update.
+    Row ``i`` is ``rows[i]``, a dense list of ``int`` numerators (one column
+    per split variable, slack and artificial, then the right-hand side)
+    over the positive ``int`` denominator ``den[i]``; one gcd per update
+    keeps it in lowest terms.  The objective row is an ``int`` list at some
+    positive scale, since only its signs are read.  Bland's rule, the ratio
+    test (by cross-multiplication) and its tie-breaks are those of a
+    rational tableau, so the pivot sequence, and with it every witness, is
+    exactly the same.
     """
 
     def __init__(self, problem: LpProblem):
@@ -162,58 +170,57 @@ class _Tableau:
         self.var_index = {v: i for i, v in enumerate(problem.variables)}
         n2 = 2 * len(problem.variables)
 
-        raw: List[Tuple[List[Rat], Rat]] = []
+        raw: List[Tuple[List[int], int, int]] = []
         for row in problem.constraints:
-            dense = [ZERO] * n2
+            rhs = row.rhs
+            den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in row.coeffs))
+            nums = [0] * n2
             for v, c in row.coeffs:
-                j = 2 * self.var_index[v]
-                dense[j] = dense[j] + c
-                dense[j + 1] = dense[j + 1] - c
-            raw.append((dense, row.rhs))
+                a = int(c.numerator) * (den // int(c.denominator))
+                k = 2 * self.var_index[v]
+                nums[k] += a
+                nums[k + 1] -= a
+            b = int(rhs.numerator) * (den // int(rhs.denominator))
+            raw.append((nums, b, den))
             if row.rel == "=":
-                raw.append(([-c for c in dense], -row.rhs))
+                raw.append(([-a for a in nums], -b, den))
 
         m = len(raw)
-        self.ncols = n2 + m  # structural + one slack per row; artificials appended
-        self.rows: List[List[Rat]] = []
-        self.rhs: List[Rat] = []
+        nslack = n2 + m  # structural + one slack per row; artificials follow
+        self.ncols = nslack + sum(1 for _, b, _ in raw if b < 0)
+        self.rows: List[List[int]] = []  # numerators, right-hand side last
+        self.den: List[int] = []
         self.basis: List[int] = []
         self.artificial: Set[int] = set()
-        for i, (dense, b) in enumerate(raw):
-            row = dense + [ZERO] * m
-            row[n2 + i] = ONE
+        for i, (nums, b, den) in enumerate(raw):
+            row = nums + [0] * (self.ncols - n2) + [b]
+            row[n2 + i] = den
             if b < 0:
-                row = [-c for c in row]
-                b = -b
-                art = self.ncols + len(self.artificial)
+                row = [-a for a in row]
+                art = nslack + len(self.artificial)
+                row[art] = den
                 self.artificial.add(art)
                 self.basis.append(art)
             else:
                 self.basis.append(n2 + i)
             self.rows.append(row)
-            self.rhs.append(b)
-        if self.artificial:
-            width = self.ncols + len(self.artificial)
-            for i, row in enumerate(self.rows):
-                row.extend([ZERO] * (width - len(row)))
-                if self.basis[i] >= self.ncols:
-                    row[self.basis[i]] = ONE
-            self.ncols = width
+            self.den.append(den)
 
     # -- simplex core -----------------------------------------------------
 
-    def _reduced_costs(self, cost: List[Rat]) -> List[Rat]:
-        zrow = list(cost)
+    def _reduced_costs(self, cost: List[int]) -> List[int]:
+        # zrow / scale = cost - sum over basic rows of cost[b] * row / den
+        zrow = cost + [0]
+        scale = 1
         for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
+            if cost[b] != 0:
                 row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        zrow[j] = zrow[j] - cb * row[j]
+                nonzero = [(j, a) for j, a in enumerate(row) if a]
+                zrow, scale = _eliminate(zrow, scale, cost[b] * scale, row,
+                                         self.den[i], nonzero)
         return zrow
 
-    def _optimize(self, cost: List[Rat], blocked: Set[int]) -> str:
+    def _optimize(self, cost: List[int], blocked: Set[int]) -> str:
         zrow = self._reduced_costs(cost)
         while True:
             enter = -1
@@ -223,46 +230,48 @@ class _Tableau:
                     break
             if enter < 0:
                 return OPTIMAL
+            # Ratio rhs / a per row; the row's denominator cancels, so
+            # compare the numerator ratios by cross-multiplication.
             leave = -1
-            best = None
+            best_b = best_a = 0
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    b = row[-1]
+                    if leave < 0:
+                        better = True
+                    else:
+                        lhs, rhs = b * best_a, best_b * a
+                        better = lhs < rhs or \
+                            (lhs == rhs and self.basis[i] < self.basis[leave])
+                    if better:
+                        best_b, best_a, leave = b, a, i
             if leave < 0:
                 return UNBOUNDED
             self._pivot(leave, enter, zrow)
 
-    def _pivot(self, leave: int, enter: int, zrow: Optional[List[Rat]]) -> None:
-        # Only the nonzero columns of the pivot row can change another row,
-        # so the eliminations touch those columns alone, in place.
-        prow = self.rows[leave]
-        piv = prow[enter]
-        nonzero = [(j, p) for j, p in enumerate(prow) if p != 0]
-        if piv != 1:
-            inv = ONE / piv
-            nonzero = [(j, p * inv) for j, p in nonzero]
-            for j, p in nonzero:
-                prow[j] = p
-            self.rhs[leave] = self.rhs[leave] * inv
-        prhs = self.rhs[leave]
-        for i, row in enumerate(self.rows):
-            if i == leave:
-                continue
+    def _pivot(self, leave: int, enter: int, zrow: Optional[List[int]]) -> None:
+        # The normalised pivot row is prow / q: its own denominator cancels.
+        # A negative pivot (phase one's drive-out) flips the row's sign.
+        rows, dens = self.rows, self.den
+        prow = rows[leave]
+        q = prow[enter]
+        if q < 0:
+            prow = [-p for p in prow]
+            q = -q
+        g = gcd(*prow)
+        if g != 1:
+            prow = [p // g for p in prow]
+            q //= g
+        rows[leave] = prow
+        dens[leave] = q
+        nonzero = [(j, p) for j, p in enumerate(prow) if p]
+        for i, row in enumerate(rows):
             f = row[enter]
-            if f != 0:
-                for j, p in nonzero:
-                    row[j] = row[j] - f * p
-                self.rhs[i] = self.rhs[i] - f * prhs
-        if zrow is not None:
-            f = zrow[enter]
-            if f != 0:
-                for j, p in nonzero:
-                    zrow[j] = zrow[j] - f * p
+            if f != 0 and i != leave:
+                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, q, nonzero)
+        if zrow is not None and zrow[enter] != 0:
+            zrow[:], _ = _eliminate(zrow, 0, zrow[enter], prow, q, nonzero)
         self.basis[leave] = enter
 
     # -- phases ------------------------------------------------------------
@@ -270,12 +279,12 @@ class _Tableau:
     def phase_one(self) -> bool:
         if not self.artificial:
             return True
-        cost = [ZERO] * self.ncols
+        cost = [0] * self.ncols
         for j in self.artificial:
-            cost[j] = -ONE
+            cost[j] = -1
         self._optimize(cost, blocked=set())
         for i, b in enumerate(self.basis):
-            if b in self.artificial and self.rhs[i] != 0:
+            if b in self.artificial and self.rows[i][-1] != 0:
                 return False
         # Drive leftover zero-valued artificials out of the basis; a row
         # with no real pivot candidate is redundant and can be dropped.
@@ -288,20 +297,43 @@ class _Tableau:
             if enter >= 0:
                 self._pivot(i, enter, None)
             else:
-                del self.rows[i], self.rhs[i], self.basis[i]
+                del self.rows[i], self.den[i], self.basis[i]
         return True
 
     def phase_two(self) -> str:
-        cost = [ZERO] * self.ncols
-        for v, c in self.problem.objective.items():
+        # The objective over the lcm of its denominators: same signs.
+        objective = self.problem.objective
+        scale = lcm(*(int(c.denominator) for c in objective.values()))
+        cost = [0] * self.ncols
+        for v, c in objective.items():
             j = 2 * self.var_index[v]
-            cost[j] = c
-            cost[j + 1] = -c
+            cost[j] = int(c.numerator) * (scale // int(c.denominator))
+            cost[j + 1] = -cost[j]
         return self._optimize(cost, blocked=self.artificial)
 
     def witness(self) -> Dict[str, Rat]:
-        col_val = {b: self.rhs[i] for i, b in enumerate(self.basis)}
+        col_val = {b: Rat(self.rows[i][-1], self.den[i])
+                   for i, b in enumerate(self.basis)}
         out = {}
         for v, i in self.var_index.items():
             out[v] = col_val.get(2 * i, ZERO) - col_val.get(2 * i + 1, ZERO)
         return out
+
+
+def _eliminate(row: List[int], den: int, f: int, prow: List[int], q: int,
+               nonzero: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """``row / den - (f / den) * (prow / q)`` as numerators over a denominator,
+    in lowest terms.  ``nonzero`` lists the nonzero ``(column, entry)`` pairs
+    of ``prow``.  A ``den`` of 0 stands for an unknown positive scale (the
+    objective row): the result then keeps the signs and drops the scale."""
+    if q == 1:  # only the pivot row's nonzero columns change, in place
+        for j, p in nonzero:
+            row[j] -= f * p
+    else:
+        row = [r * q - f * p for r, p in zip(row, prow)]
+        den *= q
+    g = gcd(den, *row)
+    if g > 1:
+        row = [r // g for r in row]
+        den //= g
+    return row, den

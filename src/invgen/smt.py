@@ -184,12 +184,6 @@ def _smt_declarations(problem: SmtProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_smtlib2(problem: SmtProblem) -> str:
-    """Print the problem as an SMT-LIB2 script (logic QF_LRA), without the
-    check-sat / get-value epilogue."""
-    return "(set-logic QF_LRA)\n" + _smt_declarations(problem)
-
-
 # ---------------------------------------------------------------------------
 # external backend
 # ---------------------------------------------------------------------------

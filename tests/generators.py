@@ -32,6 +32,22 @@ def random_lp(rng: random.Random) -> LpProblem:
     return LpProblem(names, objective, rows)
 
 
+def degenerate_lp(rng: random.Random) -> LpProblem:
+    """A box around the origin cut by rows through the origin, with small
+    coefficients: many ratio-test ties and many optimal vertices, so the
+    pivot rule decides which witness comes out."""
+    names = [f"x{i}" for i in range(rng.randint(2, 4))]
+    objective = {v: Rat(rng.randint(-2, 2)) for v in names}
+    rows = []
+    for _ in range(rng.randint(3, 7)):
+        coeffs = {v: Rat(rng.randint(-2, 2)) for v in names}
+        rows.append(Constraint.of(coeffs, "=" if rng.random() < 0.1 else "<=", Rat(0)))
+    for v in names:
+        rows.append(Constraint.of({v: Rat(1)}, "<=", Rat(rng.choice((1, 1, 2)))))
+        rows.append(Constraint.of({v: Rat(-1)}, "<=", Rat(rng.choice((1, 1, 2)))))
+    return LpProblem(names, objective, rows)
+
+
 def random_atom(rng: random.Random, variables) -> Atom:
     coeffs = {}
     for v in rng.sample(variables, rng.randint(1, min(2, len(variables)))):

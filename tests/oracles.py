@@ -2,13 +2,18 @@
 
 Everything here is deliberately brute force and kept away from the code
 paths it checks: Fourier-Motzkin elimination replays LP classification by
-projection, and the selector-enumeration oracle replays satisfiability by
-trying every path.
+projection, the selector-enumeration oracle replays satisfiability by
+trying every path, and ``rational_lp_solve`` replays the simplex pivot for
+pivot on ``Rat`` entries.
 """
 
+from typing import Dict, List, Optional, Set, Tuple
+
 from invgen.formula import atoms_of, select_path, selectors_of
-from invgen.lp import Constraint, LpProblem, lp_feasible_strict
-from invgen.numeric import Rat
+from invgen.lp import (
+    Constraint, INFEASIBLE, LpProblem, LpResult, OPTIMAL, UNBOUNDED, lp_feasible_strict,
+)
+from invgen.numeric import ONE, Rat, ZERO
 
 
 def _expand_rows(constraints):
@@ -127,3 +132,177 @@ def brute_force_smt(problem) -> bool:
         if lp_feasible_strict(lp, strict).feasible:
             return True
     return False
+
+
+def rational_lp_solve(problem: LpProblem) -> LpResult:
+    """``lp_solve`` on a tableau of ``Rat`` entries (the pre-integer core)."""
+    tab = _RationalTableau(problem)
+    if not tab.phase_one():
+        return LpResult(INFEASIBLE)
+    if tab.phase_two() == UNBOUNDED:
+        return LpResult(UNBOUNDED)
+    witness = tab.witness()
+    value = ZERO
+    for v, c in problem.objective.items():
+        value = value + c * witness[v]
+    return LpResult(OPTIMAL, value, witness)
+
+
+class _RationalTableau:
+    """The rational simplex tableau that ``invgen.lp`` used to run.
+
+    Every entry is a ``Rat``; free variables are split as u - w >= 0, ``=``
+    rows become two ``<=`` rows, Bland's rule picks the entering column and
+    the ratio test breaks ties on the least basis index.  The fraction-free
+    tableau promises exactly this pivot sequence, so the two must agree in
+    status, value and witness.
+    """
+
+    def __init__(self, problem: LpProblem):
+        self.problem = problem
+        self.var_index = {v: i for i, v in enumerate(problem.variables)}
+        n2 = 2 * len(problem.variables)
+
+        raw: List[Tuple[List[Rat], Rat]] = []
+        for row in problem.constraints:
+            dense = [ZERO] * n2
+            for v, c in row.coeffs:
+                j = 2 * self.var_index[v]
+                dense[j] = dense[j] + c
+                dense[j + 1] = dense[j + 1] - c
+            raw.append((dense, row.rhs))
+            if row.rel == "=":
+                raw.append(([-c for c in dense], -row.rhs))
+
+        m = len(raw)
+        self.ncols = n2 + m  # structural + one slack per row; artificials appended
+        self.rows: List[List[Rat]] = []
+        self.rhs: List[Rat] = []
+        self.basis: List[int] = []
+        self.artificial: Set[int] = set()
+        for i, (dense, b) in enumerate(raw):
+            row = dense + [ZERO] * m
+            row[n2 + i] = ONE
+            if b < 0:
+                row = [-c for c in row]
+                b = -b
+                art = self.ncols + len(self.artificial)
+                self.artificial.add(art)
+                self.basis.append(art)
+            else:
+                self.basis.append(n2 + i)
+            self.rows.append(row)
+            self.rhs.append(b)
+        if self.artificial:
+            width = self.ncols + len(self.artificial)
+            for i, row in enumerate(self.rows):
+                row.extend([ZERO] * (width - len(row)))
+                if self.basis[i] >= self.ncols:
+                    row[self.basis[i]] = ONE
+            self.ncols = width
+
+    # -- simplex core -----------------------------------------------------
+
+    def _reduced_costs(self, cost: List[Rat]) -> List[Rat]:
+        zrow = list(cost)
+        for i, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        zrow[j] = zrow[j] - cb * row[j]
+        return zrow
+
+    def _optimize(self, cost: List[Rat], blocked: Set[int]) -> str:
+        zrow = self._reduced_costs(cost)
+        while True:
+            enter = -1
+            for j in range(self.ncols):  # Bland: least improving index
+                if j not in blocked and zrow[j] > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    if best is None or ratio < best or \
+                            (ratio == best and self.basis[i] < self.basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            self._pivot(leave, enter, zrow)
+
+    def _pivot(self, leave: int, enter: int, zrow: Optional[List[Rat]]) -> None:
+        # Only the nonzero columns of the pivot row can change another row,
+        # so the eliminations touch those columns alone, in place.
+        prow = self.rows[leave]
+        piv = prow[enter]
+        nonzero = [(j, p) for j, p in enumerate(prow) if p != 0]
+        if piv != 1:
+            inv = ONE / piv
+            nonzero = [(j, p * inv) for j, p in nonzero]
+            for j, p in nonzero:
+                prow[j] = p
+            self.rhs[leave] = self.rhs[leave] * inv
+        prhs = self.rhs[leave]
+        for i, row in enumerate(self.rows):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f != 0:
+                for j, p in nonzero:
+                    row[j] = row[j] - f * p
+                self.rhs[i] = self.rhs[i] - f * prhs
+        if zrow is not None:
+            f = zrow[enter]
+            if f != 0:
+                for j, p in nonzero:
+                    zrow[j] = zrow[j] - f * p
+        self.basis[leave] = enter
+
+    # -- phases ------------------------------------------------------------
+
+    def phase_one(self) -> bool:
+        if not self.artificial:
+            return True
+        cost = [ZERO] * self.ncols
+        for j in self.artificial:
+            cost[j] = -ONE
+        self._optimize(cost, blocked=set())
+        for i, b in enumerate(self.basis):
+            if b in self.artificial and self.rhs[i] != 0:
+                return False
+        # Drive leftover zero-valued artificials out of the basis; a row
+        # with no real pivot candidate is redundant and can be dropped.
+        for i in reversed(range(len(self.rows))):
+            if self.basis[i] not in self.artificial:
+                continue
+            row = self.rows[i]
+            enter = next((j for j in range(self.ncols)
+                          if j not in self.artificial and row[j] != 0), -1)
+            if enter >= 0:
+                self._pivot(i, enter, None)
+            else:
+                del self.rows[i], self.rhs[i], self.basis[i]
+        return True
+
+    def phase_two(self) -> str:
+        cost = [ZERO] * self.ncols
+        for v, c in self.problem.objective.items():
+            j = 2 * self.var_index[v]
+            cost[j] = c
+            cost[j + 1] = -c
+        return self._optimize(cost, blocked=self.artificial)
+
+    def witness(self) -> Dict[str, Rat]:
+        col_val = {b: self.rhs[i] for i, b in enumerate(self.basis)}
+        out = {}
+        for v, i in self.var_index.items():
+            out[v] = col_val.get(2 * i, ZERO) - col_val.get(2 * i + 1, ZERO)
+        return out

@@ -280,6 +280,20 @@ def test_cli_main_error_paths(tmp_path, capsys):
     assert main(["analyze", corpus("running.prg"), "--solver", "bogus"]) == 2
 
 
+def test_wide_disjunction_is_an_error_not_a_traceback(tmp_path):
+    # 500 disjuncts exceed the recursion depth of the selector search today;
+    # the command must still end with a one-line error and exit code 2.
+    wide = " | ".join(f"x' = {i}" for i in range(500))
+    prog = tmp_path / "wide.prg"
+    prog.write_text("vars x ; template interval ; nodes st a ; start st ; cutset a ;"
+                    f"edge st -> a : x' = 0 ; edge a -> a : {wide} ;")
+    proc = subprocess.run([sys.executable, "-m", "invgen.cli", "analyze", str(prog)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
+
+
 def test_cli_gen_expo_subcommand(tmp_path, capsys):
     assert main(["gen-expo", "2"]) == 0
     text = capsys.readouterr().out

@@ -8,8 +8,8 @@ from invgen.lp import (
 )
 from invgen.numeric import Rat
 
-from generators import random_lp
-from oracles import fm_feasible, fm_solve
+from generators import degenerate_lp, random_lp
+from oracles import fm_feasible, fm_solve, rational_lp_solve
 
 
 def lp(variables, objective, rows):
@@ -111,6 +111,64 @@ def test_matches_fourier_motzkin_oracle_small():
         assert res.status == status
         if status == OPTIMAL:
             assert res.value == value
+
+
+DEGENERATE = [
+    lp(["x", "y"], {"x": 1, "y": 1},
+       [({"x": 1, "y": 1}, "<=", 2), ({"x": -1}, "<=", 0), ({"y": -1}, "<=", 0)]),
+    lp(["x", "y"], {"x": 1, "y": 1},
+       [({"x": 1, "y": 1}, "<=", 2), ({"x": 1, "y": 1}, "<=", 2),
+        ({"x": 1}, "=", 1), ({"y": 1}, "<=", 1)]),
+    lp(["x", "y", "z"], {"x": 1, "y": 2, "z": -1},
+       [({"x": 1, "y": 1}, "<=", 0), ({"x": 1, "z": -1}, "<=", 0),
+        ({"y": 1, "z": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"y": 1}, "=", 0)]),
+]
+
+
+def test_matches_rational_tableau_oracle():
+    # Same pivots, so the same witness even where the optimum is not unique.
+    rng = random.Random(23)
+    problems = DEGENERATE + [random_lp(rng) for _ in range(300)] + \
+        [degenerate_lp(rng) for _ in range(300)]
+    for problem in problems:
+        assert lp_solve(problem) == rational_lp_solve(problem), problem.dump()
+
+
+def _scaled(problem, rng):
+    """Each row, and the objective, times a positive rational with a big
+    numerator and denominator."""
+    def factor():
+        return Rat(10**12 + rng.randint(1, 999), 7 ** rng.randint(1, 12))
+
+    rows = []
+    for row in problem.constraints:
+        f = factor()
+        rows.append(Constraint(tuple((v, q * f) for v, q in row.coeffs), row.rel,
+                               row.rhs * f))
+    f = factor()
+    objective = {v: c * f for v, c in problem.objective.items()}
+    return LpProblem(problem.variables, objective, rows), f
+
+
+def test_rational_and_large_coefficients():
+    rng = random.Random(29)
+    optimal = 0
+    for _ in range(120):
+        problem = random_lp(rng)
+        scaled, f = _scaled(problem, rng)
+        want = lp_solve(problem)
+        got = lp_solve(scaled)
+        fm_status, fm_value = fm_solve(scaled)
+        assert got == rational_lp_solve(scaled), scaled.dump()
+        assert got.status == want.status == fm_status
+        if got.status != OPTIMAL:
+            continue
+        optimal += 1
+        assert got.value == want.value * f == fm_value
+        for row in scaled.constraints:
+            total = sum((q * got.witness[v] for v, q in row.coeffs), Rat(0))
+            assert total <= row.rhs if row.rel == "<=" else total == row.rhs
+    assert optimal > 30
 
 
 def test_strict_feasibility_matches_fm_oracle():

@@ -13,7 +13,7 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, check_model, emit_smtlib2, smt_check,
+    SmtBackendError, SmtSession, _smt_declarations, check_model, smt_check,
     smt_check_external,
 )
 
@@ -99,11 +99,13 @@ def test_determinism():
 
 
 def test_emission_mentions_everything():
-    text = emit_smtlib2(running_psi((0, 0), 0, ext(0)))
-    assert "(set-logic QF_LRA)" in text
+    # the text a session sends inside each (push 1) / (pop 1) frame
+    text = _smt_declarations(running_psi((0, 0), 0, ext(0)))
     assert "(declare-const a0 Bool)" in text
     assert "(declare-const |x1'| Real)" in text
-    assert "(check-sat" not in text  # epilogue belongs to the client
+    assert "(assert " in text
+    assert "(set-logic" not in text  # sent once per session
+    assert "(check-sat" not in text  # epilogue belongs to the session
 
 
 # -- external backend ---------------------------------------------------------
