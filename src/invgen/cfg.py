@@ -70,56 +70,22 @@ class Cfg:
         return seen
 
 
-def _has_cycle(nodes: Set[str], succ: Dict[str, List[str]]) -> bool:
-    color = {n: 0 for n in nodes}  # 0 white, 1 gray, 2 black
-    for root in nodes:
-        if color[root]:
-            continue
-        stack = [(root, iter(succ.get(root, ())))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for t in it:
-                if color[t] == 0:
-                    color[t] = 1
-                    stack.append((t, iter(succ.get(t, ()))))
-                    advanced = True
-                    break
-                if color[t] == 1:
-                    return True
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+def _back_edge_targets(g: Cfg, removed: Set[str]) -> Set[str]:
+    """Targets of the back edges of a depth-first traversal of ``g`` without
+    the ``removed`` nodes.
 
-
-def is_valid_cutset(g: Cfg, cut: Iterable[str]) -> bool:
-    """True iff removing the cut nodes leaves no directed cycle."""
-    cut = set(cut)
-    rest = {n for n in g.nodes if n not in cut}
-    succ: Dict[str, List[str]] = {}
-    for e in g.edges:
-        if e.source in rest and e.target in rest:
-            succ.setdefault(e.source, []).append(e.target)
-    return not _has_cycle(rest, succ)
-
-
-def feedback_vertex_set(g: Cfg) -> FrozenSet[str]:
-    """Cut set from depth-first traversal: the targets of back edges.
-
-    Roots are the start node first, then remaining nodes in declaration
-    order, so every cycle (also in parts unreachable from start) is cut and
-    the result is deterministic.
+    Roots are the start node first, then the other nodes in declaration
+    order, so the result is deterministic and meets every directed cycle
+    (also in parts unreachable from start); it is empty iff there is none.
     """
-    succ: Dict[str, List[str]] = {n: [] for n in g.nodes}
+    succ: Dict[str, List[str]] = {n: [] for n in g.nodes if n not in removed}
     for e in g.edges:
-        succ[e.source].append(e.target)
-    cut: Set[str] = set()
-    color = {n: 0 for n in g.nodes}
-    roots = [g.start] + [n for n in g.nodes if n != g.start]
-    for root in roots:
-        if color[root]:
+        if e.source in succ and e.target in succ:
+            succ[e.source].append(e.target)
+    targets: Set[str] = set()
+    color = {n: 0 for n in succ}  # 0 white, 1 gray, 2 black
+    for root in [g.start] + g.nodes:
+        if root not in color or color[root]:
             continue
         stack = [(root, iter(succ[root]))]
         color[root] = 1
@@ -133,11 +99,21 @@ def feedback_vertex_set(g: Cfg) -> FrozenSet[str]:
                     advanced = True
                     break
                 if color[t] == 1:
-                    cut.add(t)
+                    targets.add(t)
             if not advanced:
                 color[node] = 2
                 stack.pop()
-    return frozenset(cut)
+    return targets
+
+
+def is_valid_cutset(g: Cfg, cut: Iterable[str]) -> bool:
+    """True iff removing the cut nodes leaves no directed cycle."""
+    return not _back_edge_targets(g, set(cut))
+
+
+def feedback_vertex_set(g: Cfg) -> FrozenSet[str]:
+    """Cut set from depth-first traversal: the targets of back edges."""
+    return frozenset(_back_edge_targets(g, set()))
 
 
 def _topo_order(nodes: Sequence[str], succ: Dict[str, List[str]]) -> List[str]:

@@ -462,6 +462,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sys.stdout.write(text)
             return 0
 
+        if args.max_iters is not None and args.max_iters < 1:
+            raise ProgramError(f"--max-iters must be at least 1, not {args.max_iters}")
         solver = _solver_from_flag(args.solver)
         trace_handle = open(args.trace, "w", encoding="utf-8") if args.trace else None
         try:

@@ -32,7 +32,9 @@ from .formula import (
 )
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
 from .numeric import NEG_INF, POS_INF, ExtRat, Rat, ext
-from .smt import SmtResult, SmtSession, smt_check, smt_check_external, solver_session
+from .smt import (
+    SmtResult, SmtSession, atoms_problem, smt_check, smt_check_external, solver_session,
+)
 
 VarKey = Tuple[str, int]  # (node, template row index)
 Bounds = Dict[VarKey, ExtRat]
@@ -156,10 +158,6 @@ class EquationSystem:
         return {key: NEG_INF for key in self.order}
 
 
-def build_equation_system(g: Cfg, template: Template) -> EquationSystem:
-    return EquationSystem(g, template)
-
-
 # -- abstract transformer of a single sequential statement -------------------
 
 def abstract_transform_row(seq_statement, d: Sequence[ExtRat], template,
@@ -177,27 +175,14 @@ def abstract_transform_row(seq_statement, d: Sequence[ExtRat], template,
     atoms = [Atom(row, "<=", d[i].value)
              for i, row in enumerate(rows) if d[i].is_finite]
     atoms.extend(atoms_of(seq_statement))
-    variables: List[str] = []
-    seen = set()
-    for a in atoms:
-        for v in a.lin.variables():
-            if v not in seen:
-                seen.add(v)
-                variables.append(v)
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
-    for v in target.variables():
-        if v not in seen:
-            seen.add(v)
-            variables.append(v)
-
-    rows_lp = [Constraint(tuple(a.lin.coeffs.items()), "<=", a.bound) for a in atoms]
-    strict = {i for i, a in enumerate(atoms) if a.rel == "<"}
-    feas = lp_feasible_strict(LpProblem(variables, {}, rows_lp), strict)
+    problem, strict = atoms_problem(atoms, dict(target.coeffs))
+    feas = lp_feasible_strict(problem, strict)
     if stats is not None:
         stats.lp_solves += 1
     if not feas.feasible:
         return NEG_INF
-    res = lp_solve(LpProblem(variables, dict(target.coeffs), rows_lp))
+    res = lp_solve(problem)
     if stats is not None:
         stats.lp_solves += 1
     if res.status == UNBOUNDED:
@@ -246,8 +231,7 @@ def _entry_value(eq: EquationSystem, key: VarKey, entry, bounds, stats) -> ExtRa
 
 
 def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = None,
-            backend=None, local: bool = False, bound_hint: Optional[ExtRat] = None,
-            batch: bool = True):
+            backend=None, local: bool = False):
     """One strategy-improvement pass; returns the improved strategy, or
     None when the current bounds already solve every equation.
 
@@ -255,8 +239,7 @@ def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = No
     model found); with ``local`` each changed variable gets a locally
     optimal operand, found by re-querying with the threshold raised to the
     value of the best operand so far.  Variables whose bound is already
-    +inf cannot improve and are not queried.  With ``batch`` off only the
-    first improvable variable changes per pass.
+    +inf cannot improve and are not queried.
     """
     changed: Dict[VarKey, object] = {}
     for key in eq.order:
@@ -271,27 +254,16 @@ def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = No
                 value = _entry_value(eq, key, entry, bounds, stats)
                 if value.is_pos_inf:
                     break
-                if bound_hint is not None and bound_hint.is_finite and value >= bound_hint:
-                    break
                 better = _find_improving(eq, key, bounds, value, stats, backend)
                 if better is None:
                     break
                 entry = better
         changed[key] = entry
-        if not batch:
-            break
     if not changed:
         return None
     new_strategy = dict(strategy)
     new_strategy.update(changed)
     return new_strategy
-
-
-def improve_local_opt(eq: EquationSystem, strategy, bounds, *,
-                      stats: Optional[Stats] = None, backend=None,
-                      bound_hint: Optional[ExtRat] = None, batch: bool = True):
-    return improve(eq, strategy, bounds, stats=stats, backend=backend,
-                   local=True, bound_hint=bound_hint, batch=batch)
 
 
 # -- strategy evaluation -------------------------------------------------------
@@ -400,7 +372,6 @@ class EngineOptions:
     # None = internal backend; a solver command gets one session per run
     smt_cmd: Optional[Union[SmtSession, str, Sequence[str]]] = None
     max_iters: Optional[int] = None
-    batch: bool = True
     trace: Optional[object] = None  # file-like, one JSON record per iteration
 
 
@@ -442,7 +413,7 @@ def run(g: Cfg, template: Template,
     runs as one session for the whole run, closed before returning.
     """
     opts = opts or EngineOptions()
-    eq = build_equation_system(g, template)
+    eq = EquationSystem(g, template)
     strategy = eq.initial_strategy()
     bounds = eq.initial_bounds()
     stats = Stats()
@@ -450,7 +421,7 @@ def run(g: Cfg, template: Template,
     with solver_session(opts.smt_cmd) as backend:
         while True:
             improved = improve(eq, strategy, bounds, stats=stats, backend=backend,
-                               local=opts.local_opt, batch=opts.batch)
+                               local=opts.local_opt)
             if improved is None:
                 break
             changed_keys = [k for k in eq.order if improved[k] != strategy[k]]
@@ -514,7 +485,7 @@ def kleene_oracle(g: Cfg, template: Template,
     fixed point.  Returns None when ``max_steps`` passes do not converge;
     intended as an independent test oracle, not for production use.
     """
-    eq = build_equation_system(g, template)
+    eq = EquationSystem(g, template)
     paths_cache = {idx: enumerate_path_choices(e.statement)
                    for idx, e in enumerate(g.edges)}
     bounds = eq.initial_bounds()

@@ -45,10 +45,6 @@ def is_primed(name: str) -> bool:
     return name.endswith(PRIME)
 
 
-def base_name(name: str) -> str:
-    return name[:-1] if is_primed(name) else name
-
-
 # ---------------------------------------------------------------------------
 # linear expressions
 # ---------------------------------------------------------------------------
@@ -250,23 +246,7 @@ def formula_size(formula) -> int:
 
 def selectors_of(formula) -> List[int]:
     """Selector ids of all distinct Or nodes, in pre-order."""
-    out = []
-    seen = set()
-
-    def walk(node):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, Or):
-            out.append(node.selector)
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, And):
-            for ch in node.children:
-                walk(ch)
-
-    walk(formula)
-    return out
+    return [node.selector for node in iter_nodes(formula) if isinstance(node, Or)]
 
 
 def formula_vars(formula) -> List[str]:
@@ -428,13 +408,6 @@ def conjoin(parts: Sequence) -> object:
     if len(flat) == 1:
         return flat[0]
     return And(flat)
-
-
-def check_selector_invariant(formula) -> None:
-    """Every distinct Or node must carry a distinct selector id."""
-    sels = selectors_of(formula)
-    if len(sels) != len(set(sels)):
-        raise FormulaError("duplicate selector ids in formula")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .numeric import Rat, ZERO, ONE, as_rat, rat_str
+from .numeric import Rat, ZERO, ONE, as_rat
 
 INFEASIBLE = "infeasible"
 OPTIMAL = "optimal"
@@ -68,28 +68,6 @@ class LpProblem:
             for v, _ in row.coeffs:
                 if v not in declared:
                     raise LpError(f"constraint uses undeclared variable {v!r}")
-
-    def dump(self) -> str:
-        """Plain-text form, one constraint per line (debugging aid)."""
-        lines = ["max: " + _expr_str(self.objective)]
-        for row in self.constraints:
-            lines.append(f"  {_expr_str(dict(row.coeffs))} {row.rel} {rat_str(row.rhs)}")
-        return "\n".join(lines)
-
-
-def _expr_str(coeffs: Dict[str, Rat]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for v, c in coeffs.items():
-        if c == 1:
-            term = v
-        elif c == -1:
-            term = f"-{v}"
-        else:
-            term = f"{rat_str(c)}*{v}"
-        parts.append(term if not parts else (f"+ {term}" if c > 0 else f"- {term.lstrip('-')}"))
-    return " ".join(parts)
 
 
 @dataclass(frozen=True)

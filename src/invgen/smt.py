@@ -26,13 +26,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .formula import (
-    And, Atom, Or, SmtProblem, UNSAT_PROBLEM,  # noqa: F401  (re-exported)
-    REL_LT, eval_formula,
-)
-from .lp import Constraint, FeasResult, LpProblem, lp_feasible_strict
+from .formula import REL_LT, And, Atom, SmtProblem, selectors_of
+from .lp import Constraint, LpProblem, lp_feasible_strict
 from .numeric import Rat, ZERO
 
 SAT = "sat"
@@ -86,17 +83,18 @@ def _forced(skeleton, assign: Dict[int, int]) -> Tuple[List[Atom], List[int]]:
     return atoms, pending
 
 
-def _theory_check(atoms: Sequence[Atom]) -> FeasResult:
-    variables: List[str] = []
-    seen = set()
+def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = None
+                  ) -> Tuple[LpProblem, Set[int]]:
+    """The atoms as ``<=`` rows of an LP maximising ``objective``, and the
+    indices of the rows that must hold strictly.  Columns follow the first
+    occurrence of each variable; variables only in the objective come last."""
+    variables: Dict[str, None] = {}
     for atom in atoms:
-        for v in atom.lin.variables():
-            if v not in seen:
-                seen.add(v)
-                variables.append(v)
+        variables.update(dict.fromkeys(atom.lin.variables()))
+    variables.update(dict.fromkeys(objective or ()))
     rows = [Constraint(tuple(a.lin.coeffs.items()), "<=", a.bound) for a in atoms]
     strict = {i for i, a in enumerate(atoms) if a.rel == REL_LT}
-    return lp_feasible_strict(LpProblem(variables, {}, rows), strict)
+    return LpProblem(list(variables), objective or {}, rows), strict
 
 
 def smt_check(problem: SmtProblem) -> SmtResult:
@@ -104,7 +102,7 @@ def smt_check(problem: SmtProblem) -> SmtResult:
 
     def search(assign: Dict[int, int]) -> Optional[SmtModel]:
         atoms, pending = _forced(problem.skeleton, assign)
-        feas = _theory_check(atoms)
+        feas = lp_feasible_strict(*atoms_problem(atoms))
         if not feas.feasible:
             return None
         if not pending:
@@ -175,8 +173,6 @@ def _smt_formula(node) -> str:
 
 
 def _smt_declarations(problem: SmtProblem) -> str:
-    from .formula import selectors_of
-
     lines = [f"(declare-const {_selector_name(sel)} Bool)"
              for sel in sorted(selectors_of(problem.skeleton))]
     lines.extend(f"(declare-const {_sym(v)} Real)" for v in problem.real_vars)
@@ -449,8 +445,6 @@ def smt_check_external(problem: SmtProblem,
 
 def _external_query(problem: SmtProblem, session: SmtSession,
                     timeout: float) -> SmtResult:
-    from .formula import selectors_of
-
     sels = sorted(selectors_of(problem.skeleton))
     (verdict,) = session.ask(
         "(push 1)\n" + _smt_declarations(problem) + "(check-sat)\n", 1, timeout)
@@ -498,14 +492,10 @@ def _external_query(problem: SmtProblem, session: SmtSession,
     except (KeyError, SmtBackendError):
         reals = None
     if reals is None:
-        feas = _theory_check(atoms)
+        feas = lp_feasible_strict(*atoms_problem(atoms))
         if not feas.feasible:
             raise SmtBackendError(
                 "solver said sat but its selected path is infeasible")
         reals = {v: feas.witness.get(v, ZERO) for v in problem.real_vars}
     return SmtResult(SAT, SmtModel(selectors, reals))
 
-
-def check_model(problem: SmtProblem, model: SmtModel) -> bool:
-    """Exact substitution check: does the model satisfy the problem?"""
-    return eval_formula(problem.skeleton, model.reals, model.selectors)

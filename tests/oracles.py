@@ -9,11 +9,11 @@ pivot on ``Rat`` entries.
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from invgen.formula import atoms_of, select_path, selectors_of
+from invgen.formula import FormulaError, atoms_of, eval_formula, select_path, selectors_of
 from invgen.lp import (
     Constraint, INFEASIBLE, LpProblem, LpResult, OPTIMAL, UNBOUNDED, lp_feasible_strict,
 )
-from invgen.numeric import ONE, Rat, ZERO
+from invgen.numeric import ONE, Rat, ZERO, rat_str
 
 
 def _expand_rows(constraints):
@@ -52,7 +52,25 @@ def _eliminate(rows, var):
                     combo[v] = combo.get(v, Rat(0)) + q / na
             combo = {v: q for v, q in combo.items() if q != 0}
             out.append((combo, pr / pa + nr / na, ps or ns))
-    return out
+    return _tightest(out)
+
+
+def _tightest(rows):
+    """The rows scaled so that their first coefficient (in sorted variable
+    order) is +1 or -1, keeping per direction only the tightest one: the
+    smaller right-hand side, a strict row winning a tie.  The solution set
+    is unchanged; without this, redundant rows pile up at every step."""
+    best = {}
+    for coeffs, rhs, strict in rows:
+        if coeffs:
+            f = abs(coeffs[min(coeffs)])
+            coeffs = {v: q / f for v, q in coeffs.items()}
+            rhs = rhs / f
+        key = tuple(sorted(coeffs.items()))
+        kept = best.get(key)
+        if kept is None or rhs < kept[1] or (rhs == kept[1] and strict):
+            best[key] = (coeffs, rhs, strict)
+    return list(best.values())
 
 
 def _constants_ok(rows):
@@ -110,6 +128,41 @@ def fm_solve(problem: LpProblem):
     if upper is None:
         return "unbounded", None
     return "optimal", upper
+
+
+def check_model(problem, model) -> bool:
+    """Exact substitution check: does the model satisfy the problem?"""
+    return eval_formula(problem.skeleton, model.reals, model.selectors)
+
+
+def check_selector_invariant(formula) -> None:
+    """Every distinct Or node must carry a distinct selector id."""
+    sels = selectors_of(formula)
+    if len(sels) != len(set(sels)):
+        raise FormulaError("duplicate selector ids in formula")
+
+
+def _expr_str(coeffs: Dict[str, Rat]) -> str:
+    if not coeffs:
+        return "0"
+    parts = []
+    for v, c in coeffs.items():
+        if c == 1:
+            term = v
+        elif c == -1:
+            term = f"-{v}"
+        else:
+            term = f"{rat_str(c)}*{v}"
+        parts.append(term if not parts else (f"+ {term}" if c > 0 else f"- {term.lstrip('-')}"))
+    return " ".join(parts)
+
+
+def lp_text(problem: LpProblem) -> str:
+    """Plain-text form of an LP, one constraint per line (for failure messages)."""
+    lines = ["max: " + _expr_str(problem.objective)]
+    for row in problem.constraints:
+        lines.append(f"  {_expr_str(dict(row.coeffs))} {row.rel} {rat_str(row.rhs)}")
+    return "\n".join(lines)
 
 
 def brute_force_smt(problem) -> bool:

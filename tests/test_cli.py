@@ -205,11 +205,11 @@ def test_gen_expo_shape_and_round_trip():
 
 
 def test_gen_expo_equation_system_size():
-    from invgen.engine import build_equation_system
+    from invgen.engine import EquationSystem
 
     prog = parse_program(gen_expo(4))
     g, T = program_to_cfg(prog)
-    eq = build_equation_system(g, T)
+    eq = EquationSystem(g, T)
     # one fixpoint variable per (node, declared template row)
     assert len(eq.order) == len(g.nodes) * len(T) == 2
 
@@ -327,6 +327,15 @@ def test_cli_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "vars x1 ;" in proc.stdout
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_max_iters_below_one_is_a_usage_error(n, capsys):
+    assert main(["analyze", corpus("running.prg"), "--max-iters", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-iters must be at least 1, not {n}\n"
 
 
 def test_lints_printed_to_stderr(capsys):

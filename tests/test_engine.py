@@ -7,10 +7,9 @@ import pytest
 
 from invgen.cfg import Cfg, compress, feedback_vertex_set
 from invgen.engine import (
-    BOTTOM, ConstChoice, EngineError, EngineOptions, StratConst, StratPath,
-    Template, abstract_transform_row, build_equation_system,
-    check_post_fixpoint, evaluate, improve, improve_local_opt, kleene_oracle,
-    run,
+    BOTTOM, ConstChoice, EngineError, EngineOptions, EquationSystem, StratConst,
+    StratPath, Template, abstract_transform_row, check_post_fixpoint, evaluate,
+    improve, kleene_oracle, run,
 )
 from invgen.formula import (
     enumerate_path_choices, eval_formula, parse_linexpr, parse_statement,
@@ -40,7 +39,7 @@ def expand(bounds, labels=None):
 
 
 def test_equation_system_shape():
-    eq = build_equation_system(running_cfg(), running_template())
+    eq = EquationSystem(running_cfg(), running_template())
     assert len(eq.order) == 4
     assert eq.choices[("st", 0)] == [ConstChoice(POS_INF)]
     assert [type(c).__name__ for c in eq.choices[("n1", 0)]] == ["EdgeChoice", "EdgeChoice"]
@@ -62,12 +61,12 @@ def test_template_validation():
     with pytest.raises(EngineError):
         Template([parse_linexpr("x + 1")])
     with pytest.raises(EngineError):
-        build_equation_system(running_cfg(), Template([parse_linexpr("zz")]))
+        EquationSystem(running_cfg(), Template([parse_linexpr("zz")]))
 
 
 def test_worked_iteration_trace():
     """Step the loop by hand and pin every intermediate strategy and bound."""
-    eq = build_equation_system(running_cfg(), running_template())
+    eq = EquationSystem(running_cfg(), running_template())
     sigma = eq.initial_strategy()
     rho = eq.initial_bounds()
 
@@ -108,7 +107,7 @@ def test_run_returns_least_solution_and_stats():
 
 
 def test_ascent_is_monotone_and_strict_while_running():
-    eq = build_equation_system(running_cfg(), running_template())
+    eq = EquationSystem(running_cfg(), running_template())
     sigma = eq.initial_strategy()
     rho = eq.initial_bounds()
     while True:
@@ -131,14 +130,14 @@ def test_ascent_is_monotone_and_strict_while_running():
 
 
 def test_evaluate_all_bottom_is_identity():
-    eq = build_equation_system(running_cfg(), running_template())
+    eq = EquationSystem(running_cfg(), running_template())
     sigma = eq.initial_strategy()
     rho = eq.initial_bounds()
     assert evaluate(eq, sigma, rho) == rho
 
 
 def test_improve_never_touches_equal_value_choices():
-    eq = build_equation_system(running_cfg(), running_template())
+    eq = EquationSystem(running_cfg(), running_template())
     sigma = eq.initial_strategy()
     rho = eq.initial_bounds()
     for _ in range(3):
@@ -171,13 +170,6 @@ def test_trace_records_every_step():
     assert all("changed" in r for r in records)
 
 
-def test_batch_off_changes_one_variable_per_step():
-    bounds, stats = run(running_cfg(), running_template(),
-                        EngineOptions(batch=False))
-    assert bounds[("n1", 0)] == ext(2001)
-    assert stats.improvement_steps >= 5  # start rows now improve one at a time
-
-
 def test_abstract_transform_row_cases():
     T = running_template()
     body = select_path(parse_statement(RUNNING_BODY), {0: 1})
@@ -207,26 +199,26 @@ def test_strict_supremum_uses_closure():
 def test_local_opt_picks_best_constant():
     g = Cfg(["st", "n"], "st", [], ["x"])
     T = Template([parse_linexpr("x")])
-    eq = build_equation_system(g, T)
+    eq = EquationSystem(g, T)
     eq.choices[("n", 0)] = [ConstChoice(ext(0)), ConstChoice(ext(1)), ConstChoice(ext(2))]
     sigma = eq.initial_strategy()
     rho = eq.initial_bounds()
     plain = improve(eq, sigma, rho)
     assert plain[("n", 0)] == StratConst(ext(0))  # first improving operand
-    best = improve_local_opt(eq, sigma, rho)
+    best = improve(eq, sigma, rho, local=True)
     assert best[("n", 0)] == StratConst(ext(2))  # locally optimal operand
 
 
 def test_local_opt_on_running_example_matches_plain():
     # only one improving path exists at rho2, so both operators agree
-    eq = build_equation_system(running_cfg(), running_template())
+    eq = EquationSystem(running_cfg(), running_template())
     sigma = eq.initial_strategy()
     rho = eq.initial_bounds()
     for _ in range(2):
         sigma = improve(eq, sigma, rho)
         rho = evaluate(eq, sigma, rho)
     plain = improve(eq, sigma, rho)
-    best = improve_local_opt(eq, sigma, rho)
+    best = improve(eq, sigma, rho, local=True)
     assert plain[("n1", 0)] == best[("n1", 0)] == StratPath(1, {0: 1})
     bounds, stats = run(running_cfg(), running_template(),
                         EngineOptions(local_opt=True))
@@ -244,16 +236,16 @@ def test_local_opt_dominates_every_path_value():
             g = compress(g, cut)
         T = Template([parse_linexpr("x"), parse_linexpr("-x"),
                       parse_linexpr("y"), parse_linexpr("-y")])
-        eq = build_equation_system(g, T)
+        eq = EquationSystem(g, T)
         sigma = eq.initial_strategy()
         rho = eq.initial_bounds()
         for _ in range(3):
-            improved = improve_local_opt(eq, sigma, rho)
+            improved = improve(eq, sigma, rho, local=True)
             if improved is None:
                 break
             sigma = improved
             rho = evaluate(eq, sigma, rho)
-        improved = improve_local_opt(eq, sigma, rho)
+        improved = improve(eq, sigma, rho, local=True)
         if improved is None:
             continue
         for key in eq.order:
@@ -358,7 +350,7 @@ def test_certification_rejects_weakened_bounds():
 
 def test_certification_vacuous_on_all_infinite_bounds():
     g, T = running_cfg(), running_template()
-    bounds = {key: POS_INF for key in build_equation_system(g, T).order}
+    bounds = {key: POS_INF for key in EquationSystem(g, T).order}
     assert check_post_fixpoint(g, T, bounds).verified
 
 

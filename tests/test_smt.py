@@ -13,13 +13,12 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _smt_declarations, check_model, smt_check,
-    smt_check_external,
+    SmtBackendError, SmtSession, _smt_declarations, smt_check, smt_check_external,
 )
 
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
 from generators import random_psi_inputs
-from oracles import brute_force_smt
+from oracles import brute_force_smt, check_model
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
