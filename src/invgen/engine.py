@@ -413,6 +413,8 @@ def run(g: Cfg, template: Template,
     runs as one session for the whole run, closed before returning.
     """
     opts = opts or EngineOptions()
+    if opts.max_iters is not None and opts.max_iters < 1:
+        raise EngineError(f"max_iters must be at least 1, not {opts.max_iters}")
     eq = EquationSystem(g, template)
     strategy = eq.initial_strategy()
     bounds = eq.initial_bounds()
@@ -453,14 +455,16 @@ class CertResult:
 
 def check_post_fixpoint(g: Cfg, template: Template, bounds,
                         *, backend=None, stats: Optional[Stats] = None) -> CertResult:
-    """Independent certificate: no edge maps a state inside the source
-    bounds strictly above any finite target row bound.
+    """Certificate: no edge maps a state inside the source bounds strictly
+    above any finite target row bound.
 
     Checks, per edge and finite row, that the improvement formula against
     the candidate's own bound is unsatisfiable; a model is a concrete
-    escaping transition (counterexample to inductiveness).  ``backend`` is
-    None (internal), an open ``SmtSession``, or a solver command run as one
-    session for the whole check.
+    escaping transition (counterexample to inductiveness).  It re-runs the
+    search that ``improve`` uses, on the same formulas, so it is not
+    independent of that search.  ``backend`` is None (internal), an open
+    ``SmtSession``, or a solver command run as one session for the whole
+    check.
     """
     with solver_session(backend) as session:
         for idx, edge in enumerate(g.edges):

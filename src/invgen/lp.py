@@ -11,13 +11,20 @@ sequence is exactly that of a tableau of rationals.  Every outcome
 (infeasible / optimal with witness / unbounded) is exact; there is no
 floating point anywhere.
 
+An ``OPTIMAL`` result keeps its final tableau, so a later problem that
+only adds variables and rows can start from it (the branch-and-bound warm
+start): the new rows are put into canonical form against the old basis,
+each with its slack basic, and a dual simplex restores a nonnegative
+right-hand side.  The old reduced costs stay dual feasible, because the
+objective is the same and the new columns cost nothing.
+
 Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
 maximize an auxiliary slack that strict rows must leave open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -75,59 +82,91 @@ class LpResult:
     status: str
     value: Optional[Rat] = None
     witness: Optional[Dict[str, Rat]] = None
+    # the final tableau of an OPTIMAL solve, for warm starts
+    tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class FeasResult:
     feasible: bool
     witness: Optional[Dict[str, Rat]] = None
+    # the solve of the relaxed problem, for warm starts
+    lp: Optional[LpResult] = field(default=None, compare=False, repr=False)
 
 
-def lp_solve(problem: LpProblem) -> LpResult:
+def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
     """Exactly classify the problem and compute an attained optimum.
 
     Returns ``LpResult(OPTIMAL, value, witness)`` where the witness
     satisfies every row exactly and attains the value, or the
     ``INFEASIBLE`` / ``UNBOUNDED`` classification.
+
+    Without ``start`` this is a cold two-phase simplex.  ``start`` is an
+    earlier ``OPTIMAL`` result whose problem has the same objective and
+    whose variables and rows are each a prefix of ``problem``'s; anything
+    else raises ``LpError``.  The solve then works on a copy of its final
+    tableau (``start`` itself is never changed): every new variable gets a
+    ``u``/``w`` column pair and every new (``=``-expanded) row a slack, all
+    at the end, and each new row is put into canonical form against the
+    basis with its slack basic even where its right-hand side is negative.
+    A dual simplex with Bland's rule then restores feasibility: the leaving
+    row has a negative right-hand side and the least basic column, the
+    entering column has a negative entry in that row and the least ratio
+    ``reduced cost / entry``, ties going to the least column; when no
+    column qualifies the problem is infeasible.  Rows only shrink the
+    feasible set of a bounded problem, so the result is never unbounded.
+    Status and value are those of a cold solve; the witness may differ.
     """
-    tab = _Tableau(problem)
-    if not tab.phase_one():
-        return LpResult(INFEASIBLE)
-    status = tab.phase_two()
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
+    if start is None:
+        tab = _Tableau(problem)
+        if not tab.phase_one():
+            return LpResult(INFEASIBLE)
+        if tab.phase_two() == UNBOUNDED:
+            return LpResult(UNBOUNDED)
+    else:
+        if start.status != OPTIMAL or start.tableau is None:
+            raise LpError("a warm start must be an optimal result")
+        tab = start.tableau.extended(problem)
+        if not tab.dual_simplex():
+            return LpResult(INFEASIBLE)
     witness = tab.witness()
     value = ZERO
     for v, c in problem.objective.items():
         value = value + c * witness[v]
-    return LpResult(OPTIMAL, value, witness)
+    return LpResult(OPTIMAL, value, witness, tab)
 
 
-def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int]) -> FeasResult:
+def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
+                       start: Optional[FeasResult] = None) -> FeasResult:
     """Decide a system where some ``<=`` rows must hold strictly.
 
     Maximizes an auxiliary slack d with ``row + d <= rhs`` for every strict
     row and ``d <= 1``; the mixed system is satisfiable iff the optimum is
     positive.  The witness then satisfies strict rows with room to spare.
+    The column of d and the row ``d <= 1`` come first, so the relaxed
+    problem of a prefix extension of ``problem`` (same strict rows among the
+    old ones) extends the relaxed problem of ``start``, an earlier result of
+    this function, and is solved warm from its ``lp``.
     """
     for i in strict_rows:
         if not 0 <= i < len(problem.constraints):
             raise LpError(f"strict row index {i} out of range")
         if problem.constraints[i].rel != "<=":
             raise LpError("strict row must be a <= constraint")
-    rows = []
+    rows = [Constraint(((_DELTA, ONE),), "<=", ONE)]
     for i, row in enumerate(problem.constraints):
         if i in strict_rows:
             rows.append(Constraint(row.coeffs + ((_DELTA, ONE),), "<=", row.rhs))
         else:
             rows.append(row)
-    rows.append(Constraint(((_DELTA, ONE),), "<=", ONE))
-    relaxed = LpProblem(problem.variables + [_DELTA], {_DELTA: ONE}, rows)
-    res = lp_solve(relaxed)
+    relaxed = LpProblem([_DELTA] + problem.variables, {_DELTA: ONE}, rows)
+    if start is not None and start.lp is None:
+        raise LpError("a warm start must carry its LP result")
+    res = lp_solve(relaxed, None if start is None else start.lp)
     if res.status != OPTIMAL or res.value <= 0:
-        return FeasResult(False)
+        return FeasResult(False, lp=res)
     witness = {v: q for v, q in res.witness.items() if v != _DELTA}
-    return FeasResult(True, witness)
+    return FeasResult(True, witness, res)
 
 
 class _Tableau:
@@ -136,32 +175,19 @@ class _Tableau:
     Row ``i`` is ``rows[i]``, a dense list of ``int`` numerators (one column
     per split variable, slack and artificial, then the right-hand side)
     over the positive ``int`` denominator ``den[i]``; one gcd per update
-    keeps it in lowest terms.  The objective row is an ``int`` list at some
-    positive scale, since only its signs are read.  Bland's rule, the ratio
-    test (by cross-multiplication) and its tie-breaks are those of a
-    rational tableau, so the pivot sequence, and with it every witness, is
-    exactly the same.
+    keeps it in lowest terms.  The column of ``u`` is ``col[v]``, that of
+    ``w`` the next one.  The objective row ``zrow`` is an ``int`` list at
+    some positive scale, since only its signs and ratios are read.  Bland's
+    rule, the ratio test (by cross-multiplication) and its tie-breaks are
+    those of a rational tableau, so the pivot sequence, and with it every
+    witness, is exactly the same.
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.var_index = {v: i for i, v in enumerate(problem.variables)}
+        self.col = {v: 2 * i for i, v in enumerate(problem.variables)}
         n2 = 2 * len(problem.variables)
-
-        raw: List[Tuple[List[int], int, int]] = []
-        for row in problem.constraints:
-            rhs = row.rhs
-            den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in row.coeffs))
-            nums = [0] * n2
-            for v, c in row.coeffs:
-                a = int(c.numerator) * (den // int(c.denominator))
-                k = 2 * self.var_index[v]
-                nums[k] += a
-                nums[k + 1] -= a
-            b = int(rhs.numerator) * (den // int(rhs.denominator))
-            raw.append((nums, b, den))
-            if row.rel == "=":
-                raw.append(([-a for a in nums], -b, den))
+        raw = _raw_rows(problem.constraints, self.col, n2)
 
         m = len(raw)
         nslack = n2 + m  # structural + one slack per row; artificials follow
@@ -170,6 +196,7 @@ class _Tableau:
         self.den: List[int] = []
         self.basis: List[int] = []
         self.artificial: Set[int] = set()
+        self.zrow: List[int] = []
         for i, (nums, b, den) in enumerate(raw):
             row = nums + [0] * (self.ncols - n2) + [b]
             row[n2 + i] = den
@@ -183,6 +210,52 @@ class _Tableau:
                 self.basis.append(n2 + i)
             self.rows.append(row)
             self.den.append(den)
+
+    def extended(self, problem: LpProblem) -> "_Tableau":
+        """A copy of this optimal tableau for ``problem``, which extends this
+        one's problem by variables and rows.  The artificial columns, never
+        basic after phase one, are dropped; the new columns follow; each new
+        row is in canonical form with its slack basic.  The reduced costs
+        stay dual feasible: the new columns' are 0."""
+        old = self.problem
+        nvars, nrows = len(old.variables), len(old.constraints)
+        if problem.objective != old.objective or \
+                problem.variables[:nvars] != old.variables or \
+                problem.constraints[:nrows] != old.constraints:
+            raise LpError("a warm start must be a prefix of the problem "
+                          "with the same objective")
+        keep = self.ncols - len(self.artificial)  # artificials are last
+        col = dict(self.col)
+        for k, v in enumerate(problem.variables[nvars:]):
+            col[v] = keep + 2 * k
+        nslack = keep + 2 * (len(problem.variables) - nvars)
+        raw = _raw_rows(problem.constraints[nrows:], col, nslack)
+
+        tab = _Tableau.__new__(_Tableau)
+        tab.problem = problem
+        tab.col = col
+        tab.ncols = nslack + len(raw)
+        tab.artificial = set()
+        pad = [0] * (tab.ncols - keep)
+        tab.rows = [row[:keep] + pad + row[-1:] for row in self.rows]
+        tab.den = list(self.den)
+        tab.basis = list(self.basis)
+        tab.zrow = self.zrow[:keep] + pad + self.zrow[-1:]
+        nonzero: Dict[int, List[Tuple[int, int]]] = {}
+        for k, (row, b, den) in enumerate(raw):
+            row += [0] * len(raw) + [b]
+            row[nslack + k] = den
+            for i in range(len(self.rows)):
+                f = row[tab.basis[i]]
+                if f:
+                    prow = tab.rows[i]
+                    if i not in nonzero:
+                        nonzero[i] = [(j, p) for j, p in enumerate(prow) if p]
+                    row, den = _eliminate(row, den, f, prow, tab.den[i], nonzero[i])
+            tab.rows.append(row)
+            tab.den.append(den)
+            tab.basis.append(nslack + k)
+        return tab
 
     # -- simplex core -----------------------------------------------------
 
@@ -199,7 +272,7 @@ class _Tableau:
         return zrow
 
     def _optimize(self, cost: List[int], blocked: Set[int]) -> str:
-        zrow = self._reduced_costs(cost)
+        self.zrow = zrow = self._reduced_costs(cost)
         while True:
             enter = -1
             for j in range(self.ncols):  # Bland: least improving index
@@ -252,6 +325,31 @@ class _Tableau:
             zrow[:], _ = _eliminate(zrow, 0, zrow[enter], prow, q, nonzero)
         self.basis[leave] = enter
 
+    def dual_simplex(self) -> bool:
+        """Pivot a dual feasible tableau with no artificial columns (one
+        made by ``extended``) to a nonnegative right-hand side, keeping the
+        reduced costs dual feasible; False if infeasible."""
+        rows, basis, zrow = self.rows, self.basis, self.zrow
+        while True:
+            leave = -1
+            for i, row in enumerate(rows):  # Bland: least basic column
+                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                return True
+            # Least ratio zrow[j] / a over a < 0; the row's denominator and
+            # the objective's scale cancel, so cross-multiply numerators.
+            row = rows[leave]
+            enter = -1
+            best_z = best_a = 0
+            for j in range(self.ncols):
+                a = row[j]
+                if a < 0 and (enter < 0 or zrow[j] * best_a < best_z * a):
+                    best_z, best_a, enter = zrow[j], a, j
+            if enter < 0:
+                return False
+            self._pivot(leave, enter, zrow)
+
     # -- phases ------------------------------------------------------------
 
     def phase_one(self) -> bool:
@@ -284,7 +382,7 @@ class _Tableau:
         scale = lcm(*(int(c.denominator) for c in objective.values()))
         cost = [0] * self.ncols
         for v, c in objective.items():
-            j = 2 * self.var_index[v]
+            j = self.col[v]
             cost[j] = int(c.numerator) * (scale // int(c.denominator))
             cost[j + 1] = -cost[j]
         return self._optimize(cost, blocked=self.artificial)
@@ -293,9 +391,30 @@ class _Tableau:
         col_val = {b: Rat(self.rows[i][-1], self.den[i])
                    for i, b in enumerate(self.basis)}
         out = {}
-        for v, i in self.var_index.items():
-            out[v] = col_val.get(2 * i, ZERO) - col_val.get(2 * i + 1, ZERO)
+        for v, j in self.col.items():
+            out[v] = col_val.get(j, ZERO) - col_val.get(j + 1, ZERO)
         return out
+
+
+def _raw_rows(constraints: Sequence[Constraint], col: Dict[str, int],
+              width: int) -> List[Tuple[List[int], int, int]]:
+    """Each row as (numerators over ``width`` columns, right-hand side,
+    denominator) with ``u - w`` split at ``col``; ``=`` gives two rows."""
+    raw: List[Tuple[List[int], int, int]] = []
+    for row in constraints:
+        rhs = row.rhs
+        den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in row.coeffs))
+        nums = [0] * width
+        for v, c in row.coeffs:
+            a = int(c.numerator) * (den // int(c.denominator))
+            k = col[v]
+            nums[k] += a
+            nums[k + 1] -= a
+        b = int(rhs.numerator) * (den // int(rhs.denominator))
+        raw.append((nums, b, den))
+        if row.rel == "=":
+            raw.append(([-a for a in nums], -b, den))
+    return raw
 
 
 def _eliminate(row: List[int], den: int, f: int, prow: List[int], q: int,

@@ -6,6 +6,9 @@ is a path through the formula plus an exact rational point on that path.
 The internal backend searches selector assignments in index order and asks
 the exact LP layer whether the atoms forced so far are consistent (strict
 atoms are handled natively); an infeasible prefix prunes the whole subtree.
+A child's atoms are its parent's followed by those its branch forces, so
+each node's check re-solves from its parent's optimal tableau and only
+adds the branch's rows (the warm start of ``lp_solve``).
 
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
@@ -23,13 +26,14 @@ import shlex
 import subprocess
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .formula import REL_LT, And, Atom, SmtProblem, selectors_of
-from .lp import Constraint, LpProblem, lp_feasible_strict
+from .lp import Constraint, FeasResult, LpProblem, lp_feasible_strict
 from .numeric import Rat, ZERO
 
 SAT = "sat"
@@ -97,12 +101,27 @@ def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = N
     return LpProblem(list(variables), objective or {}, rows), strict
 
 
+def _extend(parent: List[Atom], forced: List[Atom]) -> List[Atom]:
+    """``parent`` followed by the atoms of ``forced`` beyond it (a multiset
+    by identity, in ``forced`` order)."""
+    left = Counter(map(id, parent))
+    new = []
+    for atom in forced:
+        if left[id(atom)]:
+            left[id(atom)] -= 1
+        else:
+            new.append(atom)
+    return parent + new
+
+
 def smt_check(problem: SmtProblem) -> SmtResult:
     """Decide the problem exactly; a sat answer carries a checked model."""
 
-    def search(assign: Dict[int, int]) -> Optional[SmtModel]:
-        atoms, pending = _forced(problem.skeleton, assign)
-        feas = lp_feasible_strict(*atoms_problem(atoms))
+    def search(assign: Dict[int, int], parent: List[Atom],
+               start: Optional[FeasResult]) -> Optional[SmtModel]:
+        forced, pending = _forced(problem.skeleton, assign)
+        atoms = _extend(parent, forced)
+        feas = lp_feasible_strict(*atoms_problem(atoms), start=start)
         if not feas.feasible:
             return None
         if not pending:
@@ -111,13 +130,13 @@ def smt_check(problem: SmtProblem) -> SmtResult:
         sel = min(pending)
         for value in (0, 1):
             assign[sel] = value
-            model = search(assign)
+            model = search(assign, atoms, feas)
             if model is not None:
                 return model
             del assign[sel]
         return None
 
-    model = search({})
+    model = search({}, [], None)
     if model is None:
         return SmtResult(UNSAT)
     return SmtResult(SAT, model)

@@ -3,17 +3,21 @@
 Everything here is deliberately brute force and kept away from the code
 paths it checks: Fourier-Motzkin elimination replays LP classification by
 projection, the selector-enumeration oracle replays satisfiability by
-trying every path, and ``rational_lp_solve`` replays the simplex pivot for
-pivot on ``Rat`` entries.
+trying every path, ``cold_smt_check`` replays the selector search with no
+warm start, and ``rational_lp_solve`` replays the simplex pivot for pivot
+on ``Rat`` entries.
 """
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from invgen.formula import FormulaError, atoms_of, eval_formula, select_path, selectors_of
+from invgen.formula import (
+    And, Atom, FormulaError, atoms_of, eval_formula, select_path, selectors_of,
+)
 from invgen.lp import (
     Constraint, INFEASIBLE, LpProblem, LpResult, OPTIMAL, UNBOUNDED, lp_feasible_strict,
 )
 from invgen.numeric import ONE, Rat, ZERO, rat_str
+from invgen.smt import SAT, UNSAT, SmtModel, SmtResult
 
 
 def _expand_rows(constraints):
@@ -102,7 +106,7 @@ def fm_strict_rows(problem: LpProblem, strict_rows):
     for i, c in enumerate(problem.constraints):
         out.append((dict(c.coeffs), c.rhs, i in strict_rows))
         if c.rel == "=":
-            out.append(({v: -q for v, q in c.coeffs.items()}, -c.rhs, False))
+            out.append(({v: -q for v, q in c.coeffs}, -c.rhs, False))
     return out
 
 
@@ -165,26 +169,71 @@ def lp_text(problem: LpProblem) -> str:
     return "\n".join(lines)
 
 
+def _atoms_feasible(atoms):
+    """One cold strict-feasibility check of a conjunction of atoms."""
+    names = []
+    seen = set()
+    for a in atoms:
+        for v in a.lin.variables():
+            if v not in seen:
+                seen.add(v)
+                names.append(v)
+    lp = LpProblem(names, {}, [Constraint(tuple(a.lin.coeffs.items()), "<=", a.bound)
+                               for a in atoms])
+    strict = {i for i, a in enumerate(atoms) if a.rel == "<"}
+    return lp_feasible_strict(lp, strict)
+
+
 def brute_force_smt(problem) -> bool:
     """Satisfiability by trying every selector assignment."""
     sels = selectors_of(problem.skeleton)
     for mask in range(1 << len(sels)):
         choice = {s: (mask >> i) & 1 for i, s in enumerate(sels)}
         seq = select_path(problem.skeleton, choice)
-        atoms = atoms_of(seq)
-        names = []
-        seen = set()
-        for a in atoms:
-            for v in a.lin.variables():
-                if v not in seen:
-                    seen.add(v)
-                    names.append(v)
-        lp = LpProblem(names, {}, [Constraint(tuple(a.lin.coeffs.items()), "<=", a.bound)
-                                   for a in atoms])
-        strict = {i for i, a in enumerate(atoms) if a.rel == "<"}
-        if lp_feasible_strict(lp, strict).feasible:
+        if _atoms_feasible(atoms_of(seq)).feasible:
             return True
     return False
+
+
+def cold_smt_check(problem) -> SmtResult:
+    """The selector search as it ran before warm starts: depth first, the
+    least reachable unassigned selector next, value 0 before 1, and one
+    fresh ``lp_feasible_strict`` over all forced atoms at every node.  The
+    first model in that order fixes the selectors of ``smt_check``."""
+
+    def forced(assign):
+        atoms, pending, stack = [], [], [problem.skeleton]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Atom):
+                atoms.append(node)
+            elif isinstance(node, And):
+                stack.extend(reversed(node.children))
+            elif node.selector in assign:
+                stack.append(node.right if assign[node.selector] else node.left)
+            else:
+                pending.append(node.selector)
+        return atoms, pending
+
+    def search(assign):
+        atoms, pending = forced(assign)
+        feas = _atoms_feasible(atoms)
+        if not feas.feasible:
+            return None
+        if not pending:
+            return SmtModel(dict(assign), {v: feas.witness.get(v, ZERO)
+                                           for v in problem.real_vars})
+        sel = min(pending)
+        for value in (0, 1):
+            assign[sel] = value
+            model = search(assign)
+            if model is not None:
+                return model
+            del assign[sel]
+        return None
+
+    model = search({})
+    return SmtResult(UNSAT) if model is None else SmtResult(SAT, model)
 
 
 def rational_lp_solve(problem: LpProblem) -> LpResult:

@@ -22,7 +22,7 @@ from invgen.smt import SmtSession, smt_check, smt_check_external
 
 from conftest import CORPUS_DIR, corpus_files, external_solver_cmd
 from generators import random_cfg, random_lp, random_psi_inputs, random_state
-from oracles import brute_force_smt, check_model, fm_solve, lp_text
+from oracles import brute_force_smt, check_model, cold_smt_check, fm_solve, lp_text
 
 
 def verdict(number, ok, text):
@@ -181,7 +181,10 @@ def test_criterion_8_smt_matches_brute_force_and_external():
             problem = build_psi(stmt, d, rows, j, c)
             got = smt_check(problem)
             assert got.is_sat == brute_force_smt(problem)
+            cold = cold_smt_check(problem)
+            assert got.status == cold.status
             if got.is_sat:
+                assert got.model.selectors == cold.model.selectors
                 assert check_model(problem, got.model)
                 sat_count += 1
             external = smt_check_external(problem, session)
@@ -200,7 +203,8 @@ def test_criterion_8_smt_matches_brute_force_and_external():
     clean = leftover == ["sat"]
     verdict(8, total >= 500 and external_checked == total and clean,
             f"{total} improvement queries match selector enumeration "
-            f"({sat_count} sat, all models substitution-checked; "
+            f"({sat_count} sat, all models substitution-checked, selectors "
+            f"equal to the cold search's; "
             f"external backend agreed on all {external_checked} through one "
             f"session, no state left after its frames: {clean})")
 

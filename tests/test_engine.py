@@ -159,6 +159,16 @@ def test_max_iters_cap_flags_nonfinal():
     assert bounds[("n1", 0)] == ext(0)  # sound from below
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_max_iters_below_one_is_rejected_before_any_step(cap):
+    # a cap that allows no step would otherwise still run one and report
+    # it as non-final; the CLI rejects the same values as a usage error
+    sink = io.StringIO()
+    with pytest.raises(EngineError, match="max_iters"):
+        run(running_cfg(), running_template(), EngineOptions(max_iters=cap, trace=sink))
+    assert sink.getvalue() == ""
+
+
 def test_trace_records_every_step():
     sink = io.StringIO()
     run(running_cfg(), running_template(), EngineOptions(trace=sink))

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from invgen.lp import (
-    Constraint, INFEASIBLE, LpError, LpProblem, OPTIMAL, UNBOUNDED,
-    lp_feasible_strict, lp_solve,
+    Constraint, FeasResult, INFEASIBLE, LpError, LpProblem, LpResult, OPTIMAL,
+    UNBOUNDED, lp_feasible_strict, lp_solve,
 )
 from invgen.numeric import Rat
 
 from generators import degenerate_lp, random_lp
-from oracles import fm_feasible, fm_solve, lp_text, rational_lp_solve
+from oracles import fm_feasible, fm_solve, fm_strict_rows, lp_text, rational_lp_solve
 
 
 def lp(variables, objective, rows):
@@ -178,12 +178,7 @@ def test_strict_feasibility_matches_fm_oracle():
         le_rows = [i for i, c in enumerate(problem.constraints) if c.rel == "<="]
         strict = {i for i in le_rows if rng.random() < 0.4}
         got = lp_feasible_strict(problem, strict)
-        rows = []
-        for i, c in enumerate(problem.constraints):
-            rows.append((dict(c.coeffs), c.rhs, i in strict))
-            if c.rel == "=":
-                rows.append(({v: -q for v, q in c.coeffs}, -c.rhs, False))
-        want = fm_feasible(problem.variables, rows)
+        want = fm_feasible(problem.variables, fm_strict_rows(problem, strict))
         assert got.feasible == want
         if got.feasible:
             for i, c in enumerate(problem.constraints):
@@ -243,3 +238,129 @@ def test_dump_format():
     p = lp(["x", "y"], {"x": 1}, [({"x": 2, "y": -1}, "<=", Rat(3, 2))])
     text = lp_text(p)
     assert "max:" in text and "<=" in text and "3/2" in text
+
+
+# -- warm starts ----------------------------------------------------------------
+
+def _grown(problem, rng, tag, small=False):
+    """``problem`` plus up to two new variables and one to three new rows
+    over old and new variables, some of them ``=`` rows; ``small`` keeps
+    coefficients in [-2, 2] and right-hand sides at 0, for ratio ties."""
+    room = max(0, 4 - len(problem.variables))
+    names = problem.variables + [f"{tag}{i}" for i in range(rng.randint(0, min(2, room)))]
+    rows = list(problem.constraints)
+    for _ in range(rng.randint(1, 3)):
+        picked = rng.sample(names, rng.randint(1, min(3, len(names))))
+        if small:
+            coeffs = {v: Rat(rng.randint(-2, 2)) for v in picked}
+            rhs = Rat(0)
+        else:
+            coeffs = {v: Rat(rng.randint(-9, 9)) for v in picked}
+            rhs = Rat(rng.randint(-9, 9), rng.choice((1, 2)))
+        rel = "=" if rng.random() < 0.2 else "<="
+        rows.append(Constraint.of(coeffs, rel, rhs))
+    return LpProblem(names, problem.objective, rows)
+
+
+def _check_warm(problem, start):
+    """Solve ``problem`` warm from ``start`` and check it against the cold
+    solve and, up to 3 variables (beyond that projection gets slow), the
+    Fourier-Motzkin oracle; returns the warm result and whether FM ran."""
+    warm = lp_solve(problem, start=start)
+    cold = lp_solve(problem)
+    assert warm.status == cold.status, lp_text(problem)
+    fm = len(problem.variables) <= 3
+    if fm:
+        assert (warm.status, warm.value) == fm_solve(problem), lp_text(problem)
+    if warm.status == OPTIMAL:
+        assert warm.value == cold.value, lp_text(problem)
+        assert _satisfies(problem, warm.witness)
+        value = sum((c * warm.witness[v] for v, c in problem.objective.items()), Rat(0))
+        assert value == warm.value
+    return warm, fm
+
+
+def test_warm_start_matches_cold_and_fm_oracle():
+    # a child never gets unbounded: its rows only cut its parent's bounded set
+    rng = random.Random(31)
+    outcomes = {OPTIMAL: 0, INFEASIBLE: 0}
+    grandchildren = fm_checked = 0
+    for k in range(500):
+        small = k % 2 == 1
+        parent = degenerate_lp(rng) if small else random_lp(rng)
+        start = lp_solve(parent)
+        if start.status != OPTIMAL:
+            continue
+        child = _grown(parent, rng, "y", small)
+        warm, fm = _check_warm(child, start)
+        outcomes[warm.status] += 1
+        fm_checked += fm
+        # the start is left as it was: a sibling solved from it agrees
+        assert lp_solve(child, start=start) == warm
+        if warm.status == OPTIMAL:
+            # chained: the grandchild starts from the child's warm solve
+            _, fm = _check_warm(_grown(child, rng, "z", small), warm)
+            fm_checked += fm
+            grandchildren += 1
+    assert outcomes[OPTIMAL] > 150 and outcomes[INFEASIBLE] > 30
+    assert grandchildren > 150 and fm_checked > 200
+
+
+def test_warm_strict_feasibility_matches_cold_and_fm_oracle():
+    rng = random.Random(37)
+    feasible = infeasible = 0
+    for _ in range(300):
+        parent = random_lp(rng)
+        parent = LpProblem(parent.variables, {}, parent.constraints)
+        le_rows = [i for i, c in enumerate(parent.constraints) if c.rel == "<="]
+        strict = {i for i in le_rows if rng.random() < 0.4}
+        start = lp_feasible_strict(parent, strict)
+        if start.lp.status != OPTIMAL:
+            continue
+        child = _grown(parent, rng, "y")
+        strict |= {i for i in range(len(parent.constraints), len(child.constraints))
+                   if child.constraints[i].rel == "<=" and rng.random() < 0.4}
+        got = lp_feasible_strict(child, strict, start=start)
+        want = fm_feasible(child.variables, fm_strict_rows(child, strict))
+        assert got.feasible == lp_feasible_strict(child, strict).feasible == want
+        if not got.feasible:
+            infeasible += 1
+            continue
+        feasible += 1
+        for i, c in enumerate(child.constraints):
+            total = sum((q * got.witness[v] for v, q in c.coeffs), Rat(0))
+            if c.rel == "=":
+                assert total == c.rhs
+            elif i in strict:
+                assert total < c.rhs
+            else:
+                assert total <= c.rhs
+    assert feasible > 50 and infeasible > 30
+
+
+def test_warm_start_outside_its_contract_is_an_error():
+    parent = lp(["x", "y"], {"x": 1}, [({"x": 1, "y": 1}, "<=", 4), ({"y": -1}, "<=", 0)])
+    start = lp_solve(parent)
+    assert start.status == OPTIMAL and start.value == 4
+    rows = parent.constraints
+    extra = Constraint.of({"x": 1}, "<=", 3)
+    assert lp_solve(LpProblem(["x", "y"], {"x": 1}, rows + [extra]), start=start).value == 3
+    bad = [
+        LpProblem(["x", "y"], {"x": 1}, [rows[1], rows[0], extra]),  # rows reordered
+        LpProblem(["x", "y"], {"x": 1}, [rows[0], extra]),  # a row dropped
+        LpProblem(["y", "x"], {"x": 1}, rows + [extra]),  # variables reordered
+        LpProblem(["x", "y"], {"y": 1}, rows + [extra]),  # another objective
+    ]
+    for problem in bad:
+        with pytest.raises(LpError):
+            lp_solve(problem, start=start)
+    child = LpProblem(["x", "y"], {"x": 1}, rows + [extra])
+    infeasible = lp_solve(lp(["x", "y"], {"x": 1}, [({"x": 1}, "<=", -1),
+                                                    ({"x": -1}, "<=", -1)]))
+    unbounded = lp_solve(lp(["x", "y"], {"x": 1}, [({"y": 1}, "<=", 0)]))
+    assert (infeasible.status, unbounded.status) == (INFEASIBLE, UNBOUNDED)
+    for not_optimal in (infeasible, unbounded, LpResult(OPTIMAL, Rat(4), start.witness)):
+        with pytest.raises(LpError):
+            lp_solve(child, start=not_optimal)
+    with pytest.raises(LpError):
+        lp_feasible_strict(child, set(), start=FeasResult(True, start.witness))

@@ -18,7 +18,7 @@ from invgen.smt import (
 
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
 from generators import random_psi_inputs
-from oracles import brute_force_smt, check_model
+from oracles import brute_force_smt, check_model, cold_smt_check
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
@@ -77,7 +77,11 @@ def test_matches_brute_force_small():
         problem = build_psi(stmt, d, rows, j, c)
         got = smt_check(problem)
         assert got.is_sat == brute_force_smt(problem)
+        # warm-started checks find the same first model as cold ones
+        cold = cold_smt_check(problem)
+        assert got.status == cold.status
         if got.is_sat:
+            assert got.model.selectors == cold.model.selectors
             assert check_model(problem, got.model)
             # the model's path is sound: the real part satisfies the
             # selected sequential statement atom by atom
