@@ -443,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pa.add_argument("--max-iters", type=int, metavar="N",
                     help="cap on improvement steps (result flagged non-final)")
     pa.add_argument("--check", action="store_true",
-                    help="independently certify the result")
+                    help="re-certify the result edge by edge")
     pa.add_argument("--no-compress", action="store_true",
                     help="analyze the graph as written, without path compression")
 

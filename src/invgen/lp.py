@@ -1,22 +1,26 @@
 """Exact-rational linear programming.
 
-A two-phase simplex over exact rationals.  Free variables are split into
-nonnegative pairs, ``=`` rows are expanded into two ``<=`` rows and Bland's
-least-index pivoting rule guarantees termination without any perturbation.
-The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
-dense list of ``int`` numerators over one positive ``int`` denominator, so
-the pivot loop does integer arithmetic only, and ``Rat`` values appear only
-when the problem is read in and the witness is read out.  The pivot
-sequence is exactly that of a tableau of rationals.  Every outcome
-(infeasible / optimal with witness / unbounded) is exact; there is no
-floating point anywhere.
+A simplex over exact rationals.  Free variables are split into
+nonnegative pairs and ``=`` rows are expanded into two ``<=`` rows.  Every
+solve starts from the slack basis, which is dual feasible since every
+reduced cost is 0: a dual simplex makes it primal feasible or finds a row
+that shows the problem infeasible, and a primal simplex then optimizes.
+No artificial columns are needed (Dutertre & de Moura, CAV 2006, also
+decide feasibility without them).  Bland's least-index rules guarantee
+termination without any perturbation.  The tableau is fraction-free (Edmonds 1967; Bareiss
+1968): each row is a dense list of ``int`` numerators over one positive
+``int`` denominator, so the pivot loop does integer arithmetic only, and
+``Rat`` values appear only when the problem is read in and the witness is
+read out.  The pivot sequence is exactly that of a tableau of rationals.
+Every outcome (infeasible / optimal with witness / unbounded) is exact;
+there is no floating point anywhere.
 
 An ``OPTIMAL`` result keeps its final tableau, so a later problem that
 only adds variables and rows can start from it (the branch-and-bound warm
-start): the new rows are put into canonical form against the old basis,
-each with its slack basic, and a dual simplex restores a nonnegative
-right-hand side.  The old reduced costs stay dual feasible, because the
-objective is the same and the new columns cost nothing.
+start): the new rows are appended exactly as a slack basis is built, and
+the dual simplex alone restores a nonnegative right-hand side.  The old
+reduced costs stay optimal, because the objective is the same and the new
+columns cost nothing.
 
 Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
 maximize an auxiliary slack that strict rows must leave open.
@@ -24,6 +28,7 @@ maximize an auxiliary slack that strict rows must leave open.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -101,34 +106,28 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
     satisfies every row exactly and attains the value, or the
     ``INFEASIBLE`` / ``UNBOUNDED`` classification.
 
-    Without ``start`` this is a cold two-phase simplex.  ``start`` is an
-    earlier ``OPTIMAL`` result whose problem has the same objective and
-    whose variables and rows are each a prefix of ``problem``'s; anything
-    else raises ``LpError``.  The solve then works on a copy of its final
-    tableau (``start`` itself is never changed): every new variable gets a
-    ``u``/``w`` column pair and every new (``=``-expanded) row a slack, all
-    at the end, and each new row is put into canonical form against the
-    basis with its slack basic even where its right-hand side is negative.
-    A dual simplex with Bland's rule then restores feasibility: the leaving
-    row has a negative right-hand side and the least basic column, the
-    entering column has a negative entry in that row and the least ratio
-    ``reduced cost / entry``, ties going to the least column; when no
-    column qualifies the problem is infeasible.  Rows only shrink the
-    feasible set of a bounded problem, so the result is never unbounded.
-    Status and value are those of a cold solve; the witness may differ.
+    Without ``start`` the solve begins at the slack basis of ``problem``,
+    whose reduced costs are all 0: a dual simplex makes it feasible and a
+    primal simplex then optimizes.  ``start`` is an earlier ``OPTIMAL``
+    result whose problem has the same objective and whose variables and
+    rows are each a prefix of ``problem``'s; anything else raises
+    ``LpError``.  The solve then begins at a copy of its final tableau
+    (``start`` itself is never changed), extended by the same code that
+    builds a slack basis, and the dual simplex alone finishes it: its
+    reduced costs stay optimal, and rows only shrink the feasible set of a
+    bounded problem, so the result is never unbounded.  Status and value
+    are those of a cold solve; the witness may differ.
     """
     if start is None:
         tab = _Tableau(problem)
-        if not tab.phase_one():
-            return LpResult(INFEASIBLE)
-        if tab.phase_two() == UNBOUNDED:
-            return LpResult(UNBOUNDED)
     else:
         if start.status != OPTIMAL or start.tableau is None:
             raise LpError("a warm start must be an optimal result")
         tab = start.tableau.extended(problem)
-        if not tab.dual_simplex():
-            return LpResult(INFEASIBLE)
+    if not tab.dual_simplex():
+        return LpResult(INFEASIBLE)
+    if start is None and tab.phase_two() == UNBOUNDED:
+        return LpResult(UNBOUNDED)
     witness = tab.witness()
     value = ZERO
     for v, c in problem.objective.items():
@@ -173,50 +172,33 @@ class _Tableau:
     """Fraction-free simplex tableau; every free variable is split as u - w >= 0.
 
     Row ``i`` is ``rows[i]``, a dense list of ``int`` numerators (one column
-    per split variable, slack and artificial, then the right-hand side)
-    over the positive ``int`` denominator ``den[i]``; one gcd per update
-    keeps it in lowest terms.  The column of ``u`` is ``col[v]``, that of
-    ``w`` the next one.  The objective row ``zrow`` is an ``int`` list at
-    some positive scale, since only its signs and ratios are read.  Bland's
-    rule, the ratio test (by cross-multiplication) and its tie-breaks are
-    those of a rational tableau, so the pivot sequence, and with it every
-    witness, is exactly the same.
+    per split variable and per slack, then the right-hand side) over the
+    positive ``int`` denominator ``den[i]``; one gcd per update keeps it in
+    lowest terms.  The column of ``u`` is ``col[v]``, that of ``w`` the next
+    one.  The reduced-cost row ``zrow`` is an ``int`` list at some positive
+    scale, since only its signs and ratios are read.  Bland's rule, the
+    ratio tests (by cross-multiplication) and their tie-breaks are those of
+    a rational tableau, so the pivot sequence, and with it every witness,
+    is exactly the same.
     """
 
     def __init__(self, problem: LpProblem):
+        """The slack basis of ``problem``: each slack basic, even where its
+        right-hand side is negative, and every reduced cost 0, so the
+        tableau is dual feasible."""
         self.problem = problem
-        self.col = {v: 2 * i for i, v in enumerate(problem.variables)}
-        n2 = 2 * len(problem.variables)
-        raw = _raw_rows(problem.constraints, self.col, n2)
-
-        m = len(raw)
-        nslack = n2 + m  # structural + one slack per row; artificials follow
-        self.ncols = nslack + sum(1 for _, b, _ in raw if b < 0)
+        self.col: Dict[str, int] = {}
+        self.ncols = 0
         self.rows: List[List[int]] = []  # numerators, right-hand side last
         self.den: List[int] = []
         self.basis: List[int] = []
-        self.artificial: Set[int] = set()
-        self.zrow: List[int] = []
-        for i, (nums, b, den) in enumerate(raw):
-            row = nums + [0] * (self.ncols - n2) + [b]
-            row[n2 + i] = den
-            if b < 0:
-                row = [-a for a in row]
-                art = nslack + len(self.artificial)
-                row[art] = den
-                self.artificial.add(art)
-                self.basis.append(art)
-            else:
-                self.basis.append(n2 + i)
-            self.rows.append(row)
-            self.den.append(den)
+        self.zrow = [0]
+        self._append(problem.variables, problem.constraints)
 
     def extended(self, problem: LpProblem) -> "_Tableau":
         """A copy of this optimal tableau for ``problem``, which extends this
-        one's problem by variables and rows.  The artificial columns, never
-        basic after phase one, are dropped; the new columns follow; each new
-        row is in canonical form with its slack basic.  The reduced costs
-        stay dual feasible: the new columns' are 0."""
+        one's problem by variables and rows.  The reduced costs stay dual
+        feasible: the new columns' are 0."""
         old = self.problem
         nvars, nrows = len(old.variables), len(old.constraints)
         if problem.objective != old.objective or \
@@ -224,38 +206,42 @@ class _Tableau:
                 problem.constraints[:nrows] != old.constraints:
             raise LpError("a warm start must be a prefix of the problem "
                           "with the same objective")
-        keep = self.ncols - len(self.artificial)  # artificials are last
-        col = dict(self.col)
-        for k, v in enumerate(problem.variables[nvars:]):
-            col[v] = keep + 2 * k
-        nslack = keep + 2 * (len(problem.variables) - nvars)
-        raw = _raw_rows(problem.constraints[nrows:], col, nslack)
-
-        tab = _Tableau.__new__(_Tableau)
+        tab = copy.copy(self)  # _append rebuilds rows and zrow
         tab.problem = problem
-        tab.col = col
-        tab.ncols = nslack + len(raw)
-        tab.artificial = set()
-        pad = [0] * (tab.ncols - keep)
-        tab.rows = [row[:keep] + pad + row[-1:] for row in self.rows]
-        tab.den = list(self.den)
-        tab.basis = list(self.basis)
-        tab.zrow = self.zrow[:keep] + pad + self.zrow[-1:]
+        tab.col, tab.den, tab.basis = dict(self.col), list(self.den), list(self.basis)
+        tab._append(problem.variables[nvars:], problem.constraints[nrows:])
+        return tab
+
+    def _append(self, variables: Sequence[str],
+                constraints: Sequence[Constraint]) -> None:
+        """Give each new variable a ``u``/``w`` column pair and each new
+        (``=``-expanded) row a slack, all at the end, with reduced cost 0.
+        Each new row is put into canonical form against the basis, with its
+        slack basic.  Every row is rebuilt as a new list, so a tableau this
+        one was copied from is left as it was."""
+        for k, v in enumerate(variables):
+            self.col[v] = self.ncols + 2 * k
+        nslack = self.ncols + 2 * len(variables)
+        raw = _raw_rows(constraints, self.col, nslack)
+        pad = [0] * (nslack + len(raw) - self.ncols)
+        self.ncols = nslack + len(raw)
+        self.rows = [row[:-1] + pad + row[-1:] for row in self.rows]
+        self.zrow = self.zrow[:-1] + pad + self.zrow[-1:]
+        old = len(self.rows)
         nonzero: Dict[int, List[Tuple[int, int]]] = {}
         for k, (row, b, den) in enumerate(raw):
             row += [0] * len(raw) + [b]
             row[nslack + k] = den
-            for i in range(len(self.rows)):
-                f = row[tab.basis[i]]
+            for i in range(old):
+                f = row[self.basis[i]]
                 if f:
-                    prow = tab.rows[i]
+                    prow = self.rows[i]
                     if i not in nonzero:
                         nonzero[i] = [(j, p) for j, p in enumerate(prow) if p]
-                    row, den = _eliminate(row, den, f, prow, tab.den[i], nonzero[i])
-            tab.rows.append(row)
-            tab.den.append(den)
-            tab.basis.append(nslack + k)
-        return tab
+                    row, den = _eliminate(row, den, f, prow, self.den[i], nonzero[i])
+            self.rows.append(row)
+            self.den.append(den)
+            self.basis.append(nslack + k)
 
     # -- simplex core -----------------------------------------------------
 
@@ -271,12 +257,75 @@ class _Tableau:
                                          self.den[i], nonzero)
         return zrow
 
-    def _optimize(self, cost: List[int], blocked: Set[int]) -> str:
+    def _pivot(self, leave: int, enter: int) -> None:
+        # The normalised pivot row is prow / q: its own denominator cancels.
+        # A negative pivot (the dual simplex's) flips the row's sign.
+        rows, dens, zrow = self.rows, self.den, self.zrow
+        prow = rows[leave]
+        q = prow[enter]
+        if q < 0:
+            prow = [-p for p in prow]
+            q = -q
+        g = gcd(*prow)
+        if g != 1:
+            prow = [p // g for p in prow]
+            q //= g
+        rows[leave] = prow
+        dens[leave] = q
+        nonzero = [(j, p) for j, p in enumerate(prow) if p]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f != 0 and i != leave:
+                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, q, nonzero)
+        if zrow[enter] != 0:
+            zrow[:], _ = _eliminate(zrow, 0, zrow[enter], prow, q, nonzero)
+        self.basis[leave] = enter
+
+    def dual_simplex(self) -> bool:
+        """Pivot a dual feasible tableau to a nonnegative right-hand side,
+        keeping the reduced costs dual feasible; False if infeasible.
+
+        Bland's rule: the leaving row has a negative right-hand side and the
+        least basic column, the entering column has a negative entry in that
+        row and the least ratio ``reduced cost / entry``, ties going to the
+        least column.  When no column qualifies, that row alone shows the
+        problem infeasible."""
+        rows, basis, zrow = self.rows, self.basis, self.zrow
+        while True:
+            leave = -1
+            for i, row in enumerate(rows):  # Bland: least basic column
+                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                return True
+            # Least ratio zrow[j] / a over a < 0; the row's denominator and
+            # the objective's scale cancel, so cross-multiply numerators.
+            row = rows[leave]
+            enter = -1
+            best_z = best_a = 0
+            for j in range(self.ncols):
+                a = row[j]
+                if a < 0 and (enter < 0 or zrow[j] * best_a < best_z * a):
+                    best_z, best_a, enter = zrow[j], a, j
+            if enter < 0:
+                return False
+            self._pivot(leave, enter)
+
+    def phase_two(self) -> str:
+        """The primal simplex from a feasible tableau, with Bland's rule."""
+        # The objective over the lcm of its denominators: same signs.
+        objective = self.problem.objective
+        scale = lcm(*(int(c.denominator) for c in objective.values()))
+        cost = [0] * self.ncols
+        for v, c in objective.items():
+            j = self.col[v]
+            cost[j] = int(c.numerator) * (scale // int(c.denominator))
+            cost[j + 1] = -cost[j]
         self.zrow = zrow = self._reduced_costs(cost)
         while True:
             enter = -1
             for j in range(self.ncols):  # Bland: least improving index
-                if j not in blocked and zrow[j] > 0:
+                if zrow[j] > 0:
                     enter = j
                     break
             if enter < 0:
@@ -299,93 +348,7 @@ class _Tableau:
                         best_b, best_a, leave = b, a, i
             if leave < 0:
                 return UNBOUNDED
-            self._pivot(leave, enter, zrow)
-
-    def _pivot(self, leave: int, enter: int, zrow: Optional[List[int]]) -> None:
-        # The normalised pivot row is prow / q: its own denominator cancels.
-        # A negative pivot (phase one's drive-out) flips the row's sign.
-        rows, dens = self.rows, self.den
-        prow = rows[leave]
-        q = prow[enter]
-        if q < 0:
-            prow = [-p for p in prow]
-            q = -q
-        g = gcd(*prow)
-        if g != 1:
-            prow = [p // g for p in prow]
-            q //= g
-        rows[leave] = prow
-        dens[leave] = q
-        nonzero = [(j, p) for j, p in enumerate(prow) if p]
-        for i, row in enumerate(rows):
-            f = row[enter]
-            if f != 0 and i != leave:
-                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, q, nonzero)
-        if zrow is not None and zrow[enter] != 0:
-            zrow[:], _ = _eliminate(zrow, 0, zrow[enter], prow, q, nonzero)
-        self.basis[leave] = enter
-
-    def dual_simplex(self) -> bool:
-        """Pivot a dual feasible tableau with no artificial columns (one
-        made by ``extended``) to a nonnegative right-hand side, keeping the
-        reduced costs dual feasible; False if infeasible."""
-        rows, basis, zrow = self.rows, self.basis, self.zrow
-        while True:
-            leave = -1
-            for i, row in enumerate(rows):  # Bland: least basic column
-                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
-                    leave = i
-            if leave < 0:
-                return True
-            # Least ratio zrow[j] / a over a < 0; the row's denominator and
-            # the objective's scale cancel, so cross-multiply numerators.
-            row = rows[leave]
-            enter = -1
-            best_z = best_a = 0
-            for j in range(self.ncols):
-                a = row[j]
-                if a < 0 and (enter < 0 or zrow[j] * best_a < best_z * a):
-                    best_z, best_a, enter = zrow[j], a, j
-            if enter < 0:
-                return False
-            self._pivot(leave, enter, zrow)
-
-    # -- phases ------------------------------------------------------------
-
-    def phase_one(self) -> bool:
-        if not self.artificial:
-            return True
-        cost = [0] * self.ncols
-        for j in self.artificial:
-            cost[j] = -1
-        self._optimize(cost, blocked=set())
-        for i, b in enumerate(self.basis):
-            if b in self.artificial and self.rows[i][-1] != 0:
-                return False
-        # Drive leftover zero-valued artificials out of the basis; a row
-        # with no real pivot candidate is redundant and can be dropped.
-        for i in reversed(range(len(self.rows))):
-            if self.basis[i] not in self.artificial:
-                continue
-            row = self.rows[i]
-            enter = next((j for j in range(self.ncols)
-                          if j not in self.artificial and row[j] != 0), -1)
-            if enter >= 0:
-                self._pivot(i, enter, None)
-            else:
-                del self.rows[i], self.den[i], self.basis[i]
-        return True
-
-    def phase_two(self) -> str:
-        # The objective over the lcm of its denominators: same signs.
-        objective = self.problem.objective
-        scale = lcm(*(int(c.denominator) for c in objective.values()))
-        cost = [0] * self.ncols
-        for v, c in objective.items():
-            j = self.col[v]
-            cost[j] = int(c.numerator) * (scale // int(c.denominator))
-            cost[j + 1] = -cost[j]
-        return self._optimize(cost, blocked=self.artificial)
+            self._pivot(leave, enter)
 
     def witness(self) -> Dict[str, Rat]:
         col_val = {b: Rat(self.rows[i][-1], self.den[i])

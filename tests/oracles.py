@@ -8,7 +8,7 @@ warm start, and ``rational_lp_solve`` replays the simplex pivot for pivot
 on ``Rat`` entries.
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from invgen.formula import (
     And, Atom, FormulaError, atoms_of, eval_formula, select_path, selectors_of,
@@ -239,7 +239,7 @@ def cold_smt_check(problem) -> SmtResult:
 def rational_lp_solve(problem: LpProblem) -> LpResult:
     """``lp_solve`` on a tableau of ``Rat`` entries (the pre-integer core)."""
     tab = _RationalTableau(problem)
-    if not tab.phase_one():
+    if not tab.dual_simplex():
         return LpResult(INFEASIBLE)
     if tab.phase_two() == UNBOUNDED:
         return LpResult(UNBOUNDED)
@@ -251,13 +251,18 @@ def rational_lp_solve(problem: LpProblem) -> LpResult:
 
 
 class _RationalTableau:
-    """The rational simplex tableau that ``invgen.lp`` used to run.
+    """The simplex of ``invgen.lp`` on a tableau of rationals.
 
-    Every entry is a ``Rat``; free variables are split as u - w >= 0, ``=``
-    rows become two ``<=`` rows, Bland's rule picks the entering column and
-    the ratio test breaks ties on the least basis index.  The fraction-free
-    tableau promises exactly this pivot sequence, so the two must agree in
-    status, value and witness.
+    Every entry is a ``Rat``; free variables are split as u - w >= 0 and
+    ``=`` rows become two ``<=`` rows.  The start is the slack basis, each
+    slack basic even with a negative right-hand side, with every reduced
+    cost 0.  A dual simplex makes it feasible: the leaving row has a
+    negative right-hand side and the least basic column, the entering
+    column a negative entry in that row and the least ``zrow[j] / a``, ties
+    going to the least column.  A primal simplex then optimizes: Bland's
+    rule picks the entering column and the ratio test breaks ties on the
+    least basis index.  The fraction-free tableau promises exactly this
+    pivot sequence, so the two must agree in status, value and witness.
     """
 
     def __init__(self, problem: LpProblem):
@@ -277,70 +282,21 @@ class _RationalTableau:
                 raw.append(([-c for c in dense], -row.rhs))
 
         m = len(raw)
-        self.ncols = n2 + m  # structural + one slack per row; artificials appended
+        self.ncols = n2 + m  # structural + one slack per row
         self.rows: List[List[Rat]] = []
         self.rhs: List[Rat] = []
         self.basis: List[int] = []
-        self.artificial: Set[int] = set()
         for i, (dense, b) in enumerate(raw):
             row = dense + [ZERO] * m
             row[n2 + i] = ONE
-            if b < 0:
-                row = [-c for c in row]
-                b = -b
-                art = self.ncols + len(self.artificial)
-                self.artificial.add(art)
-                self.basis.append(art)
-            else:
-                self.basis.append(n2 + i)
             self.rows.append(row)
             self.rhs.append(b)
-        if self.artificial:
-            width = self.ncols + len(self.artificial)
-            for i, row in enumerate(self.rows):
-                row.extend([ZERO] * (width - len(row)))
-                if self.basis[i] >= self.ncols:
-                    row[self.basis[i]] = ONE
-            self.ncols = width
+            self.basis.append(n2 + i)
+        self.zrow = [ZERO] * self.ncols
 
     # -- simplex core -----------------------------------------------------
 
-    def _reduced_costs(self, cost: List[Rat]) -> List[Rat]:
-        zrow = list(cost)
-        for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        zrow[j] = zrow[j] - cb * row[j]
-        return zrow
-
-    def _optimize(self, cost: List[Rat], blocked: Set[int]) -> str:
-        zrow = self._reduced_costs(cost)
-        while True:
-            enter = -1
-            for j in range(self.ncols):  # Bland: least improving index
-                if j not in blocked and zrow[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL
-            leave = -1
-            best = None
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return UNBOUNDED
-            self._pivot(leave, enter, zrow)
-
-    def _pivot(self, leave: int, enter: int, zrow: Optional[List[Rat]]) -> None:
+    def _pivot(self, leave: int, enter: int) -> None:
         # Only the nonzero columns of the pivot row can change another row,
         # so the eliminations touch those columns alone, in place.
         prow = self.rows[leave]
@@ -361,38 +317,34 @@ class _RationalTableau:
                 for j, p in nonzero:
                     row[j] = row[j] - f * p
                 self.rhs[i] = self.rhs[i] - f * prhs
-        if zrow is not None:
-            f = zrow[enter]
-            if f != 0:
-                for j, p in nonzero:
-                    zrow[j] = zrow[j] - f * p
+        f = self.zrow[enter]
+        if f != 0:
+            for j, p in nonzero:
+                self.zrow[j] = self.zrow[j] - f * p
         self.basis[leave] = enter
 
     # -- phases ------------------------------------------------------------
 
-    def phase_one(self) -> bool:
-        if not self.artificial:
-            return True
-        cost = [ZERO] * self.ncols
-        for j in self.artificial:
-            cost[j] = -ONE
-        self._optimize(cost, blocked=set())
-        for i, b in enumerate(self.basis):
-            if b in self.artificial and self.rhs[i] != 0:
+    def dual_simplex(self) -> bool:
+        while True:
+            leave = -1
+            for i, b in enumerate(self.rhs):
+                if b < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
+                    leave = i
+            if leave < 0:
+                return True
+            row = self.rows[leave]
+            enter = -1
+            best = None
+            for j in range(self.ncols):
+                if row[j] < 0:
+                    ratio = self.zrow[j] / row[j]
+                    if best is None or ratio < best:
+                        best = ratio
+                        enter = j
+            if enter < 0:
                 return False
-        # Drive leftover zero-valued artificials out of the basis; a row
-        # with no real pivot candidate is redundant and can be dropped.
-        for i in reversed(range(len(self.rows))):
-            if self.basis[i] not in self.artificial:
-                continue
-            row = self.rows[i]
-            enter = next((j for j in range(self.ncols)
-                          if j not in self.artificial and row[j] != 0), -1)
-            if enter >= 0:
-                self._pivot(i, enter, None)
-            else:
-                del self.rows[i], self.rhs[i], self.basis[i]
-        return True
+            self._pivot(leave, enter)
 
     def phase_two(self) -> str:
         cost = [ZERO] * self.ncols
@@ -400,7 +352,35 @@ class _RationalTableau:
             j = 2 * self.var_index[v]
             cost[j] = c
             cost[j + 1] = -c
-        return self._optimize(cost, blocked=self.artificial)
+        self.zrow = zrow = list(cost)
+        for i, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        zrow[j] = zrow[j] - cb * row[j]
+        while True:
+            enter = -1
+            for j in range(self.ncols):  # Bland: least improving index
+                if zrow[j] > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    if best is None or ratio < best or \
+                            (ratio == best and self.basis[i] < self.basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            self._pivot(leave, enter)
 
     def witness(self) -> Dict[str, Rat]:
         col_val = {b: self.rhs[i] for i, b in enumerate(self.basis)}

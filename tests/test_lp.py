@@ -122,7 +122,33 @@ DEGENERATE = [
     lp(["x", "y", "z"], {"x": 1, "y": 2, "z": -1},
        [({"x": 1, "y": 1}, "<=", 0), ({"x": 1, "z": -1}, "<=", 0),
         ({"y": 1, "z": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"y": 1}, "=", 0)]),
+    # The slack basis is infeasible on three or more rows with equal negative
+    # right-hand sides and every reduced cost is 0, so every dual ratio ties
+    # and the least-index rules pick every pivot.
+    lp(["x", "y", "z"], {"x": 1, "y": 1, "z": 1},
+       [({"x": -1, "y": -1}, "<=", -1), ({"y": -1, "z": -1}, "<=", -1),
+        ({"x": -1, "z": -1}, "<=", -1), ({"x": 1, "y": 1, "z": 1}, "<=", 3)]),
+    # one "=" row given three times: the redundant pairs stay in the tableau
+    lp(["x", "y"], {"x": 1},
+       [({"x": 1, "y": 1}, "=", -2), ({"x": 1, "y": 1}, "=", -2),
+        ({"x": 1, "y": 1}, "=", -2), ({"y": -1}, "<=", 4)]),
+    lp(["x", "y"], {"x": 1, "y": -1},
+       [({"x": -1}, "<=", -1), ({"y": -1}, "<=", -1), ({"x": -1, "y": -1}, "<=", -1),
+        ({"x": 1, "y": -1}, "=", 0)]),
+    lp(["x", "y"], {},
+       [({"x": 1}, "<=", -1), ({"y": 1}, "<=", -1), ({"x": -1, "y": -1}, "<=", -1)]),
+    lp(["x", "y"], {"x": 1, "y": 1},
+       [({"x": -1}, "<=", -1), ({"y": -1}, "<=", -1), ({"x": -1, "y": -1}, "<=", -1)]),
 ]
+
+
+def test_degenerate_cases_match_fourier_motzkin_oracle():
+    want = [(OPTIMAL, 2), (OPTIMAL, 2), (OPTIMAL, 0), (OPTIMAL, 3), (OPTIMAL, 2),
+            (OPTIMAL, 0), (INFEASIBLE, None), (UNBOUNDED, None)]
+    for problem, (status, value) in zip(DEGENERATE, want, strict=True):
+        res = lp_solve(problem)
+        assert (res.status, res.value) == fm_solve(problem) == (status, value), \
+            lp_text(problem)
 
 
 def test_matches_rational_tableau_oracle():
