@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .lp import Constraint
 from .numeric import ExtRat, Rat, ZERO, as_rat, parse_rat, rat_str
 
 PRIME = "'"
@@ -148,7 +149,7 @@ class LinExpr:
 class Atom:
     """Normalized atom: linear expression (no constant part) rel bound."""
 
-    __slots__ = ("lin", "rel", "bound")
+    __slots__ = ("lin", "rel", "bound", "_row")
 
     def __init__(self, lin: LinExpr, rel: str, bound):
         if rel not in (REL_LE, REL_LT):
@@ -165,6 +166,17 @@ class Atom:
     def holds(self, env: Dict[str, Rat]) -> bool:
         val = self.lin.evaluate(env)
         return val <= self.bound if self.rel == REL_LE else val < self.bound
+
+    @property
+    def row(self) -> Constraint:
+        """``lin <= bound`` as an LP row, built on first use and kept, so
+        its integer form is computed once however many LPs it enters."""
+        try:
+            return self._row
+        except AttributeError:
+            row = Constraint(tuple(self.lin.coeffs.items()), "<=", self.bound)
+            object.__setattr__(self, "_row", row)
+            return row
 
     def relaxed(self) -> "Atom":
         return self if self.rel == REL_LE else Atom(self.lin, REL_LE, self.bound)

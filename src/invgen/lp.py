@@ -9,18 +9,22 @@ No artificial columns are needed (Dutertre & de Moura, CAV 2006, also
 decide feasibility without them).  Bland's least-index rules guarantee
 termination without any perturbation.  The tableau is fraction-free (Edmonds 1967; Bareiss
 1968): each row is a dense list of ``int`` numerators over one positive
-``int`` denominator, so the pivot loop does integer arithmetic only, and
-``Rat`` values appear only when the problem is read in and the witness is
-read out.  The pivot sequence is exactly that of a tableau of rationals.
-Every outcome (infeasible / optimal with witness / unbounded) is exact;
-there is no floating point anywhere.
+``int`` denominator, so the pivot loop does integer arithmetic only.  Each
+``Constraint`` computes its integer form (numerators, right-hand side,
+one denominator) once and keeps it, so building a tableau only places
+integers.  ``Rat`` values appear again only in the result: the value is
+read from the objective's basic columns, and the witness is read from the
+final tableau when it is first asked for.  The pivot sequence is exactly
+that of a tableau of rationals.  Every outcome (infeasible / optimal with
+witness / unbounded) is exact; there is no floating point anywhere.
 
 An ``OPTIMAL`` result keeps its final tableau, so a later problem that
 only adds variables and rows can start from it (the branch-and-bound warm
 start): the new rows are appended exactly as a slack basis is built, and
 the dual simplex alone restores a nonnegative right-hand side.  The old
 reduced costs stay optimal, because the objective is the same and the new
-columns cost nothing.
+columns cost nothing.  ``LpProblem.extend`` builds such a problem from
+the earlier one, checking only what it adds.
 
 Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
 maximize an auxiliary slack that strict rows must leave open.
@@ -28,8 +32,8 @@ maximize an auxiliary slack that strict rows must leave open.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -61,42 +65,126 @@ class Constraint:
         items = tuple((v, as_rat(c)) for v, c in coeffs.items() if c != 0)
         return Constraint(items, rel, as_rat(rhs))
 
+    @cached_property
+    def ints(self) -> Tuple[Tuple[Tuple[str, int], ...], int, int]:
+        """The row over the lcm of its denominators: ``(variable, numerator)``
+        pairs, the right-hand side's numerator and that denominator."""
+        rhs = self.rhs
+        den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in self.coeffs))
+        nums = tuple((v, int(c.numerator) * (den // int(c.denominator)))
+                     for v, c in self.coeffs)
+        return nums, int(rhs.numerator) * (den // int(rhs.denominator)), den
+
+    @cached_property
+    def slackened(self) -> "Constraint":
+        """``row + d <= rhs`` for the strict-row slack d of ``lp_feasible_strict``."""
+        return Constraint(self.coeffs + ((_DELTA, ONE),), self.rel, self.rhs)
+
+
+_DELTA_ROW = Constraint(((_DELTA, ONE),), "<=", ONE)
+
 
 class LpProblem:
     """Maximize a linear objective subject to ``<=`` / ``=`` rows."""
 
     def __init__(self, variables: Sequence[str], objective: Dict[str, Rat],
                  constraints: Sequence[Constraint]):
-        self.variables = list(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise LpError("duplicate variable declaration")
+        self.variables: List[str] = []
+        self.constraints: List[Constraint] = []
+        self._add(variables, constraints)
         declared = set(self.variables)
         self.objective = {v: as_rat(c) for v, c in objective.items() if c != 0}
         for v in self.objective:
             if v not in declared:
                 raise LpError(f"objective uses undeclared variable {v!r}")
-        self.constraints = list(constraints)
-        for row in self.constraints:
+
+    def extend(self, variables: Sequence[str],
+               constraints: Sequence[Constraint]) -> "LpProblem":
+        """A new problem with this one's objective, variables and rows,
+        then ``variables`` and ``constraints``; only these are checked."""
+        grown = _checked(self.variables, self.objective, self.constraints)
+        grown._add(variables, constraints)
+        return grown
+
+    def _add(self, variables: Sequence[str], constraints: Sequence[Constraint]) -> None:
+        self.variables = self.variables + list(variables)
+        declared = set(self.variables)
+        if len(declared) != len(self.variables):
+            raise LpError("duplicate variable declaration")
+        for row in constraints:
             for v, _ in row.coeffs:
                 if v not in declared:
                     raise LpError(f"constraint uses undeclared variable {v!r}")
+        self.constraints = self.constraints + list(constraints)
 
 
-@dataclass(frozen=True)
+def _checked(variables: List[str], objective: Dict[str, Rat],
+             constraints: List[Constraint]) -> LpProblem:
+    """An ``LpProblem`` of parts that are checked already."""
+    problem = LpProblem.__new__(LpProblem)
+    problem.variables, problem.objective, problem.constraints = \
+        variables, objective, constraints
+    return problem
+
+
 class LpResult:
-    status: str
-    value: Optional[Rat] = None
-    witness: Optional[Dict[str, Rat]] = None
-    # the final tableau of an OPTIMAL solve, for warm starts
-    tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
+    """The classification of an LP; an ``OPTIMAL`` one has its value and a
+    witness attaining it.
+
+    The result of a solve keeps its final tableau, for warm starts, and
+    reads the witness from it when it is first asked for.  Equality
+    compares status, value and witness."""
+
+    __slots__ = ("status", "value", "tableau", "_witness")
+
+    def __init__(self, status: str, value: Optional[Rat] = None,
+                 witness: Optional[Dict[str, Rat]] = None,
+                 tableau: Optional[_Tableau] = None):
+        self.status, self.value = status, value
+        self._witness, self.tableau = witness, tableau
+
+    @property
+    def witness(self) -> Optional[Dict[str, Rat]]:
+        if self._witness is None and self.tableau is not None:
+            self._witness = self.tableau.witness()
+        return self._witness
+
+    def __eq__(self, other):
+        if not isinstance(other, LpResult):
+            return NotImplemented
+        return (self.status, self.value, self.witness) == \
+            (other.status, other.value, other.witness)
+
+    def __repr__(self):
+        return f"LpResult({self.status!r}, {self.value!r}, {self.witness!r})"
 
 
-@dataclass(frozen=True)
 class FeasResult:
-    feasible: bool
-    witness: Optional[Dict[str, Rat]] = None
-    # the solve of the relaxed problem, for warm starts
-    lp: Optional[LpResult] = field(default=None, compare=False, repr=False)
+    """Whether a mixed strict system is satisfiable, and if so a witness.
+
+    ``lp`` is the solve of the relaxed problem, for warm starts; the
+    witness is read from it when it is first asked for.  Equality compares
+    the verdict and the witness."""
+
+    __slots__ = ("feasible", "lp", "_witness")
+
+    def __init__(self, feasible: bool, witness: Optional[Dict[str, Rat]] = None,
+                 lp: Optional[LpResult] = None):
+        self.feasible, self._witness, self.lp = feasible, witness, lp
+
+    @property
+    def witness(self) -> Optional[Dict[str, Rat]]:
+        if self._witness is None and self.feasible and self.lp is not None:
+            self._witness = {v: q for v, q in self.lp.witness.items() if v != _DELTA}
+        return self._witness
+
+    def __eq__(self, other):
+        if not isinstance(other, FeasResult):
+            return NotImplemented
+        return (self.feasible, self.witness) == (other.feasible, other.witness)
+
+    def __repr__(self):
+        return f"FeasResult({self.feasible!r}, {self.witness!r})"
 
 
 def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
@@ -128,11 +216,7 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
         return LpResult(INFEASIBLE)
     if start is None and tab.phase_two() == UNBOUNDED:
         return LpResult(UNBOUNDED)
-    witness = tab.witness()
-    value = ZERO
-    for v, c in problem.objective.items():
-        value = value + c * witness[v]
-    return LpResult(OPTIMAL, value, witness, tab)
+    return LpResult(OPTIMAL, tab.value(), tableau=tab)
 
 
 def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
@@ -147,25 +231,20 @@ def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
     old ones) extends the relaxed problem of ``start``, an earlier result of
     this function, and is solved warm from its ``lp``.
     """
+    rows = [_DELTA_ROW, *problem.constraints]
     for i in strict_rows:
         if not 0 <= i < len(problem.constraints):
             raise LpError(f"strict row index {i} out of range")
         if problem.constraints[i].rel != "<=":
             raise LpError("strict row must be a <= constraint")
-    rows = [Constraint(((_DELTA, ONE),), "<=", ONE)]
-    for i, row in enumerate(problem.constraints):
-        if i in strict_rows:
-            rows.append(Constraint(row.coeffs + ((_DELTA, ONE),), "<=", row.rhs))
-        else:
-            rows.append(row)
-    relaxed = LpProblem([_DELTA] + problem.variables, {_DELTA: ONE}, rows)
+        rows[i + 1] = problem.constraints[i].slackened
+    if _DELTA in problem.variables:
+        raise LpError(f"variable name {_DELTA!r} is reserved")
+    relaxed = _checked([_DELTA, *problem.variables], {_DELTA: ONE}, rows)
     if start is not None and start.lp is None:
         raise LpError("a warm start must carry its LP result")
     res = lp_solve(relaxed, None if start is None else start.lp)
-    if res.status != OPTIMAL or res.value <= 0:
-        return FeasResult(False, lp=res)
-    witness = {v: q for v, q in res.witness.items() if v != _DELTA}
-    return FeasResult(True, witness, res)
+    return FeasResult(res.status == OPTIMAL and res.value > 0, lp=res)
 
 
 class _Tableau:
@@ -206,8 +285,9 @@ class _Tableau:
                 problem.constraints[:nrows] != old.constraints:
             raise LpError("a warm start must be a prefix of the problem "
                           "with the same objective")
-        tab = copy.copy(self)  # _append rebuilds rows and zrow
-        tab.problem = problem
+        tab = _Tableau.__new__(_Tableau)
+        tab.problem, tab.ncols = problem, self.ncols
+        tab.rows, tab.zrow = self.rows, self.zrow  # _append rebuilds both
         tab.col, tab.den, tab.basis = dict(self.col), list(self.den), list(self.basis)
         tab._append(problem.variables[nvars:], problem.constraints[nrows:])
         return tab
@@ -350,6 +430,18 @@ class _Tableau:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
+    def value(self) -> Rat:
+        """The objective's value, from the rows of its basic columns alone."""
+        num, den = 0, 1  # the sum so far is num / den
+        for v, c in self.problem.objective.items():
+            for j, sign in ((self.col[v], 1), (self.col[v] + 1, -1)):  # u - w
+                if j in self.basis:
+                    i = self.basis.index(j)
+                    d = int(c.denominator) * self.den[i]
+                    num = num * d + sign * int(c.numerator) * self.rows[i][-1] * den
+                    den *= d
+        return Rat(num, den)
+
     def witness(self) -> Dict[str, Rat]:
         col_val = {b: Rat(self.rows[i][-1], self.den[i])
                    for i, b in enumerate(self.basis)}
@@ -365,15 +457,12 @@ def _raw_rows(constraints: Sequence[Constraint], col: Dict[str, int],
     denominator) with ``u - w`` split at ``col``; ``=`` gives two rows."""
     raw: List[Tuple[List[int], int, int]] = []
     for row in constraints:
-        rhs = row.rhs
-        den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in row.coeffs))
+        coeffs, b, den = row.ints
         nums = [0] * width
-        for v, c in row.coeffs:
-            a = int(c.numerator) * (den // int(c.denominator))
+        for v, a in coeffs:
             k = col[v]
             nums[k] += a
             nums[k + 1] -= a
-        b = int(rhs.numerator) * (den // int(rhs.denominator))
         raw.append((nums, b, den))
         if row.rel == "=":
             raw.append(([-a for a in nums], -b, den))

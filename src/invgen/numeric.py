@@ -20,8 +20,11 @@ ONE = Rat(1)
 
 
 def as_rat(value) -> Rat:
-    """Coerce an int, string or rational to ``Rat``."""
-    if isinstance(value, (int, type(ZERO))):
+    """Coerce an int, string or rational to ``Rat``; a ``Rat`` is returned
+    as it is."""
+    if isinstance(value, Rat):
+        return value
+    if isinstance(value, int):
         return Rat(value)
     if isinstance(value, str):
         return parse_rat(value)

@@ -6,9 +6,13 @@ is a path through the formula plus an exact rational point on that path.
 The internal backend searches selector assignments in index order and asks
 the exact LP layer whether the atoms forced so far are consistent (strict
 atoms are handled natively); an infeasible prefix prunes the whole subtree.
-A child's atoms are its parent's followed by those its branch forces, so
-each node's check re-solves from its parent's optimal tableau and only
-adds the branch's rows (the warm start of ``lp_solve``).
+Each node keeps its frontier, the reachable disjunctions without a value.
+Giving one a value walks only its chosen branch, once per time the
+disjunction is reached: the atoms found there become the rows the child
+appends to its parent's LP (``LpProblem.extend``), and the disjunctions
+found there join the child's frontier.  Each atom's LP row is built once,
+and each node's check re-solves from its parent's optimal tableau (the
+warm start of ``lp_solve``), so a node pays only for its branch's rows.
 
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
@@ -26,14 +30,13 @@ import shlex
 import subprocess
 import tempfile
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .formula import REL_LT, And, Atom, SmtProblem, selectors_of
-from .lp import Constraint, FeasResult, LpProblem, lp_feasible_strict
+from .formula import REL_LT, And, Atom, Or, SmtProblem, selectors_of
+from .lp import FeasResult, LpProblem, lp_feasible_strict
 from .numeric import Rat, ZERO
 
 SAT = "sat"
@@ -64,27 +67,23 @@ class SmtResult:
 # internal backend
 # ---------------------------------------------------------------------------
 
-def _forced(skeleton, assign: Dict[int, int]) -> Tuple[List[Atom], List[int]]:
-    """Atoms forced by the partial selector assignment, plus the reachable
-    still-unassigned selectors."""
-    atoms: List[Atom] = []
-    pending: List[int] = []
-
-    def walk(node):
+def _walk(node, assign: Dict[int, int], atoms: List[Atom], reached: List[Or]) -> None:
+    """Append to ``atoms`` the atoms under ``node`` that the partial selector
+    assignment forces, in pre-order, and to ``reached`` the disjunctions
+    without a value that it reaches, once per time each is reached."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Atom):
             atoms.append(node)
         elif isinstance(node, And):
-            for ch in node.children:
-                walk(ch)
+            stack.extend(reversed(node.children))
         else:
             val = assign.get(node.selector)
             if val is None:
-                pending.append(node.selector)
+                reached.append(node)
             else:
-                walk(node.right if val else node.left)
-
-    walk(skeleton)
-    return atoms, pending
+                stack.append(node.right if val else node.left)
 
 
 def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = None
@@ -94,52 +93,76 @@ def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = N
     occurrence of each variable; variables only in the objective come last."""
     variables: Dict[str, None] = {}
     for atom in atoms:
-        variables.update(dict.fromkeys(atom.lin.variables()))
+        variables.update(dict.fromkeys(atom.lin.coeffs))
     variables.update(dict.fromkeys(objective or ()))
-    rows = [Constraint(tuple(a.lin.coeffs.items()), "<=", a.bound) for a in atoms]
     strict = {i for i, a in enumerate(atoms) if a.rel == REL_LT}
-    return LpProblem(list(variables), objective or {}, rows), strict
+    return LpProblem(list(variables), objective or {}, [a.row for a in atoms]), strict
 
 
-def _extend(parent: List[Atom], forced: List[Atom]) -> List[Atom]:
-    """``parent`` followed by the atoms of ``forced`` beyond it (a multiset
-    by identity, in ``forced`` order)."""
-    left = Counter(map(id, parent))
-    new = []
-    for atom in forced:
-        if left[id(atom)]:
-            left[id(atom)] -= 1
-        else:
-            new.append(atom)
-    return parent + new
+def _grow(problem: LpProblem, strict: Set[int], atoms: Sequence[Atom]
+          ) -> Tuple[LpProblem, Set[int]]:
+    """``problem`` and its strict rows extended by ``atoms``: what
+    ``atoms_problem`` gives for the parent's atoms followed by these."""
+    declared = set(problem.variables)
+    variables: Dict[str, None] = {}
+    for atom in atoms:
+        variables.update(dict.fromkeys(atom.lin.coeffs))
+    n = len(problem.constraints)
+    strict = strict | {n + i for i, a in enumerate(atoms) if a.rel == REL_LT}
+    return problem.extend([v for v in variables if v not in declared],
+                          [a.row for a in atoms]), strict
 
 
 def smt_check(problem: SmtProblem) -> SmtResult:
-    """Decide the problem exactly; a sat answer carries a checked model."""
+    """Decide the problem exactly; a sat answer carries a checked model.
 
-    def search(assign: Dict[int, int], parent: List[Atom],
+    A search node holds its frontier (each selector without a value, with
+    the disjunctions that carry it, once per time each is reached), its LP
+    and the LP's strict rows."""
+    assign: Dict[int, int] = {}
+
+    def search(frontier: Dict[int, Tuple[Or, ...]], lp: LpProblem, strict: Set[int],
                start: Optional[FeasResult]) -> Optional[SmtModel]:
-        forced, pending = _forced(problem.skeleton, assign)
-        atoms = _extend(parent, forced)
-        feas = lp_feasible_strict(*atoms_problem(atoms), start=start)
+        feas = lp_feasible_strict(lp, strict, start=start)
         if not feas.feasible:
             return None
-        if not pending:
-            reals = {v: feas.witness.get(v, ZERO) for v in problem.real_vars}
+        if not frontier:
+            witness = feas.witness
+            reals = {v: witness.get(v, ZERO) for v in problem.real_vars}
             return SmtModel(dict(assign), reals)
-        sel = min(pending)
+        sel = min(frontier)
+        rest = dict(frontier)
+        nodes = rest.pop(sel)
         for value in (0, 1):
             assign[sel] = value
-            model = search(assign, atoms, feas)
+            atoms: List[Atom] = []
+            reached: List[Or] = []
+            for node in nodes:
+                _walk(node.right if value else node.left, assign, atoms, reached)
+            model = search(_open(rest, reached), *_grow(lp, strict, atoms), feas)
             if model is not None:
                 return model
             del assign[sel]
         return None
 
-    model = search({}, [], None)
+    atoms: List[Atom] = []
+    reached: List[Or] = []
+    _walk(problem.skeleton, assign, atoms, reached)
+    model = search(_open({}, reached), *atoms_problem(atoms), None)
     if model is None:
         return SmtResult(UNSAT)
     return SmtResult(SAT, model)
+
+
+def _open(frontier: Dict[int, Tuple[Or, ...]], reached: List[Or]
+          ) -> Dict[int, Tuple[Or, ...]]:
+    """``frontier`` with the disjunctions of ``reached`` added."""
+    if not reached:
+        return frontier
+    frontier = dict(frontier)
+    for node in reached:
+        frontier[node.selector] = frontier.get(node.selector, ()) + (node,)
+    return frontier
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +522,9 @@ def _external_query(problem: SmtProblem, session: SmtSession,
         else:
             raise SmtBackendError(f"missing Boolean value for selector {sel}")
 
-    atoms, pending = _forced(problem.skeleton, selectors)
+    atoms: List[Atom] = []
+    pending: List[Or] = []
+    _walk(problem.skeleton, selectors, atoms, pending)
     if pending:
         raise SmtBackendError("solver assignment leaves a reachable disjunction open")
 

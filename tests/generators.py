@@ -73,7 +73,33 @@ def random_statement(rng: random.Random, variables, max_selectors: int):
     return label_selectors(build(0))
 
 
-def random_psi_inputs(rng: random.Random):
+def random_shared_statement(rng: random.Random, variables, max_selectors: int):
+    """Like ``random_statement``, but a child is often a node built before,
+    so atoms and whole ``And`` / ``Or`` subtrees are shared by identity, as
+    ``compress`` shares them.  One path can then force an atom more than
+    once and reach a disjunction more than once."""
+    budget = [rng.randint(1, max_selectors)]
+    built = []
+
+    def build(depth: int):
+        if len(built) > 1 and rng.random() < 0.25:
+            return rng.choice(built)
+        roll = rng.random()
+        if depth >= 4 or roll < 0.25:
+            node = random_atom(rng, variables)
+        elif roll < 0.6 and budget[0] > 0:
+            budget[0] -= 1
+            node = Or(build(depth + 1), build(depth + 1), -1)
+        else:
+            node = And(build(depth + 1) for _ in range(rng.randint(2, 3)))
+        built.append(node)
+        return node
+
+    return label_selectors(build(0))
+
+
+def random_psi_inputs(rng: random.Random, make_statement=random_statement,
+                      max_selectors: int = 10):
     """Statement, template rows, bound vector, row index and threshold for
     a random improvement query."""
     n = rng.randint(1, 2)
@@ -81,7 +107,7 @@ def random_psi_inputs(rng: random.Random):
     variables = unprimed + [primed(v) for v in unprimed]
     if rng.random() < 0.3:
         variables.append("w")  # statement-local auxiliary
-    stmt = random_statement(rng, variables, max_selectors=10)
+    stmt = make_statement(rng, variables, max_selectors=max_selectors)
     rows = []
     for _ in range(rng.randint(1, 3)):
         coeffs = {v: Rat(rng.randint(-2, 2)) or Rat(1)
@@ -136,3 +162,17 @@ def random_cfg(rng: random.Random):
 
 def random_state(rng: random.Random, variables):
     return {v: random_rat(rng, -4, 4) for v in variables}
+
+
+def gen_octagon(n: int) -> str:
+    """A program over n variables with the octagon template (2n^2 rows):
+    every variable starts at 0 and one loop adds 1 to each while x0 <= 9."""
+    names = [f"x{i}" for i in range(n)]
+    init = " & ".join(f"{v}' = 0" for v in names)
+    step = " & ".join(f"{v}' = {v} + 1" for v in names)
+    return (f"vars {' '.join(names)} ;\n"
+            "template octagon ;\n"
+            "nodes st h ;\n"
+            "start st ;\n"
+            f"edge st -> h : {init} ;\n"
+            f"edge h -> h : x0 <= 9 & {step} ;\n")

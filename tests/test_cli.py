@@ -281,9 +281,9 @@ def test_cli_main_error_paths(tmp_path, capsys):
 
 
 def test_wide_disjunction_is_an_error_not_a_traceback(tmp_path):
-    # 500 disjuncts exceed the recursion depth of the selector search today;
-    # the command must still end with a one-line error and exit code 2.
-    wide = " | ".join(f"x' = {i}" for i in range(500))
+    # 1,000 disjuncts exceed the recursion depth of the formula walks; the
+    # command must still end with a one-line error and exit code 2.
+    wide = " | ".join(f"x' = {i}" for i in range(1000))
     prog = tmp_path / "wide.prg"
     prog.write_text("vars x ; template interval ; nodes st a ; start st ; cutset a ;"
                     f"edge st -> a : x' = 0 ; edge a -> a : {wide} ;")

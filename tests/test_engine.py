@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from invgen.cfg import Cfg, compress, feedback_vertex_set
+from invgen.cli import parse_program, program_to_cfg
 from invgen.engine import (
     BOTTOM, ConstChoice, EngineError, EngineOptions, EquationSystem, StratConst,
     StratPath, Template, abstract_transform_row, check_post_fixpoint, evaluate,
@@ -17,7 +18,7 @@ from invgen.formula import (
 )
 from invgen.numeric import NEG_INF, POS_INF, ext
 
-from generators import random_cfg
+from generators import gen_octagon, random_cfg
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
@@ -382,6 +383,18 @@ def test_random_programs_certify_and_match_oracle():
             assert oracle == bounds
             agree += 1
     assert agree >= 10
+
+
+def test_octagon_family_matches_kleene_oracle_and_certifies():
+    # the octagon family scales the template: 2n^2 rows over n variables
+    for n in (2, 3):
+        g, T = program_to_cfg(parse_program(gen_octagon(n)))
+        g = compress(g, feedback_vertex_set(g))
+        assert len(T.rows) == 2 * n * n
+        bounds, stats = run(g, T)
+        assert stats.converged and stats.improvement_steps == 3
+        assert bounds == kleene_oracle(g, T, max_steps=100)
+        assert check_post_fixpoint(g, T, bounds).verified
 
 
 def test_deterministic_runs():

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from invgen.numeric import (
-    NEG_INF, POS_INF, ExtRat, Rat, ext, ext_add, ext_cmp, parse_ext,
+    NEG_INF, POS_INF, ExtRat, Rat, as_rat, ext, ext_add, ext_cmp, parse_ext,
     parse_rat, rat_str,
 )
 
@@ -64,6 +64,13 @@ def test_literal_forms():
     assert str(parse_ext("inf")) == "inf"
     assert str(parse_ext("-inf")) == "-inf"
     assert str(parse_ext("-7/2")) == "-7/2"
+
+
+def test_as_rat_returns_a_rat_as_it_is():
+    q = Rat(-7, 2)
+    assert as_rat(q) is q
+    assert as_rat(3) == Rat(3) and type(as_rat(3)) is Rat
+    assert as_rat("5/4") == Rat(5, 4)
 
 
 def test_lowest_terms():

@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,8 @@ from invgen.smt import (
 )
 
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
-from generators import random_psi_inputs
+import oracles
+from generators import random_psi_inputs, random_shared_statement
 from oracles import brute_force_smt, check_model, cold_smt_check
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
@@ -87,6 +89,55 @@ def test_matches_brute_force_small():
             # selected sequential statement atom by atom
             seq = select_path(problem.skeleton, got.model.selectors)
             assert all(a.holds(got.model.reals) for a in atoms_of(seq))
+
+
+def test_shared_subtrees_and_repeated_atoms(monkeypatch):
+    # ``compress`` shares subtrees by identity, so one path can force an atom
+    # more than once and reach a disjunction more than once.  The search
+    # grows each node's LP by the chosen branches only; every theory check
+    # must still hold exactly the atoms forced at its node, as a multiset.
+    import invgen.smt as smt
+
+    checks, nodes = [], []
+    real_check, real_feasible = smt.lp_feasible_strict, oracles._atoms_feasible
+
+    def check(problem, strict, start=None):
+        checks.append(Counter(map(id, problem.constraints)))
+        return real_check(problem, strict, start=start)
+
+    def feasible(atoms):  # one call per node of the cold search
+        nodes.append(Counter(id(a.row) for a in atoms))
+        return real_feasible(atoms)
+
+    monkeypatch.setattr(smt, "lp_feasible_strict", check)
+    monkeypatch.setattr(oracles, "_atoms_feasible", feasible)
+    rng = random.Random(47)
+    repeated = sat = 0
+    for _ in range(150):
+        stmt, rows, d, j, c = random_psi_inputs(rng, random_shared_statement, 6)
+        problem = build_psi(stmt, d, rows, j, c)
+        checks.clear()
+        nodes.clear()
+        got = smt_check(problem)
+        cold = cold_smt_check(problem)
+        assert checks == nodes
+        assert got.status == cold.status
+        if got.is_sat:
+            sat += 1
+            assert got.model.selectors == cold.model.selectors
+            assert check_model(problem, got.model)
+        assert got.is_sat == brute_force_smt(problem)
+        repeated += any(n > 1 for counts in checks for n in counts.values())
+    assert repeated > 30 and 40 < sat < 130  # 53 and 93 at this seed
+
+
+def test_wide_disjunction_query():
+    # 500 disjuncts nest 500 deep; both queries are unsat at d = (499, 0)
+    stmt = parse_statement(" | ".join(f"x' = {i}" for i in range(500)))
+    rows = [parse_linexpr("x"), parse_linexpr("-x")]
+    d = [ext(499), ext(0)]
+    for j in (0, 1):
+        assert not smt_check(build_psi(stmt, d, rows, j, d[j])).is_sat
 
 
 def test_determinism():
