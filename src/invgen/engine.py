@@ -10,8 +10,14 @@ disjunctions, or bottom); the loop alternates
     whether some transition pushes the row strictly above its current
     bound; a model's selector values identify the improving path, and
   * evaluation: the least solution of the chosen conjunctive system above
-    the current bounds, computed by one exact LP per finite variable over
-    a shared constraint system (unbounded LP = the bound is +inf),
+    the current bounds.  Only the variables whose operand changed, and the
+    variables that read them, are solved again.  They are split into
+    strongly connected components of the read graph and solved in
+    dependency order (the chaotic-iteration order of Bourdoncle), each by
+    one exact LP that maximises the sum of its variables, with everything
+    upstream pinned (Gawlitza & Seidl's strategy evaluation).  An unbounded
+    sum falls back to one LP per variable of that component, where an
+    unbounded LP means the bound is +inf,
 
 until no query succeeds, which is exactly when the bounds are the least
 solution, i.e. the strongest inductive invariant expressible with the
@@ -23,17 +29,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .cfg import Cfg
 from .formula import (
-    Atom, LinExpr, atoms_of, build_psi, enumerate_path_choices, formula_vars,
-    nonstrict_relaxation, primed, rename_vars, select_path,
+    Atom, LinExpr, atoms_of, build_psi, enumerate_path_choices, formula_vars, link_atoms,
+    primed, select_path,
 )
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
-from .numeric import NEG_INF, POS_INF, ExtRat, Rat, ext
+from .numeric import NEG_INF, ONE, POS_INF, ZERO, ExtRat, ext
 from .smt import (
-    SmtResult, SmtSession, atoms_problem, smt_check, smt_check_external, solver_session,
+    SmtResult, SmtSession, _walk, atoms_problem, smt_check, smt_check_external,
+    solver_session,
 )
 
 VarKey = Tuple[str, int]  # (node, template row index)
@@ -126,7 +133,10 @@ class EdgeChoice:
 
 
 class EquationSystem:
-    """The per-(node, row) maximum equations of a program and template."""
+    """The per-(node, row) maximum equations of a program and template,
+    with what the improvement queries and evaluation LPs of one analysis
+    share whatever the bounds: each row's link atoms, each edge
+    statement's variables and each strategy entry's evaluation rows."""
 
     def __init__(self, cfg: Cfg, template: Template):
         self.cfg = cfg
@@ -150,12 +160,30 @@ class EquationSystem:
                     self.choices[key] = [ConstChoice(POS_INF)]
                 else:
                     self.choices[key] = [EdgeChoice(e) for e in incoming[node]]
+        self.index = {key: k for k, key in enumerate(self.order)}
+        # the parts of the improvement queries that do not depend on the bounds
+        self.links = [link_atoms(row) for row in template.rows]
+        self.statement_vars = [formula_vars(edge.statement) for edge in cfg.edges]
+        self._entry_rows: Dict[Tuple, _EntryRows] = {}
 
     def initial_strategy(self) -> Dict[VarKey, object]:
         return {key: BOTTOM for key in self.order}
 
     def initial_bounds(self) -> Dict[VarKey, ExtRat]:
         return {key: NEG_INF for key in self.order}
+
+    def lp_var(self, key: VarKey) -> str:
+        """The variable of ``key`` in evaluation LPs."""
+        return f"$b{self.index[key]}"
+
+    def entry_rows(self, key: VarKey, entry: StratPath) -> "_EntryRows":
+        """The evaluation rows of ``key`` under ``entry``, built on first use
+        and kept, so their integer forms are computed once per analysis."""
+        cache_key = (key, entry.edge_index, tuple(sorted(entry.path.items())))
+        rows = self._entry_rows.get(cache_key)
+        if rows is None:
+            rows = self._entry_rows[cache_key] = _EntryRows(self, key, entry)
+        return rows
 
 
 # -- abstract transformer of a single sequential statement -------------------
@@ -214,7 +242,8 @@ def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
             continue
         edge = eq.cfg.edges[choice.edge_index]
         d = [bounds[(edge.source, i)] for i in range(len(eq.template))]
-        psi = build_psi(edge.statement, d, eq.template, j, threshold)
+        psi = build_psi(edge.statement, d, eq.template, j, threshold, links=eq.links[j],
+                        statement_vars=eq.statement_vars[choice.edge_index])
         res = _smt(psi, stats, backend)
         if res.is_sat:
             return StratPath(choice.edge_index, dict(res.model.selectors))
@@ -268,20 +297,149 @@ def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = No
 
 # -- strategy evaluation -------------------------------------------------------
 
-def evaluate(eq: EquationSystem, strategy, bounds,
-             stats: Optional[Stats] = None) -> Dict[VarKey, ExtRat]:
+class _EntryRows:
+    """The evaluation rows of one key under one strategy entry, over a copy
+    of the edge's variables named with the key's prefix.
+
+    ``statement`` holds the path's atoms, strict ones relaxed to ``<=``;
+    ``link`` bounds the key's LP variable by its row over the post-state;
+    ``pre[i]`` is template row ``i`` over the pre-state, and ``reads[i]``
+    bounds it by the LP variable of ``sources[i]``."""
+
+    __slots__ = ("sources", "statement", "link", "pre", "reads")
+
+    def __init__(self, eq: EquationSystem, key: VarKey, entry: StratPath):
+        edge = eq.cfg.edges[entry.edge_index]
+        prefix = f"$q{eq.index[key]}_"
+        atoms: List[Atom] = []
+        unresolved: List = []
+        _walk(edge.statement, entry.path, atoms, unresolved)
+        if unresolved:
+            raise EngineError(f"the strategy path of {key} leaves a disjunction open")
+        rows = eq.template.rows
+        self.sources = [(edge.source, i) for i in range(len(rows))]
+        self.statement = [
+            Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), "<=", a.bound)
+            for a in atoms]
+        post = tuple((prefix + primed(v), -c) for v, c in rows[key[1]].coeffs.items())
+        self.link = Constraint(((eq.lp_var(key), ONE),) + post, "<=", ZERO)
+        self.pre = [tuple((prefix + v, c) for v, c in row.coeffs.items()) for row in rows]
+        self.reads = [Constraint(pre + ((eq.lp_var(src), -ONE),), "<=", ZERO)
+                      for pre, src in zip(self.pre, self.sources)]
+
+
+def _components(keys: Sequence[VarKey], reads) -> List[List[VarKey]]:
+    """Strongly connected components of the graph on ``keys`` whose edges
+    go from each key to the keys ``reads(key)`` yields, each one after every
+    component it reads (Tarjan's algorithm, with an explicit stack)."""
+    index: Dict[VarKey, int] = {}
+    low: Dict[VarKey, int] = {}
+    stack: List[VarKey] = []
+    on_stack: Set[VarKey] = set()
+    out: List[List[VarKey]] = []
+    work: List[Tuple[VarKey, Iterator[VarKey]]] = []  # keys with successors left
+
+    def visit(key: VarKey) -> None:
+        index[key] = low[key] = len(index)
+        stack.append(key)
+        on_stack.add(key)
+        work.append((key, iter(reads(key))))
+
+    for root in keys:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            key, succs = work[-1]
+            for succ in succs:
+                if succ not in index:
+                    visit(succ)
+                    break
+                if succ in on_stack:
+                    low[key] = min(low[key], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[key])
+                if low[key] == index[key]:
+                    component: List[VarKey] = []
+                    while not component or component[-1] != key:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    out.append(component)
+    return out
+
+
+def _solve_component(eq: EquationSystem, component: Sequence[VarKey], strategy,
+                     result: Dict[VarKey, ExtRat], stats: Optional[Stats]) -> None:
+    """Put the greatest bounds of ``component`` into ``result``, which holds
+    every key the component reads from outside it.
+
+    One LP maximises the sum of the component's variables: feasible bound
+    vectors are closed under componentwise max, so a bounded LP has a
+    greatest point and that point alone attains the optimum.  An unbounded
+    one falls back to one LP per variable, where unbounded means +inf."""
+    inside = set(component)
+    constraints: List[Constraint] = []
+    for key in component:
+        rows = eq.entry_rows(key, strategy[key])
+        constraints.extend(rows.statement)
+        constraints.append(rows.link)
+        for pre, read, src in zip(rows.pre, rows.reads, rows.sources):
+            if src in inside:
+                constraints.append(read)
+            elif result[src].is_finite:
+                constraints.append(Constraint(pre, "<=", result[src].value))
+            # +inf rows vanish; -inf sources were pinned before
+    # the component's variables, then the copies' in order of first occurrence
+    variables = dict.fromkeys(eq.lp_var(key) for key in component)
+    for row in constraints:
+        variables.update(dict.fromkeys(v for v, _ in row.coeffs))
+
+    def solve(objective: Sequence[VarKey]):
+        res = lp_solve(LpProblem(list(variables), {eq.lp_var(k): ONE for k in objective},
+                                 constraints))
+        if stats is not None:
+            stats.lp_solves += 1
+        if res.status not in (OPTIMAL, UNBOUNDED):
+            raise EngineError(
+                "evaluation LP infeasible; the strategy was not a proper improvement")
+        return res
+
+    res = solve(component)
+    if res.status == OPTIMAL and len(component) > 1:
+        witness = res.witness
+        for key in component:
+            result[key] = ext(witness[eq.lp_var(key)])
+    elif res.status == OPTIMAL:
+        result[component[0]] = ext(res.value)
+    elif len(component) == 1:
+        result[component[0]] = POS_INF
+    else:
+        for key in component:
+            res = solve([key])
+            result[key] = POS_INF if res.status == UNBOUNDED else ext(res.value)
+
+
+def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None,
+             changed: Optional[Iterable[VarKey]] = None) -> Dict[VarKey, ExtRat]:
     """Least solution of the chosen conjunctive system above ``bounds``.
 
     Bottom variables stay -inf (transitively: a path reading any -inf
     source row has an empty source).  Variables already at +inf stay
-    there.  Every other variable is the maximum of its own LP variable
-    over one shared constraint system: per equation, fresh copies of the
-    statement variables, the non-strict relaxation of the chosen path,
-    the target-row link and the source-region rows (with +inf rows
-    dropped); an unbounded LP pins the variable to +inf.
+    there.  Key ``(n, j)`` of a path entry reads every row of its edge's
+    source.  Only the keys in ``changed`` (by default all of them) and the
+    keys reading them, transitively, are solved again; every other key
+    keeps its bound, which the same equations gave before.  The keys to
+    solve are split into strongly connected components of the read graph,
+    solved sources first, each by one LP over the rows of its entries:
+    per key, a copy of the statement variables, the non-strict relaxation
+    of the chosen path, the target-row link and the source-region rows,
+    where a source outside the component is pinned to its value (and
+    dropped at +inf).
     """
     m = len(eq.template)
-    rows = eq.template.rows
     pinned: Dict[VarKey, ExtRat] = {}
     for key in eq.order:
         entry = strategy[key]
@@ -305,58 +463,29 @@ def evaluate(eq: EquationSystem, strategy, bounds,
         if not grew:
             break
 
-    remaining = [key for key in eq.order if key not in pinned]
-    result = dict(pinned)
-    if remaining:
-        lp_var = {key: f"$b{i}" for i, key in enumerate(remaining)}
-        variables = [lp_var[key] for key in remaining]
-        seen = set(variables)
-        constraints: List[Constraint] = []
+    source = {key: eq.cfg.edges[strategy[key].edge_index].source
+              for key in eq.order if key not in pinned}
+    readers: Dict[str, List[VarKey]] = {}
+    for key, node in source.items():
+        readers.setdefault(node, []).append(key)
+    affected: Set[VarKey] = set()
+    work = list(eq.order if changed is None else changed)
+    while work:
+        key = work.pop()
+        if key not in affected:
+            affected.add(key)
+            work.extend(readers.get(key[0], ()))
 
-        def add_row(coeffs: Dict[str, Rat], rhs) -> None:
-            for v in coeffs:
-                if v not in seen:
-                    seen.add(v)
-                    variables.append(v)
-            constraints.append(Constraint.of(coeffs, "<=", rhs))
+    result = {**bounds, **pinned}  # keys not solved again keep their bounds
+    solve = [key for key in source if key in affected]
+    solving = set(solve)
 
-        for copy_id, key in enumerate(remaining):
-            entry = strategy[key]
-            edge = eq.cfg.edges[entry.edge_index]
-            node, j = key
-            seq = nonstrict_relaxation(select_path(edge.statement, entry.path))
-            mapping = {v: f"$q{copy_id}_{v}" for v in formula_vars(seq)}
-            for x in eq.cfg.program_vars:
-                mapping.setdefault(x, f"$q{copy_id}_{x}")
-                mapping.setdefault(primed(x), f"$q{copy_id}_{primed(x)}")
-            inst = rename_vars(seq, mapping)
-            for atom in atoms_of(inst):
-                add_row(dict(atom.lin.coeffs), atom.bound)
-            # key's variable is bounded by row j of the post-state
-            target = rows[j].rename({v: mapping[primed(v)] for v in rows[j].variables()})
-            add_row({lp_var[key]: Rat(1), **target.scale(-1).coeffs}, 0)
-            # source region: template rows over the pre-state copy
-            for i, row in enumerate(rows):
-                bkey = (edge.source, i)
-                pre = row.rename({v: mapping[v] for v in row.variables()})
-                pin = pinned.get(bkey)
-                if bkey in lp_var:
-                    add_row({**pre.coeffs, lp_var[bkey]: Rat(-1)}, 0)
-                elif pin is not None and pin.is_finite:
-                    add_row(dict(pre.coeffs), pin.value)
-                # +inf rows vanish; -inf sources were pinned above
+    def reads(key: VarKey) -> Iterator[VarKey]:
+        return (src for src in ((source[key], i) for i in range(m)) if src in solving)
 
-        for key in remaining:
-            res = lp_solve(LpProblem(variables, {lp_var[key]: Rat(1)}, constraints))
-            if stats is not None:
-                stats.lp_solves += 1
-            if res.status == UNBOUNDED:
-                result[key] = POS_INF
-            elif res.status == OPTIMAL:
-                result[key] = ext(res.value)
-            else:
-                raise EngineError(
-                    "evaluation LP infeasible; the strategy was not a proper improvement")
+    for component in _components(solve, reads):
+        component.sort(key=eq.index.__getitem__)
+        _solve_component(eq, component, strategy, result, stats)
 
     for key in eq.order:
         if result[key] < bounds[key]:
@@ -428,7 +557,7 @@ def run(g: Cfg, template: Template,
                 break
             changed_keys = [k for k in eq.order if improved[k] != strategy[k]]
             strategy = improved
-            bounds = evaluate(eq, strategy, bounds, stats)
+            bounds = evaluate(eq, strategy, bounds, stats, changed_keys)
             stats.improvement_steps += 1
             if opts.trace is not None:
                 _trace_record(opts.trace, eq, stats.improvement_steps, changed_keys,
@@ -466,14 +595,17 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
     ``SmtSession``, or a solver command run as one session for the whole
     check.
     """
+    links = [link_atoms(row) for row in template.rows]
     with solver_session(backend) as session:
         for idx, edge in enumerate(g.edges):
             d = [bounds[(edge.source, i)] for i in range(len(template))]
+            statement_vars = formula_vars(edge.statement)
             for j in range(len(template)):
                 c = bounds[(edge.target, j)]
                 if c.is_pos_inf:
                     continue
-                psi = build_psi(edge.statement, d, template, j, c)
+                psi = build_psi(edge.statement, d, template, j, c, links=links[j],
+                                statement_vars=statement_vars)
                 res = _smt(psi, stats, session)
                 if res.is_sat:
                     return CertResult(False, idx, j, res.model)

@@ -178,9 +178,6 @@ class Atom:
             object.__setattr__(self, "_row", row)
             return row
 
-    def relaxed(self) -> "Atom":
-        return self if self.rel == REL_LE else Atom(self.lin, REL_LE, self.bound)
-
     def rename(self, mapping: Dict[str, str]) -> "Atom":
         return Atom(self.lin.rename(mapping), self.rel, self.bound)
 
@@ -305,11 +302,6 @@ def rename_vars(formula, mapping: Dict[str, str],
 def map_atoms(formula, fn: Callable[[Atom], Atom]):
     """Rebuild the formula with every atom passed through ``fn``."""
     return _rebuild(formula, fn)
-
-
-def nonstrict_relaxation(formula):
-    """Replace every strict atom by its non-strict closure."""
-    return _rebuild(formula, lambda a: a.relaxed())
 
 
 def select_path(formula, choice: PathChoice):
@@ -724,7 +716,17 @@ OBJECTIVE_VAR = "$v"
 UNSAT_PROBLEM = SmtProblem(FALSE_ATOM, ())
 
 
-def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat) -> SmtProblem:
+def link_atoms(row: LinExpr) -> Tuple[Atom, Atom]:
+    """``OBJECTIVE_VAR <= row(x')`` and ``row(x') <= OBJECTIVE_VAR``: the
+    objective variable equals the template row over the post-state."""
+    target = row.rename({v: primed(v) for v in row.variables()})
+    v_expr = LinExpr.var(OBJECTIVE_VAR)
+    return _atom(v_expr, REL_LE, target), _atom(target, REL_LE, v_expr)
+
+
+def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat, *,
+              links: Optional[Tuple[Atom, Atom]] = None,
+              statement_vars: Optional[Sequence[str]] = None) -> SmtProblem:
     """Build the satisfiability query "some transition from the source region
     pushes template row ``j`` strictly above ``c``".
 
@@ -734,6 +736,10 @@ def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat) -> Sm
     conjoined unchanged, a fresh variable equals row ``j`` of the post-state,
     and the bound clause is strict.  ``c`` must not be ``+inf`` (no value can
     exceed it); ``c = -inf`` drops the bound clause entirely.
+
+    The parts that do not depend on the bounds can be built once for many
+    queries and passed in: ``links`` is ``link_atoms`` of row ``j`` and
+    ``statement_vars`` is ``formula_vars(statement)``.
     """
     rows = getattr(template, "rows", template)
     if len(d) != len(rows):
@@ -747,15 +753,17 @@ def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat) -> Sm
     for i, row in enumerate(rows):
         if d[i].is_finite:
             parts.append(Atom(row, REL_LE, d[i].value))
+    # the variables in order of first occurrence, as formula_vars would list them
+    real_vars: Dict[str, None] = {}
+    for atom in parts:
+        real_vars.update(dict.fromkeys(atom.lin.coeffs))
+    real_vars.update(dict.fromkeys(
+        formula_vars(statement) if statement_vars is None else statement_vars))
     parts.append(statement)
-
-    target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
-    v_expr = LinExpr.var(OBJECTIVE_VAR)
-    parts.append(_atom(v_expr, REL_LE, target))
-    parts.append(_atom(target, REL_LE, v_expr))
+    parts.extend(link_atoms(rows[j]) if links is None else links)
+    for atom in parts[-2:]:
+        real_vars.update(dict.fromkeys(atom.lin.coeffs))
     if c.is_finite:
         # v > c  encoded as  -v < -c
-        parts.append(Atom(v_expr.scale(-1), REL_LT, -c.value))
-
-    skeleton = And(parts)
-    return SmtProblem(skeleton, tuple(formula_vars(skeleton)), OBJECTIVE_VAR)
+        parts.append(Atom(LinExpr({OBJECTIVE_VAR: -1}), REL_LT, -c.value))
+    return SmtProblem(And(parts), tuple(real_vars), OBJECTIVE_VAR)

@@ -4,19 +4,23 @@ Everything here is deliberately brute force and kept away from the code
 paths it checks: Fourier-Motzkin elimination replays LP classification by
 projection, the selector-enumeration oracle replays satisfiability by
 trying every path, ``cold_smt_check`` replays the selector search with no
-warm start, and ``rational_lp_solve`` replays the simplex pivot for pivot
-on ``Rat`` entries.
+warm start, ``rational_lp_solve`` replays the simplex pivot for pivot
+on ``Rat`` entries, and ``full_evaluate`` replays strategy evaluation with
+one LP per variable over the whole system.
 """
 
 from typing import Dict, List, Tuple
 
+from invgen.engine import BOTTOM, EngineError, StratConst
 from invgen.formula import (
-    And, Atom, FormulaError, atoms_of, eval_formula, select_path, selectors_of,
+    REL_LE, And, Atom, FormulaError, atoms_of, eval_formula, formula_vars, map_atoms,
+    primed, rename_vars, select_path, selectors_of,
 )
 from invgen.lp import (
     Constraint, INFEASIBLE, LpProblem, LpResult, OPTIMAL, UNBOUNDED, lp_feasible_strict,
+    lp_solve,
 )
-from invgen.numeric import ONE, Rat, ZERO, rat_str
+from invgen.numeric import NEG_INF, ONE, POS_INF, Rat, ZERO, ext, rat_str
 from invgen.smt import SAT, UNSAT, SmtModel, SmtResult
 
 
@@ -388,3 +392,93 @@ class _RationalTableau:
         for v, i in self.var_index.items():
             out[v] = col_val.get(2 * i, ZERO) - col_val.get(2 * i + 1, ZERO)
         return out
+
+
+def relaxed(atom: Atom) -> Atom:
+    """The non-strict closure of an atom."""
+    return atom if atom.rel == REL_LE else Atom(atom.lin, REL_LE, atom.bound)
+
+
+def nonstrict_relaxation(formula):
+    """Replace every strict atom by its non-strict closure."""
+    return map_atoms(formula, relaxed)
+
+
+def full_evaluate(eq, strategy, bounds):
+    """Strategy evaluation with no reuse: every variable that is not pinned
+    is the maximum of its own LP over one shared system of all of them
+    (per equation, fresh copies of the statement variables, the non-strict
+    relaxation of the chosen path, the target-row link and the
+    source-region rows); an unbounded LP pins the variable to +inf."""
+    m = len(eq.template)
+    rows = eq.template.rows
+    pinned = {}
+    for key in eq.order:
+        entry = strategy[key]
+        if entry is BOTTOM:
+            pinned[key] = NEG_INF
+        elif isinstance(entry, StratConst):
+            pinned[key] = entry.value
+        elif bounds[key].is_pos_inf:
+            pinned[key] = POS_INF
+
+    while True:  # propagate empty source regions
+        grew = False
+        for key in eq.order:
+            if key in pinned:
+                continue
+            edge = eq.cfg.edges[strategy[key].edge_index]
+            if any(pinned.get((edge.source, i)) is not None
+                   and pinned[(edge.source, i)].is_neg_inf for i in range(m)):
+                pinned[key] = NEG_INF
+                grew = True
+        if not grew:
+            break
+
+    remaining = [key for key in eq.order if key not in pinned]
+    result = dict(pinned)
+    if not remaining:
+        return result
+    lp_var = {key: f"$b{i}" for i, key in enumerate(remaining)}
+    variables = [lp_var[key] for key in remaining]
+    seen = set(variables)
+    constraints = []
+
+    def add_row(coeffs, rhs):
+        for v in coeffs:
+            if v not in seen:
+                seen.add(v)
+                variables.append(v)
+        constraints.append(Constraint.of(coeffs, "<=", rhs))
+
+    for copy_id, key in enumerate(remaining):
+        entry = strategy[key]
+        edge = eq.cfg.edges[entry.edge_index]
+        seq = nonstrict_relaxation(select_path(edge.statement, entry.path))
+        mapping = {v: f"$q{copy_id}_{v}" for v in formula_vars(seq)}
+        for x in eq.cfg.program_vars:
+            mapping.setdefault(x, f"$q{copy_id}_{x}")
+            mapping.setdefault(primed(x), f"$q{copy_id}_{primed(x)}")
+        for atom in atoms_of(rename_vars(seq, mapping)):
+            add_row(dict(atom.lin.coeffs), atom.bound)
+        row = rows[key[1]]
+        target = row.rename({v: mapping[primed(v)] for v in row.variables()})
+        add_row({lp_var[key]: ONE, **target.scale(-1).coeffs}, 0)
+        for i, row in enumerate(rows):
+            bkey = (edge.source, i)
+            pre = row.rename({v: mapping[v] for v in row.variables()})
+            pin = pinned.get(bkey)
+            if bkey in lp_var:
+                add_row({**pre.coeffs, lp_var[bkey]: -ONE}, 0)
+            elif pin is not None and pin.is_finite:
+                add_row(dict(pre.coeffs), pin.value)
+
+    for key in remaining:
+        res = lp_solve(LpProblem(variables, {lp_var[key]: ONE}, constraints))
+        if res.status == UNBOUNDED:
+            result[key] = POS_INF
+        elif res.status == OPTIMAL:
+            result[key] = ext(res.value)
+        else:
+            raise EngineError("evaluation LP infeasible")
+    return result

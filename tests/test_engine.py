@@ -1,16 +1,19 @@
 import io
 import json
 import random
+import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
+from invgen import engine
 from invgen.cfg import Cfg, compress, feedback_vertex_set
-from invgen.cli import parse_program, program_to_cfg
+from invgen.cli import analyze, parse_program, program_to_cfg
 from invgen.engine import (
     BOTTOM, ConstChoice, EngineError, EngineOptions, EquationSystem, StratConst,
     StratPath, Template, abstract_transform_row, check_post_fixpoint, evaluate,
-    improve, kleene_oracle, run,
+    Stats, improve, kleene_oracle, run,
 )
 from invgen.formula import (
     enumerate_path_choices, eval_formula, parse_linexpr, parse_statement,
@@ -18,7 +21,9 @@ from invgen.formula import (
 )
 from invgen.numeric import NEG_INF, POS_INF, ext
 
+from conftest import corpus_files
 from generators import gen_octagon, random_cfg
+from oracles import full_evaluate
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
@@ -405,3 +410,121 @@ def test_deterministic_runs():
     assert (s1.improvement_steps, s1.smt_queries, s1.lp_solves) == \
         (s2.improvement_steps, s2.smt_queries, s2.lp_solves)
     assert sink1.getvalue() == sink2.getvalue()
+
+
+# -- incremental evaluation against the per-variable oracle ---------------------
+
+@pytest.fixture
+def checked_evaluate(monkeypatch):
+    """Check every evaluation inside ``run`` against ``full_evaluate``;
+    returns the number of evaluations checked and the sizes of the
+    components solved, so far."""
+    seen = SimpleNamespace(evaluations=0, sizes=[])
+    evaluate, solve_component = engine.evaluate, engine._solve_component
+
+    def checked(eq, strategy, bounds, stats=None, changed=None):
+        got = evaluate(eq, strategy, bounds, stats, changed)
+        assert got == full_evaluate(eq, strategy, bounds)
+        seen.evaluations += 1
+        return got
+
+    def recorded(eq, component, *args):
+        seen.sizes.append(len(component))
+        return solve_component(eq, component, *args)
+
+    monkeypatch.setattr(engine, "evaluate", checked)
+    monkeypatch.setattr(engine, "_solve_component", recorded)
+    return seen
+
+
+def test_incremental_evaluation_matches_full_evaluation(checked_evaluate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unreachable nodes in the corpus
+        for path in corpus_files():
+            analyze(path)
+    for n in (2, 3):
+        g, T = program_to_cfg(parse_program(gen_octagon(n)))
+        run(compress(g, feedback_vertex_set(g)), T)
+    rng = random.Random(4242)
+    T = Template([parse_linexpr(s) for s in ("x", "-x", "y", "-y")])
+    for _ in range(20):
+        g = random_cfg(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = compress(g, feedback_vertex_set(g))
+        run(g, T)
+    assert checked_evaluate.evaluations > 50
+    assert 1 in checked_evaluate.sizes and max(checked_evaluate.sizes) > 1
+
+
+def _loop_cfg(loop: str) -> Cfg:
+    return Cfg(["st", "n"], "st",
+               [("st", parse_statement("x' = 0 & y' = 0"), "n"),
+                ("n", parse_statement(loop), "n")], ["x", "y"])
+
+
+def test_unbounded_component_falls_back_to_one_lp_per_variable():
+    # both rows at n read both rows at n: one component of two keys whose
+    # sum LP is unbounded, since y' = y leaves the y row free
+    eq = EquationSystem(_loop_cfg("x <= 5 & x' = x + 1 & y' = y"),
+                        Template([parse_linexpr("x"), parse_linexpr("y")]))
+    strategy = {("st", 0): StratConst(POS_INF), ("st", 1): StratConst(POS_INF),
+                ("n", 0): StratPath(1, {}), ("n", 1): StratPath(1, {})}
+    stats = Stats()
+    got = evaluate(eq, strategy, eq.initial_bounds(), stats)
+    assert got[("n", 0)] == ext(6) and got[("n", 1)] is POS_INF
+    assert stats.lp_solves == 3  # the sum LP, then one per variable
+    assert got == full_evaluate(eq, strategy, eq.initial_bounds())
+
+
+def test_one_key_component_without_bound_is_infinite():
+    eq = EquationSystem(_loop_cfg("x' = x + 1 & y' = 0"),
+                        Template([parse_linexpr("x"), parse_linexpr("y")]))
+    strategy = {("st", 0): StratConst(POS_INF), ("st", 1): StratConst(POS_INF),
+                ("n", 0): StratPath(1, {}), ("n", 1): StratPath(0, {})}
+    stats = Stats()
+    got = evaluate(eq, strategy, eq.initial_bounds(), stats)
+    # (n, 1) reads only st; (n, 0) reads both rows at n, so it comes second
+    assert got[("n", 0)] is POS_INF and got[("n", 1)] == ext(0)
+    assert stats.lp_solves == 2
+    assert got == full_evaluate(eq, strategy, eq.initial_bounds())
+
+
+def test_keys_outside_the_affected_set_keep_their_bounds():
+    g = Cfg(["st", "a", "b"], "st",
+            [("st", parse_statement("x' = 0"), "a"),
+             ("st", parse_statement("x' = 1"), "b"),
+             ("a", parse_statement("x <= 3 & x' = x + 1"), "a"),
+             ("b", parse_statement("x <= 7 & x' = x + 1"), "b")], ["x"])
+    eq = EquationSystem(g, Template([parse_linexpr("x")]))
+    first = {("st", 0): StratConst(POS_INF), ("a", 0): StratPath(0, {}),
+             ("b", 0): StratPath(1, {})}
+    bounds = evaluate(eq, first, eq.initial_bounds())
+    assert bounds == {("st", 0): POS_INF, ("a", 0): ext(0), ("b", 0): ext(1)}
+    second = dict(first)
+    second[("a", 0)] = StratPath(2, {})
+    stats = Stats()
+    got = evaluate(eq, second, bounds, stats, [("a", 0)])
+    assert got == full_evaluate(eq, second, bounds)
+    assert got[("a", 0)] == ext(4) and stats.lp_solves == 1
+    # (b, 0) reads nothing that changed: its bound is kept, not solved again
+    low = dict(bounds)
+    low[("b", 0)] = ext(0)
+    assert evaluate(eq, second, low, None, [("a", 0)])[("b", 0)] == ext(0)
+    assert evaluate(eq, second, low)[("b", 0)] == ext(1)
+
+
+OCTAGON_4_GATE_S = 3.0
+
+
+def test_octagon_four_variables_within_time_gate():
+    # the template grows with the square of the variables; n = 4 is checked
+    # for speed and certification only (Kleene iteration is too slow there)
+    started = time.perf_counter()
+    g, T = program_to_cfg(parse_program(gen_octagon(4)))
+    g = compress(g, feedback_vertex_set(g))
+    bounds, stats = run(g, T)
+    assert stats.converged and stats.improvement_steps == 3
+    assert check_post_fixpoint(g, T, bounds).verified
+    elapsed = time.perf_counter() - started
+    assert elapsed < OCTAGON_4_GATE_S, f"gen_octagon(4) took {elapsed:.2f} s"

@@ -5,12 +5,12 @@ import pytest
 from invgen.formula import (
     And, Atom, FormulaError, Or, ParseError, UNSAT_PROBLEM, build_psi,
     enumerate_path_choices, eval_formula, format_statement, formula_vars,
-    nonstrict_relaxation, parse_linexpr, parse_statement, select_path, selectors_of,
+    parse_linexpr, parse_statement, select_path, selectors_of,
 )
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
 
 from generators import random_state, random_statement
-from oracles import check_selector_invariant
+from oracles import check_selector_invariant, nonstrict_relaxation
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")

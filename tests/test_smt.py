@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from invgen.formula import (
-    SmtProblem, UNSAT_PROBLEM, build_psi, formula_vars, parse_linexpr,
+    SmtProblem, UNSAT_PROBLEM, build_psi, formula_vars, link_atoms, parse_linexpr,
     parse_statement,
 )
 from invgen.numeric import Rat, ext
@@ -316,3 +316,16 @@ def test_analyze_shares_one_session_for_run_and_check(launched):
                      solver=shlex.join(LOOPBACK), check=True)
     assert report.certified is True
     assert len(launched) == 1 and launched[0].returncode is not None
+
+
+def test_build_psi_with_prebuilt_parts_is_the_same_query():
+    # the engine builds the link atoms and statement variables once per
+    # analysis; the query, its variable order and its script stay the same
+    rng = random.Random(515)
+    for _ in range(200):
+        stmt, rows, d, j, c = random_psi_inputs(rng)
+        plain = build_psi(stmt, d, rows, j, c)
+        shared = build_psi(stmt, d, rows, j, c, links=link_atoms(rows[j]),
+                           statement_vars=formula_vars(stmt))
+        assert shared.real_vars == plain.real_vars == tuple(formula_vars(plain.skeleton))
+        assert _smt_declarations(shared) == _smt_declarations(plain)
