@@ -259,28 +259,6 @@ def lint_program(prog: ProgramFile) -> List[str]:
     return notes
 
 
-def format_program(prog: ProgramFile) -> str:
-    """Pretty-print a program file; re-parsing gives the same program."""
-    from .formula import format_statement
-
-    lines = ["vars " + " ".join(prog.variables) + " ;"]
-    if prog.int_vars:
-        lines.append("ints " + " ".join(v for v in prog.variables if v in prog.int_vars) + " ;")
-    if prog.template_kind == "explicit":
-        lines.append("template { " + " ".join(f"{row} ;" for row in prog.template_rows) + " } ;")
-    else:
-        lines.append(f"template {prog.template_kind} ;")
-    lines.append("nodes " + " ".join(prog.nodes) + " ;")
-    lines.append(f"start {prog.start} ;")
-    for e in prog.edges:
-        mark = " [int]" if e.int_relax else ""
-        lines.append(f"edge {e.source} -> {e.target}{mark} : "
-                     f"{format_statement(e.statement)} ;")
-    if prog.cutset is not None:
-        lines.append("cutset " + " ".join(prog.cutset) + " ;")
-    return "\n".join(lines) + "\n"
-
-
 def program_to_cfg(prog: ProgramFile) -> Tuple[Cfg, Template]:
     edges = []
     for e in prog.edges:

@@ -22,6 +22,11 @@ disjunctions, or bottom); the loop alternates
 until no query succeeds, which is exactly when the bounds are the least
 solution, i.e. the strongest inductive invariant expressible with the
 template.  Termination needs no widening: strategies never repeat.
+
+Both steps, and certification, read each edge statement presolved once
+per analysis: its top-level equalities are substituted away, into the
+statement and into the template rows over the post-state, so no query or
+LP carries them, and every query keeps its verdict.
 """
 
 from __future__ import annotations
@@ -33,13 +38,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .cfg import Cfg
 from .formula import (
-    Atom, LinExpr, atoms_of, build_psi, enumerate_path_choices, formula_vars, link_atoms,
-    primed, select_path,
+    Atom, LinExpr, atoms_of, build_psi, eliminate_equalities, enumerate_path_choices,
+    formula_vars, primed, select_path,
 )
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
 from .numeric import NEG_INF, ONE, POS_INF, ZERO, ExtRat, ext
 from .smt import (
-    SmtResult, SmtSession, _walk, atoms_problem, smt_check, smt_check_external,
+    SmtModel, SmtResult, SmtSession, _walk, atoms_problem, smt_check, smt_check_external,
     solver_session,
 )
 
@@ -135,8 +140,11 @@ class EdgeChoice:
 class EquationSystem:
     """The per-(node, row) maximum equations of a program and template,
     with what the improvement queries and evaluation LPs of one analysis
-    share whatever the bounds: each row's link atoms, each edge
-    statement's variables and each strategy entry's evaluation rows."""
+    share whatever the bounds.  Per edge: its statement presolved by
+    ``eliminate_equalities`` (the unprimed program variables kept), that
+    statement's variables, the definitions of the eliminated variables and
+    each template row over the post-state with them substituted.  Per
+    strategy entry: its evaluation rows."""
 
     def __init__(self, cfg: Cfg, template: Template):
         self.cfg = cfg
@@ -161,9 +169,12 @@ class EquationSystem:
                 else:
                     self.choices[key] = [EdgeChoice(e) for e in incoming[node]]
         self.index = {key: k for k, key in enumerate(self.order)}
-        # the parts of the improvement queries that do not depend on the bounds
-        self.links = [link_atoms(row) for row in template.rows]
-        self.statement_vars = [formula_vars(edge.statement) for edge in cfg.edges]
+        presolved = [eliminate_equalities(edge.statement, declared) for edge in cfg.edges]
+        self.statements = [statement for statement, _ in presolved]
+        self.definitions = [defs for _, defs in presolved]
+        self.statement_vars = [formula_vars(s) for s in self.statements]
+        self.posts = [[row.rename({v: primed(v) for v in row.variables()}).substitute(defs)
+                       for row in template.rows] for defs in self.definitions]
         self._entry_rows: Dict[Tuple, _EntryRows] = {}
 
     def initial_strategy(self) -> Dict[VarKey, object]:
@@ -230,6 +241,12 @@ def _smt(problem, stats: Optional[Stats], backend) -> SmtResult:
     return smt_check_external(problem, backend)
 
 
+def _psi(eq: EquationSystem, idx: int, d: Sequence[ExtRat], j: int, c: ExtRat):
+    """The improvement query of row ``j`` over edge ``idx``'s presolved statement."""
+    return build_psi(eq.statements[idx], d, eq.template, j, c, post=eq.posts[idx][j],
+                     statement_vars=eq.statement_vars[idx])
+
+
 def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
                     stats, backend):
     """First operand of the maximum whose value strictly exceeds the
@@ -242,9 +259,7 @@ def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
             continue
         edge = eq.cfg.edges[choice.edge_index]
         d = [bounds[(edge.source, i)] for i in range(len(eq.template))]
-        psi = build_psi(edge.statement, d, eq.template, j, threshold, links=eq.links[j],
-                        statement_vars=eq.statement_vars[choice.edge_index])
-        res = _smt(psi, stats, backend)
+        res = _smt(_psi(eq, choice.edge_index, d, j, threshold), stats, backend)
         if res.is_sat:
             return StratPath(choice.edge_index, dict(res.model.selectors))
     return None
@@ -301,8 +316,9 @@ class _EntryRows:
     """The evaluation rows of one key under one strategy entry, over a copy
     of the edge's variables named with the key's prefix.
 
-    ``statement`` holds the path's atoms, strict ones relaxed to ``<=``;
-    ``link`` bounds the key's LP variable by its row over the post-state;
+    ``statement`` holds the path's atoms in the presolved statement, strict
+    ones relaxed to ``<=``; ``link`` bounds the key's LP variable by its row
+    over the post-state, with the edge's definitions substituted;
     ``pre[i]`` is template row ``i`` over the pre-state, and ``reads[i]``
     bounds it by the LP variable of ``sources[i]``."""
 
@@ -313,7 +329,7 @@ class _EntryRows:
         prefix = f"$q{eq.index[key]}_"
         atoms: List[Atom] = []
         unresolved: List = []
-        _walk(edge.statement, entry.path, atoms, unresolved)
+        _walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
         if unresolved:
             raise EngineError(f"the strategy path of {key} leaves a disjunction open")
         rows = eq.template.rows
@@ -321,8 +337,9 @@ class _EntryRows:
         self.statement = [
             Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), "<=", a.bound)
             for a in atoms]
-        post = tuple((prefix + primed(v), -c) for v, c in rows[key[1]].coeffs.items())
-        self.link = Constraint(((eq.lp_var(key), ONE),) + post, "<=", ZERO)
+        post = eq.posts[entry.edge_index][key[1]]
+        self.link = Constraint(((eq.lp_var(key), ONE),) + tuple(
+            (prefix + v, -c) for v, c in post.coeffs.items()), "<=", post.const)
         self.pre = [tuple((prefix + v, c) for v, c in row.coeffs.items()) for row in rows]
         self.reads = [Constraint(pre + ((eq.lp_var(src), -ONE),), "<=", ZERO)
                       for pre, src in zip(self.pre, self.sources)]
@@ -588,27 +605,30 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
     above any finite target row bound.
 
     Checks, per edge and finite row, that the improvement formula against
-    the candidate's own bound is unsatisfiable; a model is a concrete
-    escaping transition (counterexample to inductiveness).  It re-runs the
-    search that ``improve`` uses, on the same formulas, so it is not
-    independent of that search.  ``backend`` is None (internal), an open
+    the candidate's own bound is unsatisfiable; a model, completed from the
+    edge's definitions so that it satisfies the original statement, is a
+    concrete escaping transition (counterexample to inductiveness).  It
+    re-runs the search that ``improve`` uses, on the same presolved
+    formulas of its own ``EquationSystem``, so it is not independent of
+    that search.  ``backend`` is None (internal), an open
     ``SmtSession``, or a solver command run as one session for the whole
     check.
     """
-    links = [link_atoms(row) for row in template.rows]
+    eq = EquationSystem(g, template)
     with solver_session(backend) as session:
         for idx, edge in enumerate(g.edges):
             d = [bounds[(edge.source, i)] for i in range(len(template))]
-            statement_vars = formula_vars(edge.statement)
             for j in range(len(template)):
                 c = bounds[(edge.target, j)]
                 if c.is_pos_inf:
                     continue
-                psi = build_psi(edge.statement, d, template, j, c, links=links[j],
-                                statement_vars=statement_vars)
-                res = _smt(psi, stats, session)
+                res = _smt(_psi(eq, idx, d, j, c), stats, session)
                 if res.is_sat:
-                    return CertResult(False, idx, j, res.model)
+                    reals = dict.fromkeys(formula_vars(edge.statement), ZERO)
+                    reals.update(res.model.reals)
+                    for v, expr in eq.definitions[idx].items():
+                        reals[v] = expr.evaluate(reals)
+                    return CertResult(False, idx, j, SmtModel(res.model.selectors, reals))
     return CertResult(True)
 
 

@@ -88,6 +88,15 @@ class LinExpr:
         f = as_rat(factor)
         return LinExpr({v: c * f for v, c in self.coeffs.items()}, self.const * f)
 
+    def substitute(self, defs: Dict[str, "LinExpr"]) -> "LinExpr":
+        """The expression with each variable of ``defs`` replaced by its
+        definition."""
+        out = LinExpr({v: c for v, c in self.coeffs.items() if v not in defs}, self.const)
+        for v, c in self.coeffs.items():
+            if v in defs:
+                out = out.add(defs[v].scale(c))
+        return out
+
     def rename(self, mapping: Dict[str, str]) -> "LinExpr":
         coeffs: Dict[str, Rat] = {}
         for v, c in self.coeffs.items():
@@ -271,26 +280,35 @@ def formula_vars(formula) -> List[str]:
     return out
 
 
-def _rebuild(formula, atom_fn: Callable[[Atom], Atom],
+def _rebuild(formula, atom_fn: Callable[[Atom], object],
              selector_iter: Optional[Iterator[int]] = None):
+    """Rebuild each distinct node once, with an explicit stack, passing every
+    atom through ``atom_fn``.  With ``selector_iter`` the Or nodes take its
+    values in pre-order.  A conjunction drops its ``TRUE`` children; it is
+    ``FALSE_ATOM`` if one of its children is, and ``TRUE`` if none is left."""
     memo: Dict[int, object] = {}
-
-    def walk(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Atom):
-            new = atom_fn(node)
+    # (node, None) enters a node; (node, sel) builds it from its rebuilt children
+    stack: List[Tuple[object, Optional[int]]] = [(formula, None)]
+    while stack:
+        node, sel = stack.pop()
+        if sel is None:
+            if id(node) in memo:
+                continue
+            if isinstance(node, Atom):
+                memo[id(node)] = atom_fn(node)
+            elif isinstance(node, And):
+                stack.append((node, 0))
+                stack.extend((ch, None) for ch in reversed(node.children))
+            else:
+                sel = next(selector_iter) if selector_iter is not None else node.selector
+                stack.extend(((node, sel), (node.right, None), (node.left, None)))
         elif isinstance(node, And):
-            new = And(walk(ch) for ch in node.children)
+            kids = [memo[id(ch)] for ch in node.children if memo[id(ch)] is not TRUE]
+            memo[id(node)] = FALSE_ATOM if any(k is FALSE_ATOM for k in kids) else \
+                And(kids) if kids else TRUE
         else:
-            sel = next(selector_iter) if selector_iter is not None else node.selector
-            left = walk(node.left)
-            new = Or(left, walk(node.right), sel)
-        memo[key] = new
-        return new
-
-    return walk(formula)
+            memo[id(node)] = Or(memo[id(node.left)], memo[id(node.right)], sel)
+    return memo[id(formula)]
 
 
 def rename_vars(formula, mapping: Dict[str, str],
@@ -383,25 +401,6 @@ def atoms_of(formula) -> List[Atom]:
     return out
 
 
-def eval_formula(formula, env: Dict[str, Rat],
-                 selectors: Optional[Dict[int, int]] = None) -> bool:
-    """Exact truth of a formula at a rational point.
-
-    With ``selectors`` given, disjunctions whose selector is assigned follow
-    the assigned branch (the path semantics of a model); unassigned or
-    absent selectors fall back to plain disjunction.
-    """
-    if isinstance(formula, Atom):
-        return formula.holds(env)
-    if isinstance(formula, And):
-        return all(eval_formula(ch, env, selectors) for ch in formula.children)
-    if selectors is not None and formula.selector in selectors:
-        branch = formula.right if selectors[formula.selector] else formula.left
-        return eval_formula(branch, env, selectors)
-    return eval_formula(formula.left, env, selectors) or \
-        eval_formula(formula.right, env, selectors)
-
-
 def conjoin(parts: Sequence) -> object:
     flat = []
     for p in parts:
@@ -412,6 +411,56 @@ def conjoin(parts: Sequence) -> object:
     if len(flat) == 1:
         return flat[0]
     return And(flat)
+
+
+def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
+    """Substitute the top-level equalities of ``statement`` away.
+
+    A top-level equality is a pair of atoms ``e <= b`` and ``-e <= -b``
+    reached from the root through conjunctions only, as ``=`` desugars to.
+    In order, each one, with the definitions so far substituted, is solved
+    for its first variable outside ``keep``, if it has one.  Then the
+    statement is rebuilt once with the definitions substituted: shared
+    subtrees stay shared, and every atom the substitution leaves constant
+    (the solved pairs among them) folds to ``TRUE`` or ``FALSE_ATOM``.
+    Exact, since ``exists v. v = e & phi`` is ``phi[e/v]``: every selector
+    assignment keeps its verdict.  Returns the new statement and the
+    definitions, over variables that are not defined.
+    """
+    defs: Dict[str, LinExpr] = {}
+    halves = set()
+    stack = [statement]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.extend(reversed(node.children))
+        elif isinstance(node, Atom) and node.rel == REL_LE:
+            items = node.lin.coeffs.items()
+            if (frozenset((v, -c) for v, c in items), -node.bound) not in halves:
+                halves.add((frozenset(items), node.bound))
+                continue
+            lin = node.lin.substitute(defs)
+            v = next((u for u in lin.coeffs if u not in keep), None)
+            if v is None:
+                continue
+            c = lin.coeffs[v]
+            expr = LinExpr({u: -a / c for u, a in lin.coeffs.items() if u != v},
+                           (node.bound - lin.const) / c)
+            for w, old in defs.items():
+                if v in old.coeffs:
+                    defs[w] = old.substitute({v: expr})
+            defs[v] = expr
+    if not defs:
+        return statement, defs
+
+    def fold(atom: Atom):
+        if defs.keys().isdisjoint(atom.lin.coeffs):
+            return atom
+        lin = atom.lin.substitute(defs)
+        new = Atom(lin, atom.rel, atom.bound - lin.const)
+        return new if new.lin.coeffs else TRUE if new.holds({}) else FALSE_ATOM
+
+    return map_atoms(statement, fold), defs
 
 
 # ---------------------------------------------------------------------------
@@ -667,65 +716,23 @@ def parse_linexpr(text: str) -> LinExpr:
 
 
 # ---------------------------------------------------------------------------
-# printer
-# ---------------------------------------------------------------------------
-
-def format_statement(formula) -> str:
-    """Canonical text form; re-parsing yields a semantically equal formula."""
-    if isinstance(formula, Atom):
-        return str(formula)
-    if isinstance(formula, And):
-        if not formula.children:
-            return "0 <= 0"
-        parts = []
-        for ch in formula.children:
-            text = format_statement(ch)
-            if isinstance(ch, Or):
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
-    left = format_statement(formula.left)
-    right = format_statement(formula.right)
-    if isinstance(formula.left, Or):
-        left = f"({left})"
-    if isinstance(formula.right, Or):
-        right = f"({right})"
-    return f"{left} | {right}"
-
-
-# ---------------------------------------------------------------------------
 # the improvement formula
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SmtProblem:
-    """A selector-guarded satisfiability problem over exact rationals.
-
-    The skeleton is statement-shaped (atoms / And / selector-labeled Or);
-    ``objective_var`` names the distinguished bound variable when the
-    problem was built from a bound-improvement query.
-    """
+    """A selector-guarded satisfiability problem over exact rationals; the
+    skeleton is statement-shaped (atoms / And / selector-labeled Or)."""
 
     skeleton: object
     real_vars: Tuple[str, ...]
-    objective_var: Optional[str] = None
 
-
-OBJECTIVE_VAR = "$v"
 
 UNSAT_PROBLEM = SmtProblem(FALSE_ATOM, ())
 
 
-def link_atoms(row: LinExpr) -> Tuple[Atom, Atom]:
-    """``OBJECTIVE_VAR <= row(x')`` and ``row(x') <= OBJECTIVE_VAR``: the
-    objective variable equals the template row over the post-state."""
-    target = row.rename({v: primed(v) for v in row.variables()})
-    v_expr = LinExpr.var(OBJECTIVE_VAR)
-    return _atom(v_expr, REL_LE, target), _atom(target, REL_LE, v_expr)
-
-
 def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat, *,
-              links: Optional[Tuple[Atom, Atom]] = None,
+              post: Optional[LinExpr] = None,
               statement_vars: Optional[Sequence[str]] = None) -> SmtProblem:
     """Build the satisfiability query "some transition from the source region
     pushes template row ``j`` strictly above ``c``".
@@ -733,13 +740,13 @@ def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat, *,
     The source region is ``row_i(x) <= d_i`` for every finite ``d_i`` (rows
     with an infinite bound vanish; any ``-inf`` bound empties the region, so
     the canonical unsatisfiable problem is returned).  The statement body is
-    conjoined unchanged, a fresh variable equals row ``j`` of the post-state,
-    and the bound clause is strict.  ``c`` must not be ``+inf`` (no value can
-    exceed it); ``c = -inf`` drops the bound clause entirely.
-
-    The parts that do not depend on the bounds can be built once for many
-    queries and passed in: ``links`` is ``link_atoms`` of row ``j`` and
-    ``statement_vars`` is ``formula_vars(statement)``.
+    conjoined unchanged, then the bound clause, the one strict atom
+    ``post > c``.  ``post`` is row ``j`` over the post-state, by default
+    with every variable primed; after ``eliminate_equalities`` it is that
+    row with the same definitions substituted, which may carry a constant.
+    ``c`` must not be ``+inf`` (no value can exceed it); ``c = -inf`` drops
+    the bound clause entirely.  ``statement_vars``, ``formula_vars`` of the
+    statement, can be computed once for many queries and passed in.
     """
     rows = getattr(template, "rows", template)
     if len(d) != len(rows):
@@ -760,10 +767,11 @@ def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat, *,
     real_vars.update(dict.fromkeys(
         formula_vars(statement) if statement_vars is None else statement_vars))
     parts.append(statement)
-    parts.extend(link_atoms(rows[j]) if links is None else links)
-    for atom in parts[-2:]:
-        real_vars.update(dict.fromkeys(atom.lin.coeffs))
     if c.is_finite:
-        # v > c  encoded as  -v < -c
-        parts.append(Atom(LinExpr({OBJECTIVE_VAR: -1}), REL_LT, -c.value))
-    return SmtProblem(And(parts), tuple(real_vars), OBJECTIVE_VAR)
+        if post is None:
+            post = rows[j].rename({v: primed(v) for v in rows[j].variables()})
+        # post > c  encoded as  -post < post.const - c
+        bound = Atom(post.scale(-1), REL_LT, post.const - c.value)
+        parts.append(bound)
+        real_vars.update(dict.fromkeys(bound.lin.coeffs))
+    return SmtProblem(And(parts), tuple(real_vars))

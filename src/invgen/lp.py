@@ -58,13 +58,6 @@ class Constraint:
     rel: str
     rhs: Rat
 
-    @staticmethod
-    def of(coeffs: Dict[str, Rat], rel: str, rhs) -> "Constraint":
-        if rel not in ("<=", "="):
-            raise LpError(f"unsupported relation {rel!r}")
-        items = tuple((v, as_rat(c)) for v, c in coeffs.items() if c != 0)
-        return Constraint(items, rel, as_rat(rhs))
-
     @cached_property
     def ints(self) -> Tuple[Tuple[Tuple[str, int], ...], int, int]:
         """The row over the lcm of its denominators: ``(variable, numerator)``

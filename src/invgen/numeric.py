@@ -170,13 +170,3 @@ def ext_cmp(a: ExtRat, b: ExtRat) -> int:
     if a.value == b.value:
         return 0
     return -1 if a.value < b.value else 1
-
-
-def parse_ext(text: str) -> ExtRat:
-    """Parse the canonical text form (``inf``, ``-inf`` or a rational)."""
-    s = text.strip()
-    if s == "inf":
-        return POS_INF
-    if s == "-inf":
-        return NEG_INF
-    return ExtRat.finite(parse_rat(s))

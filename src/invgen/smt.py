@@ -3,9 +3,10 @@
 The problems decided here have a very specific Boolean shape: the only
 Boolean structure is the selector attached to each disjunction, so a model
 is a path through the formula plus an exact rational point on that path.
-The internal backend searches selector assignments in index order and asks
-the exact LP layer whether the atoms forced so far are consistent (strict
-atoms are handled natively); an infeasible prefix prunes the whole subtree.
+The internal backend searches selector assignments in index order, depth
+first on an explicit stack, and asks the exact LP layer whether the atoms
+forced so far are consistent (strict atoms are handled natively); an
+infeasible prefix prunes the whole subtree.
 Each node keeps its frontier, the reachable disjunctions without a value.
 Giving one a value walks only its chosen branch, once per time the
 disjunction is reached: the atoms found there become the rows the child
@@ -36,7 +37,7 @@ from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .formula import REL_LT, And, Atom, Or, SmtProblem, selectors_of
-from .lp import FeasResult, LpProblem, lp_feasible_strict
+from .lp import LpProblem, lp_feasible_strict
 from .numeric import Rat, ZERO
 
 SAT = "sat"
@@ -116,42 +117,42 @@ def _grow(problem: LpProblem, strict: Set[int], atoms: Sequence[Atom]
 def smt_check(problem: SmtProblem) -> SmtResult:
     """Decide the problem exactly; a sat answer carries a checked model.
 
-    A search node holds its frontier (each selector without a value, with
-    the disjunctions that carry it, once per time each is reached), its LP
-    and the LP's strict rows."""
-    assign: Dict[int, int] = {}
-
-    def search(frontier: Dict[int, Tuple[Or, ...]], lp: LpProblem, strict: Set[int],
-               start: Optional[FeasResult]) -> Optional[SmtModel]:
-        feas = lp_feasible_strict(lp, strict, start=start)
-        if not feas.feasible:
-            return None
-        if not frontier:
-            witness = feas.witness
-            reals = {v: witness.get(v, ZERO) for v in problem.real_vars}
-            return SmtModel(dict(assign), reals)
-        sel = min(frontier)
-        rest = dict(frontier)
-        nodes = rest.pop(sel)
-        for value in (0, 1):
-            assign[sel] = value
-            atoms: List[Atom] = []
-            reached: List[Or] = []
-            for node in nodes:
-                _walk(node.right if value else node.left, assign, atoms, reached)
-            model = search(_open(rest, reached), *_grow(lp, strict, atoms), feas)
-            if model is not None:
-                return model
-            del assign[sel]
-        return None
-
+    The search is depth first, value 0 before 1, on an explicit stack.  A
+    search node holds its frontier (each selector without a value, with the
+    disjunctions that carry it, once per time each is reached), its LP and
+    the LP's strict rows.  A pending child holds what it is grown from: its
+    depth, selector and value, and its parent's other parts."""
+    assign: Dict[int, int] = {}  # in the order assigned, so a prefix is a path
     atoms: List[Atom] = []
     reached: List[Or] = []
     _walk(problem.skeleton, assign, atoms, reached)
-    model = search(_open({}, reached), *atoms_problem(atoms), None)
-    if model is None:
-        return SmtResult(UNSAT)
-    return SmtResult(SAT, model)
+    frontier = _open({}, reached)
+    lp, strict = atoms_problem(atoms)
+    feas = lp_feasible_strict(lp, strict)
+    pending: List[tuple] = []
+    while True:
+        if feas.feasible:
+            if not frontier:
+                witness = feas.witness
+                reals = {v: witness.get(v, ZERO) for v in problem.real_vars}
+                return SmtResult(SAT, SmtModel(dict(assign), reals))
+            sel = min(frontier)
+            rest = dict(frontier)
+            nodes = rest.pop(sel)
+            for value in (1, 0):
+                pending.append((len(assign), sel, value, rest, nodes, lp, strict, feas))
+        if not pending:
+            return SmtResult(UNSAT)
+        depth, sel, value, rest, nodes, lp, strict, start = pending.pop()
+        while len(assign) > depth:
+            assign.popitem()
+        assign[sel] = value
+        atoms, reached = [], []
+        for node in nodes:
+            _walk(node.right if value else node.left, assign, atoms, reached)
+        frontier = _open(rest, reached)
+        lp, strict = _grow(lp, strict, atoms)
+        feas = lp_feasible_strict(lp, strict, start=start)
 
 
 def _open(frontier: Dict[int, Tuple[Or, ...]], reached: List[Or]

@@ -4,8 +4,10 @@ import random
 
 from invgen.cfg import Cfg, Edge
 from invgen.formula import And, Atom, LinExpr, Or, label_selectors, primed
-from invgen.lp import Constraint, LpProblem
+from invgen.lp import LpProblem
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
+
+from oracles import constraint_of
 
 
 def random_rat(rng: random.Random, lo=-9, hi=9) -> Rat:
@@ -24,11 +26,11 @@ def random_lp(rng: random.Random) -> LpProblem:
         for v, c in objective.items():
             if c:
                 sign = Rat(1) if c > 0 else Rat(-1)
-                rows.append(Constraint.of({v: sign}, "<=", Rat(rng.randint(0, 9))))
+                rows.append(constraint_of({v: sign}, "<=", Rat(rng.randint(0, 9))))
     for _ in range(rng.randint(1, max(1, 6 - len(rows)))):
         coeffs = {v: Rat(rng.randint(-9, 9)) for v in names if rng.random() < 0.8}
         rel = "=" if rng.random() < 0.15 else "<="
-        rows.append(Constraint.of(coeffs, rel, Rat(rng.randint(-9, 9))))
+        rows.append(constraint_of(coeffs, rel, Rat(rng.randint(-9, 9))))
     return LpProblem(names, objective, rows)
 
 
@@ -41,10 +43,10 @@ def degenerate_lp(rng: random.Random) -> LpProblem:
     rows = []
     for _ in range(rng.randint(3, 7)):
         coeffs = {v: Rat(rng.randint(-2, 2)) for v in names}
-        rows.append(Constraint.of(coeffs, "=" if rng.random() < 0.1 else "<=", Rat(0)))
+        rows.append(constraint_of(coeffs, "=" if rng.random() < 0.1 else "<=", Rat(0)))
     for v in names:
-        rows.append(Constraint.of({v: Rat(1)}, "<=", Rat(rng.choice((1, 1, 2)))))
-        rows.append(Constraint.of({v: Rat(-1)}, "<=", Rat(rng.choice((1, 1, 2)))))
+        rows.append(constraint_of({v: Rat(1)}, "<=", Rat(rng.choice((1, 1, 2)))))
+        rows.append(constraint_of({v: Rat(-1)}, "<=", Rat(rng.choice((1, 1, 2)))))
     return LpProblem(names, objective, rows)
 
 

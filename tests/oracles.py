@@ -9,19 +9,136 @@ on ``Rat`` entries, and ``full_evaluate`` replays strategy evaluation with
 one LP per variable over the whole system.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from invgen.engine import BOTTOM, EngineError, StratConst
 from invgen.formula import (
-    REL_LE, And, Atom, FormulaError, atoms_of, eval_formula, formula_vars, map_atoms,
-    primed, rename_vars, select_path, selectors_of,
+    REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, SmtProblem, UNSAT_PROBLEM,
+    atoms_of, formula_vars, map_atoms, primed, rename_vars, select_path, selectors_of,
 )
 from invgen.lp import (
-    Constraint, INFEASIBLE, LpProblem, LpResult, OPTIMAL, UNBOUNDED, lp_feasible_strict,
-    lp_solve,
+    Constraint, INFEASIBLE, LpError, LpProblem, LpResult, OPTIMAL, UNBOUNDED,
+    lp_feasible_strict, lp_solve,
 )
-from invgen.numeric import NEG_INF, ONE, POS_INF, Rat, ZERO, ext, rat_str
+from invgen.numeric import (
+    NEG_INF, ONE, POS_INF, ExtRat, Rat, ZERO, as_rat, ext, parse_rat, rat_str,
+)
 from invgen.smt import SAT, UNSAT, SmtModel, SmtResult
+
+
+def constraint_of(coeffs: Dict[str, Rat], rel: str, rhs) -> Constraint:
+    """An LP row from a coefficient dict; zero coefficients are dropped."""
+    if rel not in ("<=", "="):
+        raise LpError(f"unsupported relation {rel!r}")
+    items = tuple((v, as_rat(c)) for v, c in coeffs.items() if c != 0)
+    return Constraint(items, rel, as_rat(rhs))
+
+
+def parse_ext(text: str) -> ExtRat:
+    """Parse the canonical text form (``inf``, ``-inf`` or a rational)."""
+    s = text.strip()
+    if s == "inf":
+        return POS_INF
+    if s == "-inf":
+        return NEG_INF
+    return ExtRat.finite(parse_rat(s))
+
+
+def eval_formula(formula, env: Dict[str, Rat],
+                 selectors: Optional[Dict[int, int]] = None) -> bool:
+    """Exact truth of a formula at a rational point.
+
+    With ``selectors`` given, disjunctions whose selector is assigned follow
+    the assigned branch (the path semantics of a model); unassigned or
+    absent selectors fall back to plain disjunction.
+    """
+    if isinstance(formula, Atom):
+        return formula.holds(env)
+    if isinstance(formula, And):
+        return all(eval_formula(ch, env, selectors) for ch in formula.children)
+    if selectors is not None and formula.selector in selectors:
+        branch = formula.right if selectors[formula.selector] else formula.left
+        return eval_formula(branch, env, selectors)
+    return eval_formula(formula.left, env, selectors) or \
+        eval_formula(formula.right, env, selectors)
+
+
+def format_statement(formula) -> str:
+    """Canonical text form; re-parsing yields a semantically equal formula."""
+    if isinstance(formula, Atom):
+        return str(formula)
+    if isinstance(formula, And):
+        if not formula.children:
+            return "0 <= 0"
+        parts = []
+        for ch in formula.children:
+            text = format_statement(ch)
+            if isinstance(ch, Or):
+                text = f"({text})"
+            parts.append(text)
+        return " & ".join(parts)
+    left = format_statement(formula.left)
+    right = format_statement(formula.right)
+    if isinstance(formula.left, Or):
+        left = f"({left})"
+    if isinstance(formula.right, Or):
+        right = f"({right})"
+    return f"{left} | {right}"
+
+
+def format_program(prog) -> str:
+    """Pretty-print a program file; re-parsing gives the same program."""
+    lines = ["vars " + " ".join(prog.variables) + " ;"]
+    if prog.int_vars:
+        lines.append("ints " + " ".join(v for v in prog.variables if v in prog.int_vars) + " ;")
+    if prog.template_kind == "explicit":
+        lines.append("template { " + " ".join(f"{row} ;" for row in prog.template_rows) + " } ;")
+    else:
+        lines.append(f"template {prog.template_kind} ;")
+    lines.append("nodes " + " ".join(prog.nodes) + " ;")
+    lines.append(f"start {prog.start} ;")
+    for e in prog.edges:
+        mark = " [int]" if e.int_relax else ""
+        lines.append(f"edge {e.source} -> {e.target}{mark} : "
+                     f"{format_statement(e.statement)} ;")
+    if prog.cutset is not None:
+        lines.append("cutset " + " ".join(prog.cutset) + " ;")
+    return "\n".join(lines) + "\n"
+
+
+LINK_VAR = "$v"
+
+
+def linked_psi(statement, d, template, j, c) -> SmtProblem:
+    """The improvement query as it was built before the presolve: the
+    statement as it is, a fresh variable ``$v`` equal to row ``j`` over the
+    post-state (two atoms) and the bound clause ``$v > c``."""
+    rows = getattr(template, "rows", template)
+    if any(di.is_neg_inf for di in d):
+        return UNSAT_PROBLEM
+    parts = [Atom(row, REL_LE, d[i].value) for i, row in enumerate(rows) if d[i].is_finite]
+    target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
+    v = LinExpr({LINK_VAR: 1})
+    parts += [statement, Atom(v.sub(target), REL_LE, 0), Atom(target.sub(v), REL_LE, 0)]
+    if c.is_finite:
+        parts.append(Atom(LinExpr({LINK_VAR: -1}), REL_LT, -c.value))
+    skeleton = And(parts)
+    return SmtProblem(skeleton, tuple(formula_vars(skeleton)))
+
+
+def completed_model(model: SmtModel, statement, defs, rows=None, j=None) -> SmtModel:
+    """``model`` with every variable of ``statement`` that it lacks at 0 and
+    then each defined variable at its definition's value; with ``rows`` and
+    ``j``, also ``$v`` at row ``j`` over the post-state, as ``linked_psi``
+    defines it."""
+    reals = dict.fromkeys(formula_vars(statement), ZERO)
+    reals.update(model.reals)
+    for v, expr in defs.items():
+        reals[v] = expr.evaluate(reals)
+    if rows is not None:
+        reals[LINK_VAR] = rows[j].rename(
+            {v: primed(v) for v in rows[j].variables()}).evaluate(reals)
+    return SmtModel(dict(model.selectors), reals)
 
 
 def _expand_rows(constraints):
@@ -449,7 +566,7 @@ def full_evaluate(eq, strategy, bounds):
             if v not in seen:
                 seen.add(v)
                 variables.append(v)
-        constraints.append(Constraint.of(coeffs, "<=", rhs))
+        constraints.append(constraint_of(coeffs, "<=", rhs))
 
     for copy_id, key in enumerate(remaining):
         entry = strategy[key]

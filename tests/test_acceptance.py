@@ -15,14 +15,16 @@ from invgen.cli import analyze, gen_expo, parse_program, program_to_cfg
 from invgen.engine import (
     EngineOptions, check_post_fixpoint, kleene_oracle, run,
 )
-from invgen.formula import build_psi, eval_formula, selectors_of
+from invgen.formula import build_psi, selectors_of
 from invgen.lp import OPTIMAL, lp_solve
 from invgen.numeric import ext
 from invgen.smt import SmtSession, smt_check, smt_check_external
 
 from conftest import CORPUS_DIR, corpus_files, external_solver_cmd
 from generators import random_cfg, random_lp, random_psi_inputs, random_state
-from oracles import brute_force_smt, check_model, cold_smt_check, fm_solve, lp_text
+from oracles import (
+    brute_force_smt, check_model, cold_smt_check, eval_formula, fm_solve, lp_text,
+)
 
 
 def verdict(number, ok, text):

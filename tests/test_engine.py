@@ -16,14 +16,13 @@ from invgen.engine import (
     Stats, improve, kleene_oracle, run,
 )
 from invgen.formula import (
-    enumerate_path_choices, eval_formula, parse_linexpr, parse_statement,
-    select_path,
+    enumerate_path_choices, parse_linexpr, parse_statement, select_path,
 )
 from invgen.numeric import NEG_INF, POS_INF, ext
 
 from conftest import corpus_files
 from generators import gen_octagon, random_cfg
-from oracles import full_evaluate
+from oracles import eval_formula, full_evaluate
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")

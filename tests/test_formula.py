@@ -3,14 +3,17 @@ import random
 import pytest
 
 from invgen.formula import (
-    And, Atom, FormulaError, Or, ParseError, UNSAT_PROBLEM, build_psi,
-    enumerate_path_choices, eval_formula, format_statement, formula_vars,
-    parse_linexpr, parse_statement, select_path, selectors_of,
+    FALSE_ATOM, TRUE, And, Atom, FormulaError, Or, ParseError, UNSAT_PROBLEM, atoms_of,
+    build_psi, eliminate_equalities, enumerate_path_choices, formula_size, formula_vars,
+    label_selectors, map_atoms, parse_linexpr, parse_statement, select_path, selectors_of,
 )
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
+from invgen.smt import _walk
 
-from generators import random_state, random_statement
-from oracles import check_selector_invariant, nonstrict_relaxation
+from generators import random_shared_statement, random_state, random_statement
+from oracles import (
+    check_selector_invariant, eval_formula, format_statement, nonstrict_relaxation,
+)
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
@@ -150,19 +153,28 @@ def test_build_psi_structure():
     f = parse_statement(RUNNING_BODY)
     rows = [parse_linexpr("x1"), parse_linexpr("-x1")]
     psi = build_psi(f, [ext(0), ext(0)], rows, 0, ext(0))
-    assert psi.objective_var == "$v"
-    assert "$v" in psi.real_vars
-    # two source rows, the body, the two v-definition atoms, the strict bound
-    assert len(psi.skeleton.children) == 6
-    assert psi.skeleton.children[-1].rel == "<"
+    # two source rows, the body as it is, and x1' > 0 as one strict atom
+    assert psi.skeleton.children == (
+        Atom(rows[0], "<=", 0), Atom(rows[1], "<=", 0), f,
+        Atom(parse_linexpr("-x1'"), "<", 0))
+    assert psi.skeleton.children[2] is f
+    assert psi.real_vars == ("x1", "x2'", "x1'")
+    # a presolved post-state row may carry a constant: 2*x1 + 1 > 3
+    psi = build_psi(f, [ext(0), ext(0)], rows, 0, ext(3), post=parse_linexpr("2*x1 + 1"))
+    assert psi.skeleton.children[-1] == Atom(parse_linexpr("-2*x1"), "<", -2)
+    assert psi.real_vars == ("x1", "x2'", "x1'")
+    # a constant one is still one strict atom: 5 > 3 holds
+    psi = build_psi(f, [POS_INF, POS_INF], rows, 0, ext(3), post=parse_linexpr("5"))
+    assert psi.skeleton.children == (f, Atom(parse_linexpr("0"), "<", 2))
 
 
 def test_build_psi_drops_infinite_rows_and_bound():
     f = parse_statement("x1' = x1")
     rows = [parse_linexpr("x1")]
     psi = build_psi(f, [POS_INF], rows, 0, NEG_INF)
-    # no source row and no bound clause: just body plus v-definition
-    assert len(psi.skeleton.children) == 3
+    # no source row and no bound clause: just the body
+    assert psi.skeleton.children == (f,)
+    assert psi.real_vars == ("x1'", "x1")
 
 
 def test_build_psi_corner_cases():
@@ -179,3 +191,111 @@ def test_linexpr_printer_round_trip():
     for text in ("x1", "-x1", "x1 + x2", "2*x1 - 3/2*x2", "x1 - 1"):
         e = parse_linexpr(text)
         assert parse_linexpr(str(e)) == e
+
+
+def _presolve(text, keep):
+    return eliminate_equalities(parse_statement(text), set(keep))
+
+
+def test_eliminate_equalities_solves_a_chain_in_order():
+    stmt, defs = _presolve("y1 = 1 & y2 = 2*y1 & x' = x + y2", ["x"])
+    assert defs == {"y1": parse_linexpr("1"), "y2": parse_linexpr("2"),
+                    "x'": parse_linexpr("x + 2")}
+    assert stmt is TRUE
+    # the later definition is substituted into the earlier ones too
+    stmt, defs = _presolve("x' = x + y2 & y2 = 2*y1 & y1 = 1 & x' <= 5", ["x"])
+    assert defs["x'"] == parse_linexpr("x + 2")
+    assert atoms_as_strings(stmt) == ["x <= 3"]
+
+
+def test_eliminate_equalities_contradiction_is_false():
+    stmt, defs = _presolve("y = 1 & y = 2", ["x"])
+    assert stmt is FALSE_ATOM
+    assert defs == {"y": parse_linexpr("1")}
+    stmt, _ = _presolve("y = 1 & x' = 3 & (x' <= 2 | x <= 0)", ["x"])
+    assert atoms_as_strings(select_path(stmt, {0: 1})) == ["x <= 0"]
+    (atom,) = atoms_of(select_path(stmt, {0: 0}))
+    assert atom is FALSE_ATOM
+
+
+def test_eliminate_equalities_keeps_equalities_over_kept_variables():
+    f = parse_statement("x = 2*z & x' = x")
+    stmt, defs = eliminate_equalities(f, {"x", "z"})
+    assert defs == {"x'": parse_linexpr("x")}
+    assert [id(a) for a in atoms_of(stmt)] == [id(a) for a in f.children[:2]]
+
+
+def test_eliminate_equalities_leaves_equalities_inside_disjunctions():
+    f = parse_statement("x' = x | x' = x + 1")
+    assert eliminate_equalities(f, {"x"}) == (f, {})
+    stmt, defs = _presolve("y = 1 & (x' = y | x' = 2)", ["x"])
+    assert defs == {"y": parse_linexpr("1")}
+    (disjunction,) = stmt.children
+    assert isinstance(disjunction, Or) and selectors_of(stmt) == [0]
+    assert atoms_as_strings(disjunction.left) == ["x' <= 1", "-x' <= -1"]
+    assert atoms_as_strings(disjunction.right) == ["x' <= 2", "-x' <= -2"]
+
+
+@pytest.mark.filterwarnings("ignore:dropping nodes unreachable")
+def test_eliminate_equalities_shrinks_compressed_statements():
+    from invgen.cfg import compress, feedback_vertex_set
+    from invgen.cli import parse_program, program_to_cfg
+    from conftest import corpus_files
+
+    shrunk = 0
+    for path in corpus_files():
+        with open(path, encoding="utf-8") as handle:
+            g, _ = program_to_cfg(parse_program(handle.read()))
+        g = compress(g, feedback_vertex_set(g))
+        for edge in g.edges:
+            stmt, defs = eliminate_equalities(edge.statement, set(g.program_vars))
+            assert formula_size(stmt) <= formula_size(edge.statement)
+            assert set(selectors_of(stmt)) <= set(selectors_of(edge.statement))
+            assert not set(defs) & set(formula_vars(stmt))
+            shrunk += formula_size(stmt) < formula_size(edge.statement)
+    assert shrunk >= 10
+
+
+def test_eliminate_equalities_is_exact_on_random_points():
+    # phi and phi[defs] agree at every point that satisfies the definitions
+    rng = random.Random(61)
+    for _ in range(100):
+        body = random_statement(rng, ["x", "x'", "w"], max_selectors=3)
+        eqs = "w = 2*x - 1 & x' = w + x" if rng.random() < 0.5 else "x' = 3 & w = x'"
+        f = And((parse_statement(eqs), body))
+        stmt, defs = eliminate_equalities(f, {"x"})
+        for _ in range(5):
+            env = random_state(rng, ["x", "x'", "w"])
+            for v, expr in defs.items():
+                env[v] = expr.evaluate(env)
+            assert eval_formula(stmt, env) == eval_formula(f, env)
+
+
+def test_relabelling_is_preorder_on_shared_statements():
+    rng = random.Random(67)
+    for _ in range(50):
+        f = random_shared_statement(rng, ["x", "y"], max_selectors=6)
+        again = label_selectors(f, 3)
+        assert selectors_of(again) == list(range(3, 3 + len(selectors_of(f))))
+        assert formula_size(again) == formula_size(f)
+        assert formula_size(map_atoms(f, lambda a: a)) == formula_size(f)
+
+
+def test_deep_disjunction_chain_is_rebuilt_without_recursion():
+    # 5,000 disjuncts nest 4,999 deep: parsing labels them with label_selectors
+    text = "y = 1 & (" + " | ".join(f"x' = y + {i}" for i in range(5000)) + ")"
+    f = parse_statement(text)
+    chain = f.children[-1]
+    assert selectors_of(chain) == list(range(4999))
+    relabelled = label_selectors(chain, 10)
+    assert selectors_of(relabelled)[-1] == 5008
+    shifted = map_atoms(chain, lambda a: Atom(a.lin, a.rel, a.bound + 1))
+    deepest = shifted
+    while isinstance(deepest, Or):
+        deepest = deepest.left
+    assert atoms_as_strings(deepest) == ["x' - y <= 1", "y - x' <= 1"]
+    stmt, defs = eliminate_equalities(f, {"x"})
+    assert defs == {"y": parse_linexpr("1")}
+    atoms, reached = [], []
+    _walk(stmt, {s: 0 for s in range(4999)}, atoms, reached)
+    assert [str(a) for a in atoms] == ["x' <= 1", "-x' <= -1"] and not reached

@@ -9,12 +9,14 @@ from invgen.lp import (
 from invgen.numeric import Rat
 
 from generators import degenerate_lp, random_lp
-from oracles import fm_feasible, fm_solve, fm_strict_rows, lp_text, rational_lp_solve
+from oracles import (
+    constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, rational_lp_solve,
+)
 
 
 def lp(variables, objective, rows):
     return LpProblem(variables, objective,
-                     [Constraint.of(c, rel, rhs) for c, rel, rhs in rows])
+                     [constraint_of(c, rel, rhs) for c, rel, rhs in rows])
 
 
 def test_single_bound():
@@ -284,7 +286,7 @@ def _grown(problem, rng, tag, small=False):
             coeffs = {v: Rat(rng.randint(-9, 9)) for v in picked}
             rhs = Rat(rng.randint(-9, 9), rng.choice((1, 2)))
         rel = "=" if rng.random() < 0.2 else "<="
-        rows.append(Constraint.of(coeffs, rel, rhs))
+        rows.append(constraint_of(coeffs, rel, rhs))
     return LpProblem(names, problem.objective, rows)
 
 
@@ -369,7 +371,7 @@ def test_warm_start_outside_its_contract_is_an_error():
     start = lp_solve(parent)
     assert start.status == OPTIMAL and start.value == 4
     rows = parent.constraints
-    extra = Constraint.of({"x": 1}, "<=", 3)
+    extra = constraint_of({"x": 1}, "<=", 3)
     assert lp_solve(LpProblem(["x", "y"], {"x": 1}, rows + [extra]), start=start).value == 3
     bad = [
         LpProblem(["x", "y"], {"x": 1}, [rows[1], rows[0], extra]),  # rows reordered

@@ -1,9 +1,10 @@
 from hypothesis import given, strategies as st
 
 from invgen.numeric import (
-    NEG_INF, POS_INF, ExtRat, Rat, as_rat, ext, ext_add, ext_cmp, parse_ext,
-    parse_rat, rat_str,
+    NEG_INF, POS_INF, ExtRat, Rat, as_rat, ext, ext_add, ext_cmp, parse_rat, rat_str,
 )
+
+from oracles import parse_ext
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=97)
 

@@ -9,8 +9,8 @@ from collections import Counter
 import pytest
 
 from invgen.formula import (
-    SmtProblem, UNSAT_PROBLEM, build_psi, formula_vars, link_atoms, parse_linexpr,
-    parse_statement,
+    And, Atom, SmtProblem, UNSAT_PROBLEM, build_psi, eliminate_equalities, formula_vars,
+    parse_linexpr, parse_statement, primed,
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
@@ -19,7 +19,7 @@ from invgen.smt import (
 
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
 import oracles
-from generators import random_psi_inputs, random_shared_statement
+from generators import random_psi_inputs, random_shared_statement, random_update
 from oracles import brute_force_smt, check_model, cold_smt_check
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
@@ -138,6 +138,20 @@ def test_wide_disjunction_query():
     d = [ext(499), ext(0)]
     for j in (0, 1):
         assert not smt_check(build_psi(stmt, d, rows, j, d[j])).is_sat
+
+
+def test_deep_disjunction_chain_query():
+    # 5,000 disjuncts nest 4,999 deep; the search keeps its path on an
+    # explicit stack.  The unsat query visits every leaf.
+    stmt = parse_statement(" | ".join(f"x' = {i}" for i in range(5000)))
+    rows = [parse_linexpr("x"), parse_linexpr("-x")]
+    d = [ext(4999), ext(0)]
+    assert not smt_check(build_psi(stmt, d, rows, 0, d[0])).is_sat
+    res = smt_check(build_psi(stmt, d, rows, 0, ext(4998)))
+    assert res.is_sat and res.model.reals["x'"] == 4999 and res.model.selectors == {0: 1}
+    res = smt_check(build_psi(stmt, d, rows, 0, ext(-1)))  # the deepest leaf
+    assert res.is_sat and res.model.reals["x'"] == 0
+    assert res.model.selectors == {s: 0 for s in range(4999)}
 
 
 def test_determinism():
@@ -319,13 +333,82 @@ def test_analyze_shares_one_session_for_run_and_check(launched):
 
 
 def test_build_psi_with_prebuilt_parts_is_the_same_query():
-    # the engine builds the link atoms and statement variables once per
-    # analysis; the query, its variable order and its script stay the same
+    # the engine builds each edge's post-state rows and statement variables
+    # once per analysis; the query, its variable order and its script stay
+    # the same, and its bound clause is one strict atom over the post-state
     rng = random.Random(515)
     for _ in range(200):
         stmt, rows, d, j, c = random_psi_inputs(rng)
         plain = build_psi(stmt, d, rows, j, c)
-        shared = build_psi(stmt, d, rows, j, c, links=link_atoms(rows[j]),
-                           statement_vars=formula_vars(stmt))
+        post = rows[j].rename({v: primed(v) for v in rows[j].variables()})
+        shared = build_psi(stmt, d, rows, j, c, post=post, statement_vars=formula_vars(stmt))
         assert shared.real_vars == plain.real_vars == tuple(formula_vars(plain.skeleton))
         assert _smt_declarations(shared) == _smt_declarations(plain)
+        if plain is UNSAT_PROBLEM:
+            continue
+        region = [Atom(row, "<=", di.value) for row, di in zip(rows, d) if di.is_finite]
+        bound = [Atom(post.scale(-1), "<", -c.value)] if c.is_finite else []
+        assert plain.skeleton.children == tuple(region) + (stmt,) + tuple(bound)
+
+
+def _psi_pair(stmt, rows, d, j, c, keep):
+    """The query on ``stmt`` presolved, with its definitions, and the
+    ``$v``-linked query on ``stmt`` as it is."""
+    presolved, defs = eliminate_equalities(stmt, keep)
+    post = rows[j].rename({v: primed(v) for v in rows[j].variables()}).substitute(defs)
+    return build_psi(presolved, d, rows, j, c, post=post), defs, \
+        oracles.linked_psi(stmt, d, rows, j, c)
+
+
+def _same_answer(psi, defs, linked, stmt, rows, j) -> bool:
+    """Same verdict and selectors; a model completed from ``defs`` satisfies
+    the linked query.  Returns whether it is sat."""
+    got, want = smt_check(psi), smt_check(linked)
+    assert got.status == want.status
+    if got.is_sat:
+        assert got.model.selectors == want.model.selectors
+        model = oracles.completed_model(got.model, stmt, defs, rows, j)
+        assert check_model(linked, model)
+    return got.is_sat
+
+
+def test_presolved_queries_match_linked_queries_on_random_inputs():
+    rng = random.Random(606)
+    solved = sat = 0
+    for _ in range(500):
+        stmt, rows, d, j, c = random_psi_inputs(rng)
+        if rng.random() < 0.6:  # top-level equalities for the presolve to solve
+            parts = [random_update(rng, ["x0", "x1"][:rng.randint(1, 2)])]
+            if rng.random() < 0.5:
+                parts.append(parse_statement(rng.choice(("w = x0' - 1", "x0' = 2*w"))))
+            stmt = And(parts + [stmt])
+        psi, defs, linked = _psi_pair(stmt, rows, d, j, c, {"x0", "x1"})
+        solved += bool(defs)
+        sat += _same_answer(psi, defs, linked, stmt, rows, j)
+    assert solved > 250 and 100 < sat < 400
+
+
+@pytest.mark.filterwarnings("ignore:dropping nodes unreachable")
+def test_presolved_queries_match_linked_queries_of_run(monkeypatch):
+    from invgen import engine
+    from invgen.cfg import compress, feedback_vertex_set
+    from invgen.cli import analyze, gen_expo, parse_program, program_to_cfg
+
+    queries = []
+    real_psi = engine._psi
+
+    def psi(eq, idx, d, j, c):  # every query of run, with its edge and definitions
+        stmt, rows = eq.cfg.edges[idx].statement, eq.template.rows
+        queries.append((real_psi(eq, idx, d, j, c), eq.definitions[idx],
+                        oracles.linked_psi(stmt, d, rows, j, c), stmt, rows, j))
+        return queries[-1][0]
+
+    monkeypatch.setattr(engine, "_psi", psi)
+    for path in sorted(os.listdir(CORPUS_DIR)):
+        analyze(os.path.join(CORPUS_DIR, path))
+    for n in (1, 2, 3):
+        g, template = program_to_cfg(parse_program(gen_expo(n)))
+        engine.run(compress(g, feedback_vertex_set(g)), template)
+    sat = sum(_same_answer(*query) for query in queries)
+    assert len(queries) > 300 and sat > 40
+    assert sum(1 for q in queries if q[1]) > len(queries) // 2
