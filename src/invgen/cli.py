@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -245,14 +246,15 @@ def lint_program(prog: ProgramFile) -> List[str]:
     an edge formula is unconstrained by that edge."""
     notes = []
     for e in prog.edges:
-        present = set(formula_vars(e.statement))
+        names = formula_vars(e.statement)
+        present = set(names)
         missing = [v for v in prog.variables if primed(v) not in present]
         if missing:
             notes.append(
                 f"edge {e.source} -> {e.target}: no constraint on "
                 + ", ".join(primed(v) for v in missing)
                 + " (unchanged variables need an explicit frame conjunct)")
-        for v in present:
+        for v in names:
             if is_primed(v) and v[:-1] not in prog.variables and not v.startswith("$"):
                 notes.append(f"edge {e.source} -> {e.target}: {v} is primed but "
                              f"{v[:-1]} is not a declared variable")
@@ -294,7 +296,10 @@ def analyze(path: str, *, solver: Optional[str] = None, local_opt: bool = False,
     g, template = program_to_cfg(prog)
     if not no_compress:
         cut = frozenset(prog.cutset) if prog.cutset is not None else feedback_vertex_set(g)
-        g = compress(g, cut)
+        with warnings.catch_warnings(record=True) as dropped:
+            warnings.simplefilter("always")
+            g = compress(g, cut)
+        lints.extend(str(w.message) for w in dropped)
     with solver_session(solver) as backend:
         opts = EngineOptions(local_opt=local_opt, smt_cmd=backend,
                              max_iters=max_iters, trace=trace)

@@ -38,13 +38,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .cfg import Cfg
 from .formula import (
-    Atom, LinExpr, atoms_of, build_psi, eliminate_equalities, enumerate_path_choices,
-    formula_vars, primed, select_path,
+    Atom, FormulaError, LinExpr, build_psi, eliminate_equalities, formula_vars, paths,
+    primed, walk,
 )
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
 from .numeric import NEG_INF, ONE, POS_INF, ZERO, ExtRat, ext
 from .smt import (
-    SmtModel, SmtResult, SmtSession, _walk, atoms_problem, smt_check, smt_check_external,
+    SmtModel, SmtResult, SmtSession, atoms_problem, smt_check, smt_check_external,
     solver_session,
 )
 
@@ -72,14 +72,17 @@ class Template:
         self.labels = list(labels) if labels is not None else [str(r) for r in self.rows]
         if len(self.labels) != len(self.rows):
             raise EngineError("one label per template row required")
-        # duplicate expressions are allowed; labels are disambiguated
-        seen: Dict[str, int] = {}
+        # duplicate expressions are allowed; a repeated label gets the next unused #k
+        taken = set(self.labels)
+        seen: Set[str] = set()
         for i, lab in enumerate(self.labels):
             if lab in seen:
-                seen[lab] += 1
-                self.labels[i] = f"{lab}#{seen[lab]}"
-            else:
-                seen[lab] = 1
+                k = 2
+                while f"{lab}#{k}" in taken:
+                    k += 1
+                lab = self.labels[i] = f"{lab}#{k}"
+                taken.add(lab)
+            seen.add(lab)
 
     def __len__(self):
         return len(self.rows)
@@ -197,12 +200,12 @@ class EquationSystem:
         return rows
 
 
-# -- abstract transformer of a single sequential statement -------------------
+# -- abstract transformer of a single path ------------------------------------
 
-def abstract_transform_row(seq_statement, d: Sequence[ExtRat], template,
+def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template,
                            j: int, stats: Optional[Stats] = None) -> ExtRat:
-    """Best bound of template row ``j`` after one step of a sequential
-    statement from the region ``T x <= d``.
+    """Best bound of template row ``j`` after one step along a path, given
+    by its atoms, from the region ``T x <= d``.
 
     Strict atoms decide emptiness (empty source or disabled guard gives
     -inf); the supremum itself is taken over the non-strict closure, which
@@ -213,7 +216,7 @@ def abstract_transform_row(seq_statement, d: Sequence[ExtRat], template,
         return NEG_INF
     atoms = [Atom(row, "<=", d[i].value)
              for i, row in enumerate(rows) if d[i].is_finite]
-    atoms.extend(atoms_of(seq_statement))
+    atoms.extend(path)
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
     problem, strict = atoms_problem(atoms, dict(target.coeffs))
     feas = lp_feasible_strict(problem, strict)
@@ -270,8 +273,12 @@ def _entry_value(eq: EquationSystem, key: VarKey, entry, bounds, stats) -> ExtRa
         return entry.value
     edge = eq.cfg.edges[entry.edge_index]
     d = [bounds[(edge.source, i)] for i in range(len(eq.template))]
-    seq = select_path(edge.statement, entry.path)
-    return abstract_transform_row(seq, d, eq.template, key[1], stats)
+    atoms: List[Atom] = []
+    unresolved: List = []
+    walk(edge.statement, entry.path, atoms, unresolved)
+    if unresolved:
+        raise FormulaError(f"no choice for selector {unresolved[0].selector}")
+    return abstract_transform_row(atoms, d, eq.template, key[1], stats)
 
 
 def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = None,
@@ -329,7 +336,7 @@ class _EntryRows:
         prefix = f"$q{eq.index[key]}_"
         atoms: List[Atom] = []
         unresolved: List = []
-        _walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
+        walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
         if unresolved:
             raise EngineError(f"the strategy path of {key} leaves a disjunction open")
         rows = eq.template.rows
@@ -642,8 +649,7 @@ def kleene_oracle(g: Cfg, template: Template,
     intended as an independent test oracle, not for production use.
     """
     eq = EquationSystem(g, template)
-    paths_cache = {idx: enumerate_path_choices(e.statement)
-                   for idx, e in enumerate(g.edges)}
+    paths_cache = {idx: list(paths(e.statement)) for idx, e in enumerate(g.edges)}
     bounds = eq.initial_bounds()
     for _ in range(max_steps):
         new: Dict[VarKey, ExtRat] = {}
@@ -658,8 +664,7 @@ def kleene_oracle(g: Cfg, template: Template,
                 edge = eq.cfg.edges[choice.edge_index]
                 d = [bounds[(edge.source, i)] for i in range(len(template))]
                 for path in paths_cache[choice.edge_index]:
-                    seq = select_path(edge.statement, path)
-                    val = abstract_transform_row(seq, d, template, j)
+                    val = abstract_transform_row(path, d, template, j)
                     if val > best:
                         best = val
             new[key] = best

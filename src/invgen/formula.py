@@ -6,7 +6,8 @@ is atoms / n-ary conjunction / binary disjunction, where every disjunction
 carries a distinct integer selector: a 0/1 assignment to the selectors picks
 one loop-free path through the statement.  Trees are immutable and may share
 subtrees; traversals are memoized on object identity so shared graphs stay
-linear in size.
+linear in size, except that a path walk visits a shared subtree each time
+the path reaches it.
 
 The surface syntax accepts ``<= < >= > = !=`` and desugars everything to
 ``<=`` / ``<`` atoms; negation is not part of the language and is rejected
@@ -322,83 +323,40 @@ def map_atoms(formula, fn: Callable[[Atom], Atom]):
     return _rebuild(formula, fn)
 
 
-def select_path(formula, choice: PathChoice):
-    """Resolve every reachable disjunction according to ``choice``.
-
-    The result is a sequential statement (no Or nodes).  A reachable Or
-    whose selector is missing from the choice is an error.
-    """
-    memo: Dict[int, object] = {}
-
-    def walk(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+def walk(node, assign: PathChoice, atoms: List[Atom], reached: List[Or]) -> None:
+    """Append to ``atoms`` the atoms under ``node`` that the partial selector
+    assignment forces, in pre-order, and to ``reached`` the disjunctions
+    without a value that it reaches, once per time each is reached."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Atom):
-            new = node
+            atoms.append(node)
         elif isinstance(node, And):
-            new = And(walk(ch) for ch in node.children)
+            stack.extend(reversed(node.children))
         else:
-            if node.selector not in choice:
-                raise FormulaError(f"no choice for selector {node.selector}")
-            new = walk(node.right if choice[node.selector] else node.left)
-        memo[key] = new
-        return new
-
-    return walk(formula)
+            val = assign.get(node.selector)
+            if val is None:
+                reached.append(node)
+            else:
+                stack.append(node.right if val else node.left)
 
 
-def enumerate_path_choices(formula) -> List[PathChoice]:
-    """All selector assignments that pick one path through the formula.
-
-    Intended for brute-force oracles and small statements; the result can
-    be exponential in the number of disjunctions.  Shared disjunction nodes
-    are assigned consistently (one value per selector).
-    """
-    memo: Dict[int, List[PathChoice]] = {}
-
-    def merge(lefts: List[PathChoice], rights: List[PathChoice]) -> List[PathChoice]:
-        out = []
-        for a in lefts:
-            for b in rights:
-                if all(a.get(k, v) == v for k, v in b.items()):
-                    out.append({**a, **b})
-        return out
-
-    def walk(node) -> List[PathChoice]:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Atom):
-            result = [{}]
-        elif isinstance(node, And):
-            result = [{}]
-            for ch in node.children:
-                result = merge(result, walk(ch))
+def paths(statement) -> Iterator[List[Atom]]:
+    """The atoms of each path through ``statement``, in pre-order: one list
+    per selector assignment that gives every reachable disjunction a value
+    (a shared disjunction takes one value).  Exponential in general; meant
+    for oracles and small statements."""
+    stack: List[PathChoice] = [{}]
+    while stack:
+        assign = stack.pop()
+        atoms: List[Atom] = []
+        reached: List[Or] = []
+        walk(statement, assign, atoms, reached)
+        if reached:
+            stack.extend({**assign, reached[0].selector: value} for value in (1, 0))
         else:
-            result = [{node.selector: 0, **p} for p in walk(node.left)] + \
-                     [{node.selector: 1, **p} for p in walk(node.right)]
-        memo[key] = result
-        return result
-
-    return walk(formula)
-
-
-def atoms_of(formula) -> List[Atom]:
-    """Flatten a sequential (Or-free) formula into its atoms."""
-    out: List[Atom] = []
-
-    def walk(node):
-        if isinstance(node, Atom):
-            out.append(node)
-        elif isinstance(node, And):
-            for ch in node.children:
-                walk(ch)
-        else:
-            raise FormulaError("formula is not sequential (contains a disjunction)")
-
-    walk(formula)
-    return out
+            yield atoms
 
 
 def conjoin(parts: Sequence) -> object:
@@ -429,12 +387,10 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
     """
     defs: Dict[str, LinExpr] = {}
     halves = set()
-    stack = [statement]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.extend(reversed(node.children))
-        elif isinstance(node, Atom) and node.rel == REL_LE:
+    atoms: List[Atom] = []
+    walk(statement, {}, atoms, [])
+    for node in atoms:
+        if node.rel == REL_LE:
             items = node.lin.coeffs.items()
             if (frozenset((v, -c) for v, c in items), -node.bound) not in halves:
                 halves.add((frozenset(items), node.bound))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .formula import REL_LT, And, Atom, Or, SmtProblem, selectors_of
+from .formula import REL_LT, And, Atom, Or, SmtProblem, selectors_of, walk
 from .lp import LpProblem, lp_feasible_strict
 from .numeric import Rat, ZERO
 
@@ -67,25 +67,6 @@ class SmtResult:
 # ---------------------------------------------------------------------------
 # internal backend
 # ---------------------------------------------------------------------------
-
-def _walk(node, assign: Dict[int, int], atoms: List[Atom], reached: List[Or]) -> None:
-    """Append to ``atoms`` the atoms under ``node`` that the partial selector
-    assignment forces, in pre-order, and to ``reached`` the disjunctions
-    without a value that it reaches, once per time each is reached."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            atoms.append(node)
-        elif isinstance(node, And):
-            stack.extend(reversed(node.children))
-        else:
-            val = assign.get(node.selector)
-            if val is None:
-                reached.append(node)
-            else:
-                stack.append(node.right if val else node.left)
-
 
 def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = None
                   ) -> Tuple[LpProblem, Set[int]]:
@@ -125,7 +106,7 @@ def smt_check(problem: SmtProblem) -> SmtResult:
     assign: Dict[int, int] = {}  # in the order assigned, so a prefix is a path
     atoms: List[Atom] = []
     reached: List[Or] = []
-    _walk(problem.skeleton, assign, atoms, reached)
+    walk(problem.skeleton, assign, atoms, reached)
     frontier = _open({}, reached)
     lp, strict = atoms_problem(atoms)
     feas = lp_feasible_strict(lp, strict)
@@ -149,7 +130,7 @@ def smt_check(problem: SmtProblem) -> SmtResult:
         assign[sel] = value
         atoms, reached = [], []
         for node in nodes:
-            _walk(node.right if value else node.left, assign, atoms, reached)
+            walk(node.right if value else node.left, assign, atoms, reached)
         frontier = _open(rest, reached)
         lp, strict = _grow(lp, strict, atoms)
         feas = lp_feasible_strict(lp, strict, start=start)
@@ -201,18 +182,29 @@ def _smt_expr(lin) -> str:
 
 
 def _smt_formula(node) -> str:
-    if isinstance(node, Atom):
-        op = "<" if node.rel == REL_LT else "<="
-        return f"({op} {_smt_expr(node.lin)} {_smt_rat(node.bound)})"
-    if isinstance(node, And):
-        if not node.children:
-            return "true"
-        if len(node.children) == 1:
-            return _smt_formula(node.children[0])
-        return "(and " + " ".join(_smt_formula(ch) for ch in node.children) + ")"
-    a = _selector_name(node.selector)
-    return (f"(or (and (not {a}) {_smt_formula(node.left)})"
-            f" (and {a} {_smt_formula(node.right)}))")
+    out: List[str] = []
+    stack: List[object] = [node]  # nodes to write and text to copy, next last
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Atom):
+            op = "<" if node.rel == REL_LT else "<="
+            out.append(f"({op} {_smt_expr(node.lin)} {_smt_rat(node.bound)})")
+        elif isinstance(node, And):
+            if len(node.children) == 1:
+                stack.append(node.children[0])
+            elif not node.children:
+                out.append("true")
+            else:
+                stack.append(")")
+                for ch in reversed(node.children[1:]):
+                    stack.extend((ch, " "))
+                stack.extend((node.children[0], "(and "))
+        else:
+            a = _selector_name(node.selector)
+            stack.extend(("))", node.right, f") (and {a} ", node.left, f"(or (and (not {a}) "))
+    return "".join(out)
 
 
 def _smt_declarations(problem: SmtProblem) -> str:
@@ -525,7 +517,7 @@ def _external_query(problem: SmtProblem, session: SmtSession,
 
     atoms: List[Atom] = []
     pending: List[Or] = []
-    _walk(problem.skeleton, selectors, atoms, pending)
+    walk(problem.skeleton, selectors, atoms, pending)
     if pending:
         raise SmtBackendError("solver assignment leaves a reachable disjunction open")
 

@@ -2,19 +2,21 @@
 
 Everything here is deliberately brute force and kept away from the code
 paths it checks: Fourier-Motzkin elimination replays LP classification by
-projection, the selector-enumeration oracle replays satisfiability by
-trying every path, ``cold_smt_check`` replays the selector search with no
-warm start, ``rational_lp_solve`` replays the simplex pivot for pivot
-on ``Rat`` entries, and ``full_evaluate`` replays strategy evaluation with
-one LP per variable over the whole system.
+projection, ``select_path``, ``atoms_of`` and ``enumerate_path_choices``
+walk paths recursively, apart from ``formula.walk``, the
+selector-enumeration oracle replays satisfiability by trying every path,
+``cold_smt_check`` replays the selector search with no warm start,
+``rational_lp_solve`` replays the simplex pivot for pivot on ``Rat``
+entries, and ``full_evaluate`` replays strategy evaluation with one LP per
+variable over the whole system.
 """
 
 from typing import Dict, List, Optional, Tuple
 
 from invgen.engine import BOTTOM, EngineError, StratConst
 from invgen.formula import (
-    REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, SmtProblem, UNSAT_PROBLEM,
-    atoms_of, formula_vars, map_atoms, primed, rename_vars, select_path, selectors_of,
+    REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, PathChoice, SmtProblem,
+    UNSAT_PROBLEM, formula_vars, map_atoms, primed, rename_vars, selectors_of,
 )
 from invgen.lp import (
     Constraint, INFEASIBLE, LpError, LpProblem, LpResult, OPTIMAL, UNBOUNDED,
@@ -288,6 +290,85 @@ def lp_text(problem: LpProblem) -> str:
     for row in problem.constraints:
         lines.append(f"  {_expr_str(dict(row.coeffs))} {row.rel} {rat_str(row.rhs)}")
     return "\n".join(lines)
+
+
+def select_path(formula, choice: PathChoice):
+    """Resolve every reachable disjunction according to ``choice``.
+
+    The result is a sequential statement (no Or nodes).  A reachable Or
+    whose selector is missing from the choice is an error.
+    """
+    memo: Dict[int, object] = {}
+
+    def walk(node):
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Atom):
+            new = node
+        elif isinstance(node, And):
+            new = And(walk(ch) for ch in node.children)
+        else:
+            if node.selector not in choice:
+                raise FormulaError(f"no choice for selector {node.selector}")
+            new = walk(node.right if choice[node.selector] else node.left)
+        memo[key] = new
+        return new
+
+    return walk(formula)
+
+
+def enumerate_path_choices(formula) -> List[PathChoice]:
+    """All selector assignments that pick one path through the formula.
+
+    Intended for brute-force oracles and small statements; the result can
+    be exponential in the number of disjunctions.  Shared disjunction nodes
+    are assigned consistently (one value per selector).
+    """
+    memo: Dict[int, List[PathChoice]] = {}
+
+    def merge(lefts: List[PathChoice], rights: List[PathChoice]) -> List[PathChoice]:
+        out = []
+        for a in lefts:
+            for b in rights:
+                if all(a.get(k, v) == v for k, v in b.items()):
+                    out.append({**a, **b})
+        return out
+
+    def walk(node) -> List[PathChoice]:
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Atom):
+            result = [{}]
+        elif isinstance(node, And):
+            result = [{}]
+            for ch in node.children:
+                result = merge(result, walk(ch))
+        else:
+            result = [{node.selector: 0, **p} for p in walk(node.left)] + \
+                     [{node.selector: 1, **p} for p in walk(node.right)]
+        memo[key] = result
+        return result
+
+    return walk(formula)
+
+
+def atoms_of(formula) -> List[Atom]:
+    """Flatten a sequential (Or-free) formula into its atoms."""
+    out: List[Atom] = []
+
+    def walk(node):
+        if isinstance(node, Atom):
+            out.append(node)
+        elif isinstance(node, And):
+            for ch in node.children:
+                walk(ch)
+        else:
+            raise FormulaError("formula is not sequential (contains a disjunction)")
+
+    walk(formula)
+    return out
 
 
 def _atoms_feasible(atoms):

@@ -65,21 +65,35 @@ def parse_expr(node):
     raise ValueError(f"bad term {node!r}")
 
 
-def parse_formula(node):
-    if node == "true":
-        return And(())
-    head = node[0]
-    if head in ("<=", "<"):
-        diff = parse_expr(node[1]).sub(parse_expr(node[2]))
-        return Atom(LinExpr(diff.coeffs), head, -diff.const)
-    if head == "and":
-        return And(parse_formula(arg) for arg in node[1:])
-    if head == "or":
-        # emission shape: (or (and (not aK) L) (and aK R))
-        left, right = node[1], node[2]
-        sel = int(left[1][1][1:])
-        return Or(parse_formula(left[2]), parse_formula(right[2]), sel)
-    raise ValueError(f"bad formula {node!r}")
+def parse_formula(root):
+    """The formula of an asserted term, built bottom-up on an explicit stack,
+    so deep nesting needs no recursion."""
+    done = []  # finished subformulas, in order
+    stack = [(root, False)]  # (term, whether its arguments are in ``done``)
+    while stack:
+        node, built = stack.pop()
+        if node == "true":
+            done.append(And(()))
+            continue
+        head = node[0]
+        if head in ("<=", "<"):
+            diff = parse_expr(node[1]).sub(parse_expr(node[2]))
+            done.append(Atom(LinExpr(diff.coeffs), head, -diff.const))
+        elif head not in ("and", "or"):
+            raise ValueError(f"bad formula {node!r}")
+        elif not built:
+            # emission shape of a disjunction: (or (and (not aK) L) (and aK R))
+            args = node[1:] if head == "and" else [node[1][2], node[2][2]]
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in reversed(args))
+        elif head == "and":
+            cut = len(done) - (len(node) - 1)
+            args, done[cut:] = done[cut:], []
+            done.append(And(args))
+        else:
+            right = done.pop()
+            done.append(Or(done.pop(), right, int(node[1][1][1][1:])))
+    return done[0]
 
 
 def emit_rat(q):

@@ -283,19 +283,32 @@ def test_cli_main_error_paths(tmp_path, capsys):
 
 def test_wide_disjunction_is_analysed_not_a_traceback(tmp_path):
     # 1,000 disjuncts nest 999 deep; every formula walk of the analysis and
-    # the selector search use explicit stacks, so the command analyses it.
-    # The third step's query for -x is unsat and searches the whole chain.
-    # Run to the end, the analysis takes 1,001 steps, one per disjunct.
-    wide = " | ".join(f"x' = {i}" for i in range(1000))
-    prog = tmp_path / "wide.prg"
-    prog.write_text("vars x ; template interval ; nodes st a ; start st ; cutset a ;"
-                    f"edge st -> a : x' = 0 ; edge a -> a : {wide} ;")
-    proc = subprocess.run([sys.executable, "-m", "invgen.cli", "analyze", str(prog),
-                           "--json", "--max-iters", "3"], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
+    # the selector search use explicit stacks, so the command analyses it,
+    # with either backend and with --local-opt.  The third step's query for
+    # -x is unsat and searches the whole chain.  Run to the end, the default
+    # analysis takes 1,001 steps, one per disjunct.
+    from conftest import LOOPBACK
+
+    def analyse(template, disjuncts, *flags):
+        prog = tmp_path / "wide.prg"
+        prog.write_text(f"vars x ; template {template} ; nodes st a ; start st ; cutset a ;"
+                        f"edge st -> a : x' = 0 ; edge a -> a : {' | '.join(disjuncts)} ;")
+        proc = subprocess.run([sys.executable, "-m", "invgen.cli", "analyze", str(prog),
+                               "--json", *flags], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    wide = [f"x' = {i}" for i in range(1000)]
+    doc = analyse("interval", wide, "--max-iters", "3")
     assert doc["final"] is False
     assert doc["nodes"]["a"] == {"x": "1", "-x": "0"}
+    external = analyse("interval", wide, "--max-iters", "3",
+                       "--solver", "external:" + " ".join(LOOPBACK))
+    assert external["nodes"] == doc["nodes"] and external["final"] is False
+    # the locally optimal step jumps to the top at once
+    doc = analyse("{ x ; }", wide[::-1], "--local-opt", "--check")
+    assert doc["final"] is True and doc["certified"] is True
+    assert doc["nodes"]["a"] == {"x": "999"}
 
 
 def test_cli_gen_expo_subcommand(tmp_path, capsys):
@@ -342,7 +355,23 @@ def test_max_iters_below_one_is_a_usage_error(n, capsys):
     assert captured.err == f"error: --max-iters must be at least 1, not {n}\n"
 
 
-def test_lints_printed_to_stderr(capsys):
+def test_lints_printed_to_stderr(capsys, tmp_path):
     assert main(["analyze", corpus("running.prg")]) == 0
     err = capsys.readouterr().err
     assert "x2'" in err  # init edge leaves x2' unconstrained
+    # compress's warning is a lint too, with no Python source location
+    assert main(["analyze", corpus("empty_edges.prg")]) == 0
+    assert capsys.readouterr().err == \
+        "warning: dropping nodes unreachable from start: other\n"
+    # undeclared primed variables are named in order of first occurrence,
+    # whatever the string hash seed
+    prog = tmp_path / "undeclared.prg"
+    prog.write_text("vars x ; template interval ; nodes st ; start st ;"
+                    "edge st -> st : x' = 0 & a' = 1 & b' = 2 & c' = 3 & d' = 4 ;")
+    proc = subprocess.run([sys.executable, "-m", "invgen.cli", "analyze", str(prog)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONHASHSEED": "1"})
+    assert proc.returncode == 0
+    assert proc.stderr == "".join(
+        f"warning: edge st -> st: {v}' is primed but {v} is not a declared variable\n"
+        for v in "abcd")

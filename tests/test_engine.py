@@ -15,14 +15,14 @@ from invgen.engine import (
     StratPath, Template, abstract_transform_row, check_post_fixpoint, evaluate,
     Stats, improve, kleene_oracle, run,
 )
-from invgen.formula import (
-    enumerate_path_choices, parse_linexpr, parse_statement, select_path,
-)
+from invgen.formula import parse_linexpr, parse_statement
 from invgen.numeric import NEG_INF, POS_INF, ext
 
 from conftest import corpus_files
 from generators import gen_octagon, random_cfg
-from oracles import eval_formula, full_evaluate
+from oracles import (
+    atoms_of, enumerate_path_choices, eval_formula, full_evaluate, select_path,
+)
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
@@ -67,6 +67,11 @@ def test_template_validation():
         Template([parse_linexpr("x + 1")])
     with pytest.raises(EngineError):
         EquationSystem(running_cfg(), Template([parse_linexpr("zz")]))
+    # a repeated label takes the next #k that no other label uses
+    x = parse_linexpr("x")
+    assert Template([x] * 3).labels == ["x", "x#2", "x#3"]
+    assert Template([x] * 3, labels=["a", "a", "a#2"]).labels == ["a", "a#3", "a#2"]
+    assert Template([x] * 3, labels=["a#2", "a", "a#2"]).labels == ["a#2", "a", "a#2#2"]
 
 
 def test_worked_iteration_trace():
@@ -187,27 +192,27 @@ def test_trace_records_every_step():
 
 def test_abstract_transform_row_cases():
     T = running_template()
-    body = select_path(parse_statement(RUNNING_BODY), {0: 1})
+    body = atoms_of(select_path(parse_statement(RUNNING_BODY), {0: 1}))
     # from the point region {x1 = 0}: sup of x1' is 1
     assert abstract_transform_row(body, [ext(0), ext(0)], T, 0) == ext(1)
     # empty source region
     assert abstract_transform_row(body, [NEG_INF, ext(0)], T, 0) is NEG_INF
     # disabled guard: x2' = -x1 <= -1 needs x1 >= 1, but x1 <= 0
-    guarded = select_path(parse_statement(RUNNING_BODY), {0: 0})
+    guarded = atoms_of(select_path(parse_statement(RUNNING_BODY), {0: 0}))
     assert abstract_transform_row(guarded, [ext(0), ext(0)], T, 0) is NEG_INF
     # unbounded image
-    free = parse_statement("x1' = x1")
+    free = atoms_of(parse_statement("x1' = x1"))
     assert abstract_transform_row(free, [POS_INF, POS_INF], T, 0) is POS_INF
 
 
 def test_strict_supremum_uses_closure():
     T = Template([parse_linexpr("x")])
-    stmt = parse_statement("x < 5 & x' = x + 1")
+    stmt = atoms_of(parse_statement("x < 5 & x' = x + 1"))
     # nonempty strict region: sup over the closure
     assert abstract_transform_row(stmt, [ext(10)], T, 0) == ext(6)
     # empty strict region: x < 5 and x >= 5 from the template row side is fine,
     # but x < 5 with source x <= 4 still nonempty; emptiness via the guard:
-    empty = parse_statement("x < 5 & 5 < x & x' = 0")
+    empty = atoms_of(parse_statement("x < 5 & 5 < x & x' = 0"))
     assert abstract_transform_row(empty, [ext(10)], T, 0) is NEG_INF
 
 
@@ -273,7 +278,7 @@ def test_local_opt_dominates_every_path_value():
                 d = [rho[(edge.source, i)] for i in range(len(T))]
                 for path in enumerate_path_choices(edge.statement):
                     seq = select_path(edge.statement, path)
-                    val = abstract_transform_row(seq, d, T, key[1])
+                    val = abstract_transform_row(atoms_of(seq), d, T, key[1])
                     assert chosen >= val
                     checked += 1
     assert checked > 50
@@ -283,7 +288,7 @@ def _entry_value(eq, key, entry, rho):
     edge = eq.cfg.edges[entry.edge_index]
     d = [rho[(edge.source, i)] for i in range(len(eq.template))]
     seq = select_path(edge.statement, entry.path)
-    return abstract_transform_row(seq, d, eq.template, key[1])
+    return abstract_transform_row(atoms_of(seq), d, eq.template, key[1])
 
 
 def test_evaluate_detects_infinity_by_unboundedness():

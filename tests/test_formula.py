@@ -1,18 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 
+from invgen.cfg import Cfg
+from invgen.engine import EquationSystem, StratPath, Template, _entry_value
 from invgen.formula import (
-    FALSE_ATOM, TRUE, And, Atom, FormulaError, Or, ParseError, UNSAT_PROBLEM, atoms_of,
-    build_psi, eliminate_equalities, enumerate_path_choices, formula_size, formula_vars,
-    label_selectors, map_atoms, parse_linexpr, parse_statement, select_path, selectors_of,
+    FALSE_ATOM, TRUE, And, Atom, FormulaError, Or, ParseError, SmtProblem, UNSAT_PROBLEM,
+    build_psi, eliminate_equalities, formula_size, formula_vars, label_selectors, map_atoms,
+    parse_linexpr, parse_statement, paths, selectors_of, walk,
 )
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
-from invgen.smt import _walk
+from invgen.smt import _smt_declarations
 
 from generators import random_shared_statement, random_state, random_statement
 from oracles import (
-    check_selector_invariant, eval_formula, format_statement, nonstrict_relaxation,
+    atoms_of, check_selector_invariant, enumerate_path_choices, eval_formula,
+    format_statement, nonstrict_relaxation, select_path,
 )
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
@@ -20,8 +24,15 @@ RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
 
 
 def atoms_as_strings(formula):
-    from invgen.formula import atoms_of
     return [str(a) for a in atoms_of(formula)]
+
+
+def walked(formula, choice):
+    """The atoms ``walk`` forces under ``choice``, as strings, and the
+    disjunctions it reaches without a value."""
+    atoms, reached = [], []
+    walk(formula, choice, atoms, reached)
+    return [str(a) for a in atoms], reached
 
 
 def test_equality_desugars_to_two_atoms():
@@ -80,28 +91,46 @@ def test_parse_errors_carry_location():
         parse_statement("$v <= 1")  # reserved namespace
 
 
-def test_select_path_on_running_example():
+def test_walk_on_running_example():
     f = parse_statement(RUNNING_BODY)
-    right = select_path(f, {0: 1})
-    assert "x1' + x1 <= 1" in atoms_as_strings(right)
-    left = select_path(f, {0: 0})
-    assert "x2' <= -1" in atoms_as_strings(left)
-    with pytest.raises(FormulaError):
-        select_path(f, {})
+    right, reached = walked(f, {0: 1})
+    assert "x1' + x1 <= 1" in right and not reached
+    left, reached = walked(f, {0: 0})
+    assert "x2' <= -1" in left and not reached
+    # a missing choice leaves its disjunction reached, not walked
+    prefix, reached = walked(f, {})
+    assert prefix == ["x1 <= 1000", "x2' + x1 <= 0", "-x1 - x2' <= 0"]
+    assert reached == [f.children[-1]]
 
 
-def test_select_path_identity_on_sequential():
+def test_walk_identity_on_sequential():
     f = parse_statement("x <= 1 & y' = x")
-    assert atoms_as_strings(select_path(f, {})) == atoms_as_strings(f)
+    assert walked(f, {}) == (atoms_as_strings(f), [])
 
 
-def test_select_path_eliminates_all_disjunctions():
+def test_walk_resolves_all_disjunctions():
     f = parse_statement("(a <= 0 | a >= 1) & (b <= 0 | b >= 1) & (c <= 0 | c >= 1)")
     assert len(selectors_of(f)) == 3
     for mask in range(8):
         choice = {s: (mask >> i) & 1 for i, s in enumerate(selectors_of(f))}
-        assert selectors_of(select_path(f, choice)) == []
-    assert len(enumerate_path_choices(f)) == 8
+        atoms, reached = walked(f, choice)
+        assert len(atoms) == 3 and not reached
+    assert len(list(paths(f))) == 8
+
+
+def test_paths_match_reference_walkers():
+    # paths is built on walk; the recursive reference walkers are independent
+    rng = random.Random(71)
+    total = 0
+    for k in range(400):
+        make = random_shared_statement if k % 2 else random_statement
+        f = make(rng, ["x", "y"], max_selectors=5)
+        want = Counter(tuple(map(id, atoms_of(select_path(f, p))))
+                       for p in enumerate_path_choices(f))
+        got = Counter(tuple(map(id, atoms)) for atoms in paths(f))
+        assert got == want
+        total += len(want)
+    assert total > 1000
 
 
 def test_relaxation():
@@ -296,6 +325,26 @@ def test_deep_disjunction_chain_is_rebuilt_without_recursion():
     assert atoms_as_strings(deepest) == ["x' - y <= 1", "y - x' <= 1"]
     stmt, defs = eliminate_equalities(f, {"x"})
     assert defs == {"y": parse_linexpr("1")}
-    atoms, reached = [], []
-    _walk(stmt, {s: 0 for s in range(4999)}, atoms, reached)
-    assert [str(a) for a in atoms] == ["x' <= 1", "-x' <= -1"] and not reached
+    # the deepest leaf is disjunct 0 (every selector 0), the shallowest 4,999
+    deepest, shallowest = {s: 0 for s in range(4999)}, {0: 1}
+    assert walked(stmt, deepest) == (["x' <= 1", "-x' <= -1"], [])
+    assert walked(stmt, shallowest) == (["x' <= 5000", "-x' <= -5000"], [])
+    # --local-opt's transformer walks the statement as parsed
+    g = Cfg(["st", "a"], "st", [("st", f, "a")], ["x"])
+    eq = EquationSystem(g, Template([parse_linexpr("x")]))
+    bounds = {("st", 0): POS_INF, ("a", 0): NEG_INF}
+    assert _entry_value(eq, ("a", 0), StratPath(0, deepest), bounds, None) == ext(1)
+    assert _entry_value(eq, ("a", 0), StratPath(0, shallowest), bounds, None) == ext(5000)
+    with pytest.raises(FormulaError):
+        _entry_value(eq, ("a", 0), StratPath(0, {}), bounds, None)
+    # the SMT-LIB2 term nests each disjunction in the one above it
+
+    def leaf(i):
+        return f"(and (<= |x'| {i + 1}) (<= (* (- 1) |x'|) (- {i + 1})))"
+
+    text = _smt_declarations(SmtProblem(stmt, ("x'",)))
+    assert text.endswith("(declare-const |x'| Real)\n(assert "
+                         + "".join(f"(or (and (not a{s}) " for s in range(4999)) + leaf(0)
+                         + "".join(f") (and a{s} {leaf(4999 - s)}))" for s in range(4998, -1, -1))
+                         + ")\n")
+    assert text.startswith("(declare-const a0 Bool)\n(declare-const a1 Bool)\n")

@@ -20,7 +20,7 @@ from invgen.smt import (
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
 import oracles
 from generators import random_psi_inputs, random_shared_statement, random_update
-from oracles import brute_force_smt, check_model, cold_smt_check
+from oracles import atoms_of, brute_force_smt, check_model, cold_smt_check, select_path
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
                 "((x2' <= -1 & x1' = -2*x1) | (x2' >= 0 & x1' = -x1 + 1))")
@@ -71,8 +71,6 @@ def test_bound_clause_absent_for_minus_infinity():
 
 
 def test_matches_brute_force_small():
-    from invgen.formula import atoms_of, select_path
-
     rng = random.Random(41)
     for _ in range(120):
         stmt, rows, d, j, c = random_psi_inputs(rng)
