@@ -7,24 +7,27 @@ reduced cost is 0: a dual simplex makes it primal feasible or finds a row
 that shows the problem infeasible, and a primal simplex then optimizes.
 No artificial columns are needed (Dutertre & de Moura, CAV 2006, also
 decide feasibility without them).  Bland's least-index rules guarantee
-termination without any perturbation.  The tableau is fraction-free (Edmonds 1967; Bareiss
-1968): each row is a dense list of ``int`` numerators over one positive
-``int`` denominator, so the pivot loop does integer arithmetic only.  Each
-``Constraint`` computes its integer form (numerators, right-hand side,
-one denominator) once and keeps it, so building a tableau only places
-integers.  ``Rat`` values appear again only in the result: the value is
-read from the objective's basic columns, and the witness is read from the
-final tableau when it is first asked for.  The pivot sequence is exactly
-that of a tableau of rationals.  Every outcome (infeasible / optimal with
-witness / unbounded) is exact; there is no floating point anywhere.
+termination without any perturbation.  The tableau is fraction-free
+(Edmonds 1967; Bareiss 1968) and sparse: each row maps its nonzero columns
+to ``int`` numerators over one positive ``int`` denominator, so the pivot
+loop does integer arithmetic only and pays for nonzeros, not for the
+width of the tableau.  Each ``Constraint`` computes its integer form
+(numerators, right-hand side, one denominator) once and keeps it, so
+building a tableau only places integers.  ``Rat`` values appear again only
+in the result: the value is read from the objective's basic columns, and
+the witness is read from the final tableau when it is first asked for.
+The pivot sequence is exactly that of a dense tableau of rationals.  Every
+outcome (infeasible / optimal with witness / unbounded) is exact; there is
+no floating point anywhere.
 
 An ``OPTIMAL`` result keeps its final tableau, so a later problem that
 only adds variables and rows can start from it (the branch-and-bound warm
 start): the new rows are appended exactly as a slack basis is built, and
 the dual simplex alone restores a nonnegative right-hand side.  The old
 reduced costs stay optimal, because the objective is the same and the new
-columns cost nothing.  ``LpProblem.extend`` builds such a problem from
-the earlier one, checking only what it adds.
+columns cost nothing.  No row is ever changed in place, so the warm start
+shares every old row with its start.  ``LpProblem.extend`` builds such a
+problem from the earlier one, checking only what it adds.
 
 Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
 maximize an auxiliary slack that strict rows must leave open.
@@ -59,14 +62,17 @@ class Constraint:
     rhs: Rat
 
     @cached_property
-    def ints(self) -> Tuple[Tuple[Tuple[str, int], ...], int, int]:
-        """The row over the lcm of its denominators: ``(variable, numerator)``
-        pairs, the right-hand side's numerator and that denominator."""
+    def ints(self) -> Tuple[Dict[str, int], int, int]:
+        """The row over the lcm of its denominators: each variable's nonzero
+        numerator (a repeated variable's summed), the right-hand side's
+        numerator and that denominator."""
         rhs = self.rhs
         den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in self.coeffs))
-        nums = tuple((v, int(c.numerator) * (den // int(c.denominator)))
-                     for v, c in self.coeffs)
-        return nums, int(rhs.numerator) * (den // int(rhs.denominator)), den
+        nums: Dict[str, int] = {}
+        for v, c in self.coeffs:
+            nums[v] = nums.get(v, 0) + int(c.numerator) * (den // int(c.denominator))
+        return ({v: a for v, a in nums.items() if a},
+                int(rhs.numerator) * (den // int(rhs.denominator)), den)
 
     @cached_property
     def slackened(self) -> "Constraint":
@@ -241,17 +247,18 @@ def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
 
 
 class _Tableau:
-    """Fraction-free simplex tableau; every free variable is split as u - w >= 0.
+    """Sparse fraction-free simplex tableau; free variables split as u - w >= 0.
 
-    Row ``i`` is ``rows[i]``, a dense list of ``int`` numerators (one column
-    per split variable and per slack, then the right-hand side) over the
-    positive ``int`` denominator ``den[i]``; one gcd per update keeps it in
-    lowest terms.  The column of ``u`` is ``col[v]``, that of ``w`` the next
-    one.  The reduced-cost row ``zrow`` is an ``int`` list at some positive
-    scale, since only its signs and ratios are read.  Bland's rule, the
-    ratio tests (by cross-multiplication) and their tie-breaks are those of
-    a rational tableau, so the pivot sequence, and with it every witness,
-    is exactly the same.
+    Row ``i`` is ``rows[i]``, a dict from column (one per split variable
+    and per slack; ``-1`` for the right-hand side) to nonzero ``int``
+    numerator, over the positive ``int`` denominator ``den[i]``; one gcd per
+    update keeps it in lowest terms.  The column of ``u`` is ``col[v]``,
+    that of ``w`` the next one.  The reduced-cost row ``zrow`` has the same
+    form at some positive scale, since only its signs and ratios are read.
+    Rows are never changed in place, only replaced, so tableaus may share
+    them.  Bland's rule, the ratio tests (by cross-multiplication) and their
+    tie-breaks are those of a rational tableau, so the pivot sequence, and
+    with it every witness, is exactly the same.
     """
 
     def __init__(self, problem: LpProblem):
@@ -261,10 +268,10 @@ class _Tableau:
         self.problem = problem
         self.col: Dict[str, int] = {}
         self.ncols = 0
-        self.rows: List[List[int]] = []  # numerators, right-hand side last
+        self.rows: List[Dict[int, int]] = []
         self.den: List[int] = []
         self.basis: List[int] = []
-        self.zrow = [0]
+        self.zrow: Dict[int, int] = {}
         self._append(problem.variables, problem.constraints)
 
     def extended(self, problem: LpProblem) -> "_Tableau":
@@ -279,9 +286,9 @@ class _Tableau:
             raise LpError("a warm start must be a prefix of the problem "
                           "with the same objective")
         tab = _Tableau.__new__(_Tableau)
-        tab.problem, tab.ncols = problem, self.ncols
-        tab.rows, tab.zrow = self.rows, self.zrow  # _append rebuilds both
-        tab.col, tab.den, tab.basis = dict(self.col), list(self.den), list(self.basis)
+        tab.problem, tab.ncols, tab.zrow = problem, self.ncols, self.zrow
+        tab.rows, tab.den, tab.basis = list(self.rows), list(self.den), list(self.basis)
+        tab.col = dict(self.col)
         tab._append(problem.variables[nvars:], problem.constraints[nrows:])
         return tab
 
@@ -290,68 +297,48 @@ class _Tableau:
         """Give each new variable a ``u``/``w`` column pair and each new
         (``=``-expanded) row a slack, all at the end, with reduced cost 0.
         Each new row is put into canonical form against the basis, with its
-        slack basic.  Every row is rebuilt as a new list, so a tableau this
-        one was copied from is left as it was."""
+        slack basic."""
         for k, v in enumerate(variables):
             self.col[v] = self.ncols + 2 * k
         nslack = self.ncols + 2 * len(variables)
-        raw = _raw_rows(constraints, self.col, nslack)
-        pad = [0] * (nslack + len(raw) - self.ncols)
+        raw = _raw_rows(constraints, self.col)
         self.ncols = nslack + len(raw)
-        self.rows = [row[:-1] + pad + row[-1:] for row in self.rows]
-        self.zrow = self.zrow[:-1] + pad + self.zrow[-1:]
-        old = len(self.rows)
-        nonzero: Dict[int, List[Tuple[int, int]]] = {}
-        for k, (row, b, den) in enumerate(raw):
-            row += [0] * len(raw) + [b]
+        rows, dens, basis = self.rows, self.den, self.basis
+        old = len(rows)
+        for k, (row, den) in enumerate(raw):
             row[nslack + k] = den
             for i in range(old):
-                f = row[self.basis[i]]
+                f = row.get(basis[i])
                 if f:
-                    prow = self.rows[i]
-                    if i not in nonzero:
-                        nonzero[i] = [(j, p) for j, p in enumerate(prow) if p]
-                    row, den = _eliminate(row, den, f, prow, self.den[i], nonzero[i])
-            self.rows.append(row)
-            self.den.append(den)
-            self.basis.append(nslack + k)
+                    row, den = _eliminate(row, den, f, rows[i], dens[i])
+            rows.append(row)
+            dens.append(den)
+            basis.append(nslack + k)
 
     # -- simplex core -----------------------------------------------------
-
-    def _reduced_costs(self, cost: List[int]) -> List[int]:
-        # zrow / scale = cost - sum over basic rows of cost[b] * row / den
-        zrow = cost + [0]
-        scale = 1
-        for i, b in enumerate(self.basis):
-            if cost[b] != 0:
-                row = self.rows[i]
-                nonzero = [(j, a) for j, a in enumerate(row) if a]
-                zrow, scale = _eliminate(zrow, scale, cost[b] * scale, row,
-                                         self.den[i], nonzero)
-        return zrow
 
     def _pivot(self, leave: int, enter: int) -> None:
         # The normalised pivot row is prow / q: its own denominator cancels.
         # A negative pivot (the dual simplex's) flips the row's sign.
-        rows, dens, zrow = self.rows, self.den, self.zrow
+        rows, dens = self.rows, self.den
         prow = rows[leave]
         q = prow[enter]
         if q < 0:
-            prow = [-p for p in prow]
+            prow = {j: -p for j, p in prow.items()}
             q = -q
-        g = gcd(*prow)
+        g = gcd(*prow.values())
         if g != 1:
-            prow = [p // g for p in prow]
+            prow = {j: p // g for j, p in prow.items()}
             q //= g
         rows[leave] = prow
         dens[leave] = q
-        nonzero = [(j, p) for j, p in enumerate(prow) if p]
         for i, row in enumerate(rows):
-            f = row[enter]
-            if f != 0 and i != leave:
-                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, q, nonzero)
-        if zrow[enter] != 0:
-            zrow[:], _ = _eliminate(zrow, 0, zrow[enter], prow, q, nonzero)
+            f = row.get(enter)
+            if f and i != leave:
+                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, q)
+        f = self.zrow.get(enter)
+        if f:
+            self.zrow, _ = _eliminate(self.zrow, 0, f, prow, q)
         self.basis[leave] = enter
 
     def dual_simplex(self) -> bool:
@@ -363,44 +350,51 @@ class _Tableau:
         row and the least ratio ``reduced cost / entry``, ties going to the
         least column.  When no column qualifies, that row alone shows the
         problem infeasible."""
-        rows, basis, zrow = self.rows, self.basis, self.zrow
+        rows, basis = self.rows, self.basis
         while True:
             leave = -1
             for i, row in enumerate(rows):  # Bland: least basic column
-                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                if row.get(-1, 0) < 0 and (leave < 0 or basis[i] < basis[leave]):
                     leave = i
             if leave < 0:
                 return True
             # Least ratio zrow[j] / a over a < 0; the row's denominator and
             # the objective's scale cancel, so cross-multiply numerators.
-            row = rows[leave]
+            # The row's nonzeros come in no particular column order, so a
+            # tie goes to the least column explicitly.
+            zrow = self.zrow
             enter = -1
             best_z = best_a = 0
-            for j in range(self.ncols):
-                a = row[j]
-                if a < 0 and (enter < 0 or zrow[j] * best_a < best_z * a):
-                    best_z, best_a, enter = zrow[j], a, j
+            for j, a in rows[leave].items():
+                if a < 0 and j >= 0:
+                    z = zrow.get(j, 0)
+                    if enter < 0 or z * best_a < best_z * a or \
+                            (z * best_a == best_z * a and j < enter):
+                        best_z, best_a, enter = z, a, j
             if enter < 0:
                 return False
             self._pivot(leave, enter)
 
     def phase_two(self) -> str:
         """The primal simplex from a feasible tableau, with Bland's rule."""
-        # The objective over the lcm of its denominators: same signs.
+        # The objective over the lcm of its denominators: same signs.  Its
+        # reduced costs (zrow / scale) are cost minus cost[b] * row / den
+        # over the basic columns b.
         objective = self.problem.objective
         scale = lcm(*(int(c.denominator) for c in objective.values()))
-        cost = [0] * self.ncols
+        zrow: Dict[int, int] = {}
         for v, c in objective.items():
             j = self.col[v]
-            cost[j] = int(c.numerator) * (scale // int(c.denominator))
-            cost[j + 1] = -cost[j]
-        self.zrow = zrow = self._reduced_costs(cost)
-        while True:
-            enter = -1
-            for j in range(self.ncols):  # Bland: least improving index
-                if zrow[j] > 0:
-                    enter = j
-                    break
+            zrow[j] = int(c.numerator) * (scale // int(c.denominator))
+            zrow[j + 1] = -zrow[j]
+        for i, b in enumerate(self.basis):
+            f = zrow.get(b)
+            if f:
+                zrow, scale = _eliminate(zrow, scale, f, self.rows[i], self.den[i])
+        self.zrow = zrow
+        while True:  # Bland: the least improving column enters
+            enter = min((j for j, z in self.zrow.items() if z > 0 and j >= 0),
+                        default=-1)
             if enter < 0:
                 return OPTIMAL
             # Ratio rhs / a per row; the row's denominator cancels, so
@@ -408,16 +402,12 @@ class _Tableau:
             leave = -1
             best_b = best_a = 0
             for i, row in enumerate(self.rows):
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
-                    b = row[-1]
-                    if leave < 0:
-                        better = True
-                    else:
-                        lhs, rhs = b * best_a, best_b * a
-                        better = lhs < rhs or \
-                            (lhs == rhs and self.basis[i] < self.basis[leave])
-                    if better:
+                    b = row.get(-1, 0)
+                    lhs, rhs = b * best_a, best_b * a
+                    if leave < 0 or lhs < rhs or \
+                            (lhs == rhs and self.basis[i] < self.basis[leave]):
                         best_b, best_a, leave = b, a, i
             if leave < 0:
                 return UNBOUNDED
@@ -431,12 +421,12 @@ class _Tableau:
                 if j in self.basis:
                     i = self.basis.index(j)
                     d = int(c.denominator) * self.den[i]
-                    num = num * d + sign * int(c.numerator) * self.rows[i][-1] * den
+                    num = num * d + sign * int(c.numerator) * self.rows[i].get(-1, 0) * den
                     den *= d
         return Rat(num, den)
 
     def witness(self) -> Dict[str, Rat]:
-        col_val = {b: Rat(self.rows[i][-1], self.den[i])
+        col_val = {b: Rat(self.rows[i].get(-1, 0), self.den[i])
                    for i, b in enumerate(self.basis)}
         out = {}
         for v, j in self.col.items():
@@ -444,38 +434,40 @@ class _Tableau:
         return out
 
 
-def _raw_rows(constraints: Sequence[Constraint], col: Dict[str, int],
-              width: int) -> List[Tuple[List[int], int, int]]:
-    """Each row as (numerators over ``width`` columns, right-hand side,
-    denominator) with ``u - w`` split at ``col``; ``=`` gives two rows."""
-    raw: List[Tuple[List[int], int, int]] = []
+def _raw_rows(constraints: Sequence[Constraint],
+              col: Dict[str, int]) -> List[Tuple[Dict[int, int], int]]:
+    """Each row as (nonzero numerators by column, the right-hand side under
+    ``-1``; denominator) with ``u - w`` split at ``col``; ``=`` gives two
+    rows."""
+    raw: List[Tuple[Dict[int, int], int]] = []
     for row in constraints:
         coeffs, b, den = row.ints
-        nums = [0] * width
-        for v, a in coeffs:
+        nums = {-1: b} if b else {}
+        for v, a in coeffs.items():
             k = col[v]
-            nums[k] += a
-            nums[k + 1] -= a
-        raw.append((nums, b, den))
+            nums[k], nums[k + 1] = a, -a
+        raw.append((nums, den))
         if row.rel == "=":
-            raw.append(([-a for a in nums], -b, den))
+            raw.append(({j: -a for j, a in nums.items()}, den))
     return raw
 
 
-def _eliminate(row: List[int], den: int, f: int, prow: List[int], q: int,
-               nonzero: List[Tuple[int, int]]) -> Tuple[List[int], int]:
-    """``row / den - (f / den) * (prow / q)`` as numerators over a denominator,
-    in lowest terms.  ``nonzero`` lists the nonzero ``(column, entry)`` pairs
-    of ``prow``.  A ``den`` of 0 stands for an unknown positive scale (the
-    objective row): the result then keeps the signs and drops the scale."""
-    if q == 1:  # only the pivot row's nonzero columns change, in place
-        for j, p in nonzero:
-            row[j] -= f * p
-    else:
-        row = [r * q - f * p for r, p in zip(row, prow)]
-        den *= q
-    g = gcd(den, *row)
+def _eliminate(row: Dict[int, int], den: int, f: int, prow: Dict[int, int],
+               q: int) -> Tuple[Dict[int, int], int]:
+    """``row / den - (f / den) * (prow / q)`` as a new row over a
+    denominator, in lowest terms; ``row`` is left as it was, and ``prow``
+    stores no zero.  A ``den`` of 0 stands for an unknown positive scale
+    (the objective row): the result then keeps the signs and drops it."""
+    new = row.copy() if q == 1 else {j: r * q for j, r in row.items()}
+    den *= q
+    for j, p in prow.items():
+        r = new.get(j, 0) - f * p
+        if r:
+            new[j] = r
+        else:
+            del new[j]
+    g = gcd(den, *new.values())
     if g > 1:
-        row = [r // g for r in row]
+        new = {j: r // g for j, r in new.items()}
         den //= g
-    return row, den
+    return new, den

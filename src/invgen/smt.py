@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .formula import REL_LT, And, Atom, Or, SmtProblem, selectors_of, walk
 from .lp import LpProblem, lp_feasible_strict
-from .numeric import Rat, ZERO
+from .numeric import Rat, ZERO, parse_rat
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -288,16 +288,17 @@ def _sexp_end(text: str) -> Optional[int]:
 
 def _sexp_rat(node) -> Rat:
     if isinstance(node, str):
-        if "." in node:
-            whole, _, frac = node.partition(".")
-            scale = 10 ** len(frac)
-            return Rat(int(whole or "0") * scale + int(frac or "0"), scale)
-        return Rat(int(node))
+        try:
+            return parse_rat(node)
+        except ValueError:
+            raise SmtBackendError(f"cannot read solver value {node!r}") from None
     if isinstance(node, list) and node:
         if node[0] == "-" and len(node) == 2:
             return -_sexp_rat(node[1])
         if node[0] == "/" and len(node) == 3:
-            return _sexp_rat(node[1]) / _sexp_rat(node[2])
+            den = _sexp_rat(node[2])
+            if den:
+                return _sexp_rat(node[1]) / den
     raise SmtBackendError(f"cannot read solver value {node!r}")
 
 

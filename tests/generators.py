@@ -4,7 +4,7 @@ import random
 
 from invgen.cfg import Cfg, Edge
 from invgen.formula import And, Atom, LinExpr, Or, label_selectors, primed
-from invgen.lp import LpProblem
+from invgen.lp import Constraint, LpProblem
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
 
 from oracles import constraint_of
@@ -47,6 +47,30 @@ def degenerate_lp(rng: random.Random) -> LpProblem:
     for v in names:
         rows.append(constraint_of({v: Rat(1)}, "<=", Rat(rng.choice((1, 1, 2)))))
         rows.append(constraint_of({v: Rat(-1)}, "<=", Rat(rng.choice((1, 1, 2)))))
+    return LpProblem(names, objective, rows)
+
+
+def sparse_lp(rng: random.Random) -> LpProblem:
+    """8-20 variables and 10-30 rows of 1-3 nonzeros each, like the
+    evaluation LPs of a large template: a few ``=`` rows, and some explicit
+    zero coefficients, which the tableau must not store.  Half the
+    instances bound every objective direction so finite optima are common."""
+    names = [f"x{i}" for i in range(rng.randint(8, 20))]
+    objective = {v: Rat(rng.randint(-3, 3)) for v in rng.sample(names, rng.randint(1, 4))}
+    rows = []
+    if rng.random() < 0.5:
+        for v, c in objective.items():
+            if c:
+                rows.append(constraint_of({v: Rat(1 if c > 0 else -1)}, "<=",
+                                          Rat(rng.randint(0, 9))))
+    nrows = rng.randint(10, 30)
+    while len(rows) < nrows:
+        coeffs = [(v, random_rat(rng, -4, 4) or Rat(1))
+                  for v in rng.sample(names, rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            coeffs.append((rng.choice(names), Rat(0)))
+        rel = "=" if rng.random() < 0.1 else "<="
+        rows.append(Constraint(tuple(coeffs), rel, random_rat(rng, -2, 9)))
     return LpProblem(names, objective, rows)
 
 

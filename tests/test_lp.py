@@ -8,7 +8,7 @@ from invgen.lp import (
 )
 from invgen.numeric import Rat
 
-from generators import degenerate_lp, random_lp
+from generators import degenerate_lp, random_lp, sparse_lp
 from oracles import (
     constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, rational_lp_solve,
 )
@@ -157,7 +157,7 @@ def test_matches_rational_tableau_oracle():
     # Same pivots, so the same witness even where the optimum is not unique.
     rng = random.Random(23)
     problems = DEGENERATE + [random_lp(rng) for _ in range(300)] + \
-        [degenerate_lp(rng) for _ in range(300)]
+        [degenerate_lp(rng) for _ in range(300)] + [sparse_lp(rng) for _ in range(100)]
     for problem in problems:
         assert lp_solve(problem) == rational_lp_solve(problem), lp_text(problem)
 
@@ -332,6 +332,17 @@ def test_warm_start_matches_cold_and_fm_oracle():
             grandchildren += 1
     assert outcomes[OPTIMAL] > 150 and outcomes[INFEASIBLE] > 30
     assert grandchildren > 150 and fm_checked > 200
+    # wide sparse parents: the warm start shares many rows with its parent
+    sparse = 0
+    for _ in range(60):
+        parent = sparse_lp(rng)
+        start = lp_solve(parent)
+        if start.status == OPTIMAL:
+            child = _grown(parent, rng, "y")
+            warm, _ = _check_warm(child, start)
+            assert lp_solve(child, start=start) == warm
+            sparse += 1
+    assert sparse > 20
 
 
 def test_warm_strict_feasibility_matches_cold_and_fm_oracle():

@@ -14,7 +14,8 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _smt_declarations, smt_check, smt_check_external,
+    SmtBackendError, SmtSession, _sexp_rat, _smt_declarations, smt_check,
+    smt_check_external,
 )
 
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
@@ -195,6 +196,18 @@ def test_external_value_parsing_covers_rationals():
     assert res.is_sat
     assert res.model.reals["x"] == Rat(-2, 3)
     assert res.model.reals["y"] == Rat(1, 3)
+
+
+def test_solver_values_read_exactly():
+    # a bare negative decimal keeps its sign
+    assert _sexp_rat("-0.5") == Rat(-1, 2)
+    assert _sexp_rat("-1.5") == Rat(-3, 2)
+    assert _sexp_rat("2") == Rat(2)
+    assert _sexp_rat(["-", "1.5"]) == Rat(-3, 2)
+    assert _sexp_rat(["/", "1", "3"]) == Rat(1, 3)
+    for bad in ("x", "1.2.3", ["/", "1", "0"], ["+", "1"], []):
+        with pytest.raises(SmtBackendError):
+            _sexp_rat(bad)
 
 
 def test_external_malformed_output_is_backend_error():
