@@ -144,10 +144,10 @@ class EquationSystem:
     """The per-(node, row) maximum equations of a program and template,
     with what the improvement queries and evaluation LPs of one analysis
     share whatever the bounds.  Per edge: its statement presolved by
-    ``eliminate_equalities`` (the unprimed program variables kept), that
-    statement's variables, the definitions of the eliminated variables and
-    each template row over the post-state with them substituted.  Per
-    strategy entry: its evaluation rows."""
+    ``eliminate_equalities`` (the unprimed program variables kept), the
+    definitions of the eliminated variables and each template row over the
+    post-state with them substituted.  Per strategy entry: its evaluation
+    rows."""
 
     def __init__(self, cfg: Cfg, template: Template):
         self.cfg = cfg
@@ -175,7 +175,6 @@ class EquationSystem:
         presolved = [eliminate_equalities(edge.statement, declared) for edge in cfg.edges]
         self.statements = [statement for statement, _ in presolved]
         self.definitions = [defs for _, defs in presolved]
-        self.statement_vars = [formula_vars(s) for s in self.statements]
         self.posts = [[row.rename({v: primed(v) for v in row.variables()}).substitute(defs)
                        for row in template.rows] for defs in self.definitions]
         self._entry_rows: Dict[Tuple, _EntryRows] = {}
@@ -236,18 +235,17 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template,
 
 # -- improvement --------------------------------------------------------------
 
-def _smt(problem, stats: Optional[Stats], backend) -> SmtResult:
+def _smt(formula, stats: Optional[Stats], backend) -> SmtResult:
     if stats is not None:
         stats.smt_queries += 1
     if backend is None:
-        return smt_check(problem)
-    return smt_check_external(problem, backend)
+        return smt_check(formula)
+    return smt_check_external(formula, backend)
 
 
 def _psi(eq: EquationSystem, idx: int, d: Sequence[ExtRat], j: int, c: ExtRat):
     """The improvement query of row ``j`` over edge ``idx``'s presolved statement."""
-    return build_psi(eq.statements[idx], d, eq.template, j, c, post=eq.posts[idx][j],
-                     statement_vars=eq.statement_vars[idx])
+    return build_psi(eq.statements[idx], d, eq.template, j, c, post=eq.posts[idx][j])
 
 
 def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
@@ -342,13 +340,13 @@ class _EntryRows:
         rows = eq.template.rows
         self.sources = [(edge.source, i) for i in range(len(rows))]
         self.statement = [
-            Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), "<=", a.bound)
+            Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), a.bound)
             for a in atoms]
         post = eq.posts[entry.edge_index][key[1]]
         self.link = Constraint(((eq.lp_var(key), ONE),) + tuple(
-            (prefix + v, -c) for v, c in post.coeffs.items()), "<=", post.const)
+            (prefix + v, -c) for v, c in post.coeffs.items()), post.const)
         self.pre = [tuple((prefix + v, c) for v, c in row.coeffs.items()) for row in rows]
-        self.reads = [Constraint(pre + ((eq.lp_var(src), -ONE),), "<=", ZERO)
+        self.reads = [Constraint(pre + ((eq.lp_var(src), -ONE),), ZERO)
                       for pre, src in zip(self.pre, self.sources)]
 
 
@@ -414,8 +412,8 @@ def _solve_component(eq: EquationSystem, component: Sequence[VarKey], strategy,
             if src in inside:
                 constraints.append(read)
             elif result[src].is_finite:
-                constraints.append(Constraint(pre, "<=", result[src].value))
-            # +inf rows vanish; -inf sources were pinned before
+                constraints.append(Constraint(pre, result[src].value))
+            # +inf rows vanish; a -inf source empties the whole component
     # the component's variables, then the copies' in order of first occurrence
     variables = dict.fromkeys(eq.lp_var(key) for key in component)
     for row in constraints:
@@ -450,45 +448,31 @@ def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None
              changed: Optional[Iterable[VarKey]] = None) -> Dict[VarKey, ExtRat]:
     """Least solution of the chosen conjunctive system above ``bounds``.
 
-    Bottom variables stay -inf (transitively: a path reading any -inf
-    source row has an empty source).  Variables already at +inf stay
-    there.  Key ``(n, j)`` of a path entry reads every row of its edge's
-    source.  Only the keys in ``changed`` (by default all of them) and the
-    keys reading them, transitively, are solved again; every other key
-    keeps its bound, which the same equations gave before.  The keys to
-    solve are split into strongly connected components of the read graph,
-    solved sources first, each by one LP over the rows of its entries:
-    per key, a copy of the statement variables, the non-strict relaxation
-    of the chosen path, the target-row link and the source-region rows,
-    where a source outside the component is pinned to its value (and
-    dropped at +inf).
+    Bottom variables are -inf, constant ones their constant, and variables
+    already at +inf stay there.  Key ``(n, j)`` of a path entry reads every
+    row of its edge's source.  Only the keys in ``changed`` (by default all
+    of them) and the keys reading them, transitively, are solved again;
+    every other key keeps its bound, which the same equations gave before.
+    The keys to solve are split into strongly connected components of the
+    read graph, solved sources first.  A component reading a -inf source
+    from outside it is -inf (an empty source region), and with it every key
+    of the component, since each reads that source transitively.  Any
+    other is solved by one LP over the rows of its entries: per key, a copy
+    of the statement variables, the non-strict relaxation of the chosen
+    path, the target-row link and the source-region rows, where a source
+    outside the component is pinned to its value (and dropped at +inf).
     """
     m = len(eq.template)
-    pinned: Dict[VarKey, ExtRat] = {}
+    result = dict(bounds)  # keys not solved again keep their bounds
+    source: Dict[VarKey, str] = {}
     for key in eq.order:
         entry = strategy[key]
         if entry is BOTTOM:
-            pinned[key] = NEG_INF
+            result[key] = NEG_INF
         elif isinstance(entry, StratConst):
-            pinned[key] = entry.value
-        elif bounds[key].is_pos_inf:
-            pinned[key] = POS_INF
-
-    while True:  # propagate empty source regions
-        grew = False
-        for key in eq.order:
-            if key in pinned:
-                continue
-            edge = eq.cfg.edges[strategy[key].edge_index]
-            if any(pinned.get((edge.source, i), None) is not None
-                   and pinned[(edge.source, i)].is_neg_inf for i in range(m)):
-                pinned[key] = NEG_INF
-                grew = True
-        if not grew:
-            break
-
-    source = {key: eq.cfg.edges[strategy[key].edge_index].source
-              for key in eq.order if key not in pinned}
+            result[key] = entry.value
+        elif not bounds[key].is_pos_inf:
+            source[key] = eq.cfg.edges[entry.edge_index].source
     readers: Dict[str, List[VarKey]] = {}
     for key, node in source.items():
         readers.setdefault(node, []).append(key)
@@ -500,7 +484,6 @@ def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None
             affected.add(key)
             work.extend(readers.get(key[0], ()))
 
-    result = {**bounds, **pinned}  # keys not solved again keep their bounds
     solve = [key for key in source if key in affected]
     solving = set(solve)
 
@@ -508,8 +491,13 @@ def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None
         return (src for src in ((source[key], i) for i in range(m)) if src in solving)
 
     for component in _components(solve, reads):
-        component.sort(key=eq.index.__getitem__)
-        _solve_component(eq, component, strategy, result, stats)
+        inside = set(component)
+        if any(result[(source[key], i)].is_neg_inf and (source[key], i) not in inside
+               for key in component for i in range(m)):
+            result.update(dict.fromkeys(component, NEG_INF))
+        else:
+            component.sort(key=eq.index.__getitem__)
+            _solve_component(eq, component, strategy, result, stats)
 
     for key in eq.order:
         if result[key] < bounds[key]:

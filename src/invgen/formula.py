@@ -184,7 +184,7 @@ class Atom:
         try:
             return self._row
         except AttributeError:
-            row = Constraint(tuple(self.lin.coeffs.items()), "<=", self.bound)
+            row = Constraint(tuple(self.lin.coeffs.items()), self.bound)
             object.__setattr__(self, "_row", row)
             return row
 
@@ -502,6 +502,9 @@ def tokenize(text: str) -> List[Token]:
 # ---------------------------------------------------------------------------
 
 _RELATIONS = ("<=", "<", ">=", ">", "=", "!=")
+# how tightly each operator binds; "neg" is the prefix minus
+_PREC = {"|": 1, "&": 2, **dict.fromkeys(_RELATIONS, 3), "+": 4, "-": 4, "*": 5, "/": 5,
+         "neg": 6}
 
 
 class TokenStream:
@@ -529,45 +532,97 @@ class TokenStream:
                          tok.line, tok.column)
 
 
-def _parse_disjunction(ts: TokenStream):
-    node = _parse_conjunction(ts)
-    while ts.peek().kind == "op" and ts.peek().text == "|":
-        ts.next()
-        node = Or(node, _parse_conjunction(ts), -1)
-    return node
+def _parse(ts: TokenStream, formula: bool):
+    """A statement if ``formula``, else an expression, read by operator
+    precedence on a value stack and an operator stack: no recursion and no
+    backtracking, so parentheses may nest to any depth.
 
+    Binding grows from ``|`` through ``&``, the relations, ``+ -`` and
+    ``* /`` to the prefix minus.  A parenthesis opened where a formula may
+    stand (at the start of a statement, after ``&``, ``|`` or another such
+    parenthesis) groups a formula or an expression; any other groups an
+    expression.  Types are checked as operators arrive: a token that cannot
+    follow what precedes it ends the input there, an error if a parenthesis
+    is still open, and ``&`` or ``|`` after an expression is an error.
+    """
+    values: List[object] = []  # expressions (LinExpr) and formulas
+    # operators waiting for their right operand, with their tokens; a group
+    # is "(" if it may hold a formula, "e(" if it holds an expression
+    ops: List[Tuple[str, Token]] = []
 
-def _parse_conjunction(ts: TokenStream):
-    parts = [_parse_atom_or_group(ts)]
-    while ts.peek().kind == "op" and ts.peek().text == "&":
-        ts.next()
-        parts.append(_parse_atom_or_group(ts))
-    return conjoin(parts) if len(parts) > 1 else parts[0]
+    def reduce() -> None:
+        op, tok = ops.pop()
+        rhs = values.pop()
+        if op == "neg":
+            values.append(rhs.scale(-1))
+            return
+        lhs = values.pop()
+        if op in ("&", "|"):
+            if isinstance(rhs, LinExpr):
+                ts.error("expected a relation after expression")
+            values.append(conjoin((lhs, rhs)) if op == "&" else Or(lhs, rhs, -1))
+        elif op in _RELATIONS:
+            values.append(_desugar_relation(lhs, op, rhs))
+        elif op in ("+", "-"):
+            values.append(lhs.add(rhs) if op == "+" else lhs.sub(rhs))
+        elif op == "*":
+            if not (rhs.is_constant or lhs.is_constant):
+                raise ParseError("nonlinear product (neither factor is constant)",
+                                 tok.line, tok.column)
+            values.append(lhs.scale(rhs.const) if rhs.is_constant else rhs.scale(lhs.const))
+        elif not rhs.is_constant:
+            raise ParseError("division by a non-constant", tok.line, tok.column)
+        elif rhs.const == 0:
+            raise ParseError("division by zero", tok.line, tok.column)
+        else:
+            values.append(lhs.scale(Rat(1) / rhs.const))
 
-
-def _parse_atom_or_group(ts: TokenStream):
-    save = ts.pos
-    expr_error: Optional[ParseError] = None
-    try:
-        lhs = parse_expr_tokens(ts)
+    operand = True  # whether an operand comes next
+    while True:
         tok = ts.peek()
-        if tok.kind == "op" and tok.text in _RELATIONS:
+        op = tok.text if tok.kind == "op" else ""
+        if operand:
             ts.next()
-            rhs = parse_expr_tokens(ts)
-            return _desugar_relation(lhs, tok.text, rhs)
-        if ts.tokens[save].text != "(":
+            if op == "-":
+                ops.append(("neg", tok))
+            elif op == "(":
+                outer = ops[-1][0] if ops else "(" if formula else "e("
+                ops.append(("(" if outer in ("(", "&", "|") else "e(", tok))
+            elif tok.kind == "num":
+                values.append(LinExpr.constant(parse_rat(tok.text)))
+                operand = False
+            elif tok.kind == "ident":
+                if tok.text.startswith("$"):
+                    raise ParseError("variable names starting with '$' are reserved",
+                                     tok.line, tok.column)
+                values.append(LinExpr.var(tok.text))
+                operand = False
+            else:
+                raise ParseError(f"expected expression, found {tok.text!r}",
+                                 tok.line, tok.column)
+            continue
+        prec = _PREC.get(op, 0)  # 0 reduces everything in the innermost group
+        while ops and ops[-1][0] in _PREC and _PREC[ops[-1][0]] >= prec:
+            reduce()
+        expr = isinstance(values[-1], LinExpr)
+        formulas = (ops[-1][0] if ops else "(" if formula else "e(") in ("(", "&", "|")
+        if op == ")" and ops:
+            ops.pop()
+            ts.next()
+            continue
+        if 0 < prec < 3 and formulas and expr:
             ts.error("expected a relation after expression")
-    except ParseError as err:
-        expr_error = err
-    ts.pos = save
-    tok = ts.peek()
-    if tok.kind == "op" and tok.text == "(":
-        ts.next()
-        inner = _parse_disjunction(ts)
-        ts.expect_op(")")
-        return inner
-    raise expr_error if expr_error is not None else \
-        ParseError(f"expected formula, found {tok.text!r}", tok.line, tok.column)
+        if (0 < prec < 3 and formulas) or (expr and (prec > 3 or prec == 3 and formulas)):
+            ops.append((op, ts.next()))
+            operand = True
+            continue
+        while ops and ops[-1][0] in _PREC:  # the input ends before tok
+            reduce()
+        if isinstance(values[-1], LinExpr) and (ops[-1][0] == "(" if ops else formula):
+            ts.error("expected a relation after expression")
+        if ops:
+            raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.column)
+        return values[-1]
 
 
 def _desugar_relation(lhs: LinExpr, rel: str, rhs: LinExpr):
@@ -589,56 +644,7 @@ def _atom(lhs: LinExpr, rel: str, rhs: LinExpr) -> Atom:
 
 
 def parse_expr_tokens(ts: TokenStream) -> LinExpr:
-    node = _parse_term(ts)
-    while ts.peek().kind == "op" and ts.peek().text in ("+", "-"):
-        op = ts.next().text
-        rhs = _parse_term(ts)
-        node = node.add(rhs) if op == "+" else node.sub(rhs)
-    return node
-
-
-def _parse_term(ts: TokenStream) -> LinExpr:
-    node = _parse_factor(ts)
-    while ts.peek().kind == "op" and ts.peek().text in ("*", "/"):
-        tok = ts.next()
-        rhs = _parse_factor(ts)
-        if tok.text == "*":
-            if rhs.is_constant:
-                node = node.scale(rhs.const)
-            elif node.is_constant:
-                node = rhs.scale(node.const)
-            else:
-                raise ParseError("nonlinear product (neither factor is constant)",
-                                 tok.line, tok.column)
-        else:
-            if not rhs.is_constant:
-                raise ParseError("division by a non-constant", tok.line, tok.column)
-            if rhs.const == 0:
-                raise ParseError("division by zero", tok.line, tok.column)
-            node = node.scale(Rat(1) / rhs.const)
-    return node
-
-
-def _parse_factor(ts: TokenStream) -> LinExpr:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        return LinExpr.constant(parse_rat(tok.text))
-    if tok.kind == "ident":
-        ts.next()
-        if tok.text.startswith("$"):
-            raise ParseError("variable names starting with '$' are reserved",
-                             tok.line, tok.column)
-        return LinExpr.var(tok.text)
-    if tok.kind == "op" and tok.text == "-":
-        ts.next()
-        return _parse_factor(ts).scale(-1)
-    if tok.kind == "op" and tok.text == "(":
-        ts.next()
-        inner = parse_expr_tokens(ts)
-        ts.expect_op(")")
-        return inner
-    raise ParseError(f"expected expression, found {tok.text!r}", tok.line, tok.column)
+    return _parse(ts, False)
 
 
 def label_selectors(formula, start: int = 0):
@@ -648,8 +654,7 @@ def label_selectors(formula, start: int = 0):
 
 
 def parse_statement_tokens(ts: TokenStream):
-    node = _parse_disjunction(ts)
-    return label_selectors(node)
+    return label_selectors(_parse(ts, True))
 
 
 def parse_statement(text: str):
@@ -675,34 +680,20 @@ def parse_linexpr(text: str) -> LinExpr:
 # the improvement formula
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmtProblem:
-    """A selector-guarded satisfiability problem over exact rationals; the
-    skeleton is statement-shaped (atoms / And / selector-labeled Or)."""
-
-    skeleton: object
-    real_vars: Tuple[str, ...]
-
-
-UNSAT_PROBLEM = SmtProblem(FALSE_ATOM, ())
-
-
 def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat, *,
-              post: Optional[LinExpr] = None,
-              statement_vars: Optional[Sequence[str]] = None) -> SmtProblem:
+              post: Optional[LinExpr] = None):
     """Build the satisfiability query "some transition from the source region
-    pushes template row ``j`` strictly above ``c``".
+    pushes template row ``j`` strictly above ``c``", a conjunction.
 
     The source region is ``row_i(x) <= d_i`` for every finite ``d_i`` (rows
     with an infinite bound vanish; any ``-inf`` bound empties the region, so
-    the canonical unsatisfiable problem is returned).  The statement body is
-    conjoined unchanged, then the bound clause, the one strict atom
-    ``post > c``.  ``post`` is row ``j`` over the post-state, by default
-    with every variable primed; after ``eliminate_equalities`` it is that
-    row with the same definitions substituted, which may carry a constant.
-    ``c`` must not be ``+inf`` (no value can exceed it); ``c = -inf`` drops
-    the bound clause entirely.  ``statement_vars``, ``formula_vars`` of the
-    statement, can be computed once for many queries and passed in.
+    the query is ``FALSE_ATOM``).  The statement body is conjoined
+    unchanged, then the bound clause, the one strict atom ``post > c``.
+    ``post`` is row ``j`` over the post-state, by default with every
+    variable primed; after ``eliminate_equalities`` it is that row with the
+    same definitions substituted, which may carry a constant.  ``c`` must
+    not be ``+inf`` (no value can exceed it); ``c = -inf`` drops the bound
+    clause entirely.
     """
     rows = getattr(template, "rows", template)
     if len(d) != len(rows):
@@ -710,24 +701,14 @@ def build_psi(statement, d: Sequence[ExtRat], template, j: int, c: ExtRat, *,
     if c.is_pos_inf:
         raise FormulaError("no improvement query possible against an infinite bound")
     if any(di.is_neg_inf for di in d):
-        return UNSAT_PROBLEM
+        return FALSE_ATOM
 
-    parts: List[object] = []
-    for i, row in enumerate(rows):
-        if d[i].is_finite:
-            parts.append(Atom(row, REL_LE, d[i].value))
-    # the variables in order of first occurrence, as formula_vars would list them
-    real_vars: Dict[str, None] = {}
-    for atom in parts:
-        real_vars.update(dict.fromkeys(atom.lin.coeffs))
-    real_vars.update(dict.fromkeys(
-        formula_vars(statement) if statement_vars is None else statement_vars))
+    parts: List[object] = [Atom(row, REL_LE, d[i].value)
+                           for i, row in enumerate(rows) if d[i].is_finite]
     parts.append(statement)
     if c.is_finite:
         if post is None:
             post = rows[j].rename({v: primed(v) for v in rows[j].variables()})
         # post > c  encoded as  -post < post.const - c
-        bound = Atom(post.scale(-1), REL_LT, post.const - c.value)
-        parts.append(bound)
-        real_vars.update(dict.fromkeys(bound.lin.coeffs))
-    return SmtProblem(And(parts), tuple(real_vars))
+        parts.append(Atom(post.scale(-1), REL_LT, post.const - c.value))
+    return And(parts)

@@ -1,10 +1,10 @@
 """Exact-rational linear programming.
 
-A simplex over exact rationals.  Free variables are split into
-nonnegative pairs and ``=`` rows are expanded into two ``<=`` rows.  Every
-solve starts from the slack basis, which is dual feasible since every
-reduced cost is 0: a dual simplex makes it primal feasible or finds a row
-that shows the problem infeasible, and a primal simplex then optimizes.
+A simplex over exact rationals for rows ``a.x <= b``.  Free variables are
+split into nonnegative pairs.  Every solve starts from the slack basis,
+which is dual feasible since every reduced cost is 0: a dual simplex makes
+it primal feasible or finds a row that shows the problem infeasible, and a
+primal simplex then optimizes.
 No artificial columns are needed (Dutertre & de Moura, CAV 2006, also
 decide feasibility without them).  Bland's least-index rules guarantee
 termination without any perturbation.  The tableau is fraction-free
@@ -50,15 +50,14 @@ _DELTA = "$strict"  # reserved auxiliary for strict-row slack
 
 
 class LpError(Exception):
-    """Malformed problem (undeclared variable, bad relation, ...)."""
+    """Malformed problem (undeclared variable, bad warm start, ...)."""
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """A row ``sum(coeffs) rel rhs`` with rel one of ``<=`` or ``=``."""
+    """A row ``sum(coeffs) <= rhs``."""
 
     coeffs: Tuple[Tuple[str, Rat], ...]
-    rel: str
     rhs: Rat
 
     @cached_property
@@ -77,14 +76,14 @@ class Constraint:
     @cached_property
     def slackened(self) -> "Constraint":
         """``row + d <= rhs`` for the strict-row slack d of ``lp_feasible_strict``."""
-        return Constraint(self.coeffs + ((_DELTA, ONE),), self.rel, self.rhs)
+        return Constraint(self.coeffs + ((_DELTA, ONE),), self.rhs)
 
 
-_DELTA_ROW = Constraint(((_DELTA, ONE),), "<=", ONE)
+_DELTA_ROW = Constraint(((_DELTA, ONE),), ONE)
 
 
 class LpProblem:
-    """Maximize a linear objective subject to ``<=`` / ``=`` rows."""
+    """Maximize a linear objective subject to ``<=`` rows."""
 
     def __init__(self, variables: Sequence[str], objective: Dict[str, Rat],
                  constraints: Sequence[Constraint]):
@@ -220,7 +219,7 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
 
 def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
                        start: Optional[FeasResult] = None) -> FeasResult:
-    """Decide a system where some ``<=`` rows must hold strictly.
+    """Decide a system where some rows must hold strictly.
 
     Maximizes an auxiliary slack d with ``row + d <= rhs`` for every strict
     row and ``d <= 1``; the mixed system is satisfiable iff the optimum is
@@ -234,8 +233,6 @@ def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
     for i in strict_rows:
         if not 0 <= i < len(problem.constraints):
             raise LpError(f"strict row index {i} out of range")
-        if problem.constraints[i].rel != "<=":
-            raise LpError("strict row must be a <= constraint")
         rows[i + 1] = problem.constraints[i].slackened
     if _DELTA in problem.variables:
         raise LpError(f"variable name {_DELTA!r} is reserved")
@@ -295,17 +292,21 @@ class _Tableau:
     def _append(self, variables: Sequence[str],
                 constraints: Sequence[Constraint]) -> None:
         """Give each new variable a ``u``/``w`` column pair and each new
-        (``=``-expanded) row a slack, all at the end, with reduced cost 0.
-        Each new row is put into canonical form against the basis, with its
-        slack basic."""
+        row a slack, all at the end, with reduced cost 0.  Each new row, its
+        nonzero numerators by column and the right-hand side's under ``-1``,
+        is put into canonical form against the basis, with its slack basic."""
+        col = self.col
         for k, v in enumerate(variables):
-            self.col[v] = self.ncols + 2 * k
+            col[v] = self.ncols + 2 * k
         nslack = self.ncols + 2 * len(variables)
-        raw = _raw_rows(constraints, self.col)
-        self.ncols = nslack + len(raw)
+        self.ncols = nslack + len(constraints)
         rows, dens, basis = self.rows, self.den, self.basis
         old = len(rows)
-        for k, (row, den) in enumerate(raw):
+        for k, constraint in enumerate(constraints):
+            coeffs, b, den = constraint.ints
+            row = {-1: b} if b else {}
+            for v, a in coeffs.items():
+                row[col[v]], row[col[v] + 1] = a, -a
             row[nslack + k] = den
             for i in range(old):
                 f = row.get(basis[i])
@@ -432,24 +433,6 @@ class _Tableau:
         for v, j in self.col.items():
             out[v] = col_val.get(j, ZERO) - col_val.get(j + 1, ZERO)
         return out
-
-
-def _raw_rows(constraints: Sequence[Constraint],
-              col: Dict[str, int]) -> List[Tuple[Dict[int, int], int]]:
-    """Each row as (nonzero numerators by column, the right-hand side under
-    ``-1``; denominator) with ``u - w`` split at ``col``; ``=`` gives two
-    rows."""
-    raw: List[Tuple[Dict[int, int], int]] = []
-    for row in constraints:
-        coeffs, b, den = row.ints
-        nums = {-1: b} if b else {}
-        for v, a in coeffs.items():
-            k = col[v]
-            nums[k], nums[k + 1] = a, -a
-        raw.append((nums, den))
-        if row.rel == "=":
-            raw.append(({j: -a for j, a in nums.items()}, den))
-    return raw
 
 
 def _eliminate(row: Dict[int, int], den: int, f: int, prow: Dict[int, int],

@@ -1,8 +1,7 @@
 """Exact rational arithmetic, extended with +inf / -inf.
 
 All quantities in the analysis are rationals kept in lowest terms; nothing
-is ever rounded.  Bound values additionally need the two infinities, with
-the (asymmetric) convention that adding -inf and +inf yields -inf.
+is ever rounded.  Bound values additionally need the two infinities.
 
 ``Rat`` is ``gmpy2.mpq`` when gmpy2 is importable and ``fractions.Fraction``
 otherwise; both are exact, auto-reducing and interchangeable for our use.
@@ -72,8 +71,7 @@ def rat_str(q) -> str:
 class ExtRat:
     """A rational extended with the two infinities.
 
-    Instances are immutable.  The order is total (``-inf < q < +inf``)
-    and addition resolves the mixed-infinity case to ``-inf``.
+    Instances are immutable, and the order is total (``-inf < q < +inf``).
     """
 
     __slots__ = ("kind", "value")
@@ -101,14 +99,6 @@ class ExtRat:
     @property
     def is_neg_inf(self) -> bool:
         return self.kind < 0
-
-    def __add__(self, other: "ExtRat") -> "ExtRat":
-        return ext_add(self, other)
-
-    def __neg__(self) -> "ExtRat":
-        if self.kind == 0:
-            return ExtRat.finite(-self.value)
-        return NEG_INF if self.kind > 0 else POS_INF
 
     def __eq__(self, other):
         if not isinstance(other, ExtRat):
@@ -150,15 +140,6 @@ def ext(value) -> ExtRat:
     if isinstance(value, ExtRat):
         return value
     return ExtRat.finite(value)
-
-
-def ext_add(a: ExtRat, b: ExtRat) -> ExtRat:
-    """Extended addition; -inf absorbs +inf."""
-    if a.kind < 0 or b.kind < 0:
-        return NEG_INF
-    if a.kind > 0 or b.kind > 0:
-        return POS_INF
-    return ExtRat.finite(a.value + b.value)
 
 
 def ext_cmp(a: ExtRat, b: ExtRat) -> int:

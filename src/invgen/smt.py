@@ -1,6 +1,6 @@
 """Satisfiability of selector-guarded linear rational formulas.
 
-The problems decided here have a very specific Boolean shape: the only
+The formulas decided here have a very specific Boolean shape: the only
 Boolean structure is the selector attached to each disjunction, so a model
 is a path through the formula plus an exact rational point on that path.
 The internal backend searches selector assignments in index order, depth
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import codecs
 import os
+import reprlib
 import shlex
 import subprocess
 import tempfile
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .formula import REL_LT, And, Atom, Or, SmtProblem, selectors_of, walk
+from .formula import REL_LT, And, Atom, Or, formula_vars, selectors_of, walk
 from .lp import LpProblem, lp_feasible_strict
 from .numeric import Rat, ZERO, parse_rat
 
@@ -95,45 +96,44 @@ def _grow(problem: LpProblem, strict: Set[int], atoms: Sequence[Atom]
                           [a.row for a in atoms]), strict
 
 
-def smt_check(problem: SmtProblem) -> SmtResult:
-    """Decide the problem exactly; a sat answer carries a checked model.
+def smt_check(formula) -> SmtResult:
+    """Decide the formula exactly; a sat answer carries a checked model,
+    with a value for each variable of the formula.
 
     The search is depth first, value 0 before 1, on an explicit stack.  A
     search node holds its frontier (each selector without a value, with the
     disjunctions that carry it, once per time each is reached), its LP and
-    the LP's strict rows.  A pending child holds what it is grown from: its
-    depth, selector and value, and its parent's other parts."""
+    the LP's strict rows.  A pending node holds what it is grown from: its
+    depth, the selector value it adds, the subtrees that value reaches, its
+    parent's other parts and the parent's solve to start from.  The root is
+    the whole formula, grown from an empty LP and solved cold."""
     assign: Dict[int, int] = {}  # in the order assigned, so a prefix is a path
-    atoms: List[Atom] = []
-    reached: List[Or] = []
-    walk(problem.skeleton, assign, atoms, reached)
-    frontier = _open({}, reached)
-    lp, strict = atoms_problem(atoms)
-    feas = lp_feasible_strict(lp, strict)
-    pending: List[tuple] = []
-    while True:
-        if feas.feasible:
-            if not frontier:
-                witness = feas.witness
-                reals = {v: witness.get(v, ZERO) for v in problem.real_vars}
-                return SmtResult(SAT, SmtModel(dict(assign), reals))
-            sel = min(frontier)
-            rest = dict(frontier)
-            nodes = rest.pop(sel)
-            for value in (1, 0):
-                pending.append((len(assign), sel, value, rest, nodes, lp, strict, feas))
-        if not pending:
-            return SmtResult(UNSAT)
-        depth, sel, value, rest, nodes, lp, strict, start = pending.pop()
+    pending: List[tuple] = [(0, {}, (formula,), {}, LpProblem([], {}, []), set(), None)]
+    while pending:
+        depth, choice, subtrees, rest, lp, strict, start = pending.pop()
         while len(assign) > depth:
             assign.popitem()
-        assign[sel] = value
-        atoms, reached = [], []
-        for node in nodes:
-            walk(node.right if value else node.left, assign, atoms, reached)
+        assign.update(choice)
+        atoms: List[Atom] = []
+        reached: List[Or] = []
+        for node in subtrees:
+            walk(node, assign, atoms, reached)
         frontier = _open(rest, reached)
         lp, strict = _grow(lp, strict, atoms)
         feas = lp_feasible_strict(lp, strict, start=start)
+        if not feas.feasible:
+            continue
+        if not frontier:
+            witness = feas.witness
+            reals = {v: witness.get(v, ZERO) for v in formula_vars(formula)}
+            return SmtResult(SAT, SmtModel(dict(assign), reals))
+        sel = min(frontier)
+        rest = dict(frontier)
+        nodes = rest.pop(sel)
+        for value in (1, 0):
+            subtrees = [node.right if value else node.left for node in nodes]
+            pending.append((len(assign), {sel: value}, subtrees, rest, lp, strict, feas))
+    return SmtResult(UNSAT)
 
 
 def _open(frontier: Dict[int, Tuple[Or, ...]], reached: List[Or]
@@ -207,11 +207,11 @@ def _smt_formula(node) -> str:
     return "".join(out)
 
 
-def _smt_declarations(problem: SmtProblem) -> str:
+def _smt_declarations(formula) -> str:
     lines = [f"(declare-const {_selector_name(sel)} Bool)"
-             for sel in sorted(selectors_of(problem.skeleton))]
-    lines.extend(f"(declare-const {_sym(v)} Real)" for v in problem.real_vars)
-    lines.append(f"(assert {_smt_formula(problem.skeleton)})")
+             for sel in sorted(selectors_of(formula))]
+    lines.extend(f"(declare-const {_sym(v)} Real)" for v in formula_vars(formula))
+    lines.append(f"(assert {_smt_formula(formula)})")
     return "\n".join(lines) + "\n"
 
 
@@ -287,19 +287,31 @@ def _sexp_end(text: str) -> Optional[int]:
 
 
 def _sexp_rat(node) -> Rat:
-    if isinstance(node, str):
-        try:
-            return parse_rat(node)
-        except ValueError:
-            raise SmtBackendError(f"cannot read solver value {node!r}") from None
-    if isinstance(node, list) and node:
-        if node[0] == "-" and len(node) == 2:
-            return -_sexp_rat(node[1])
-        if node[0] == "/" and len(node) == 3:
-            den = _sexp_rat(node[2])
-            if den:
-                return _sexp_rat(node[1]) / den
-    raise SmtBackendError(f"cannot read solver value {node!r}")
+    """A solver value: a numeral or decimal under any nesting of ``(- x)``
+    and ``(/ x y)``, read on an explicit stack."""
+    out: List[Rat] = []
+    stack = [(node, False)]  # a node to read, or (with True) one to apply
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            if node[0] == "-":
+                out[-1] = -out[-1]
+            elif out[-1]:
+                den = out.pop()
+                out[-1] /= den
+            else:
+                raise SmtBackendError("zero denominator in solver value")
+        elif isinstance(node, str):
+            try:
+                out.append(parse_rat(node))
+            except ValueError:
+                raise SmtBackendError(f"cannot read solver value {node!r}") from None
+        elif isinstance(node, list) and node and (node[0], len(node)) in (("-", 2), ("/", 3)):
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in reversed(node[1:]))
+        else:
+            raise SmtBackendError(f"cannot read solver value {reprlib.repr(node)}")
+    return out[0]
 
 
 def _strip_sym(name: str) -> str:
@@ -406,7 +418,8 @@ class SmtSession:
                 continue
             answer = sexps[0]
             if isinstance(answer, list) and answer and answer[0] == "error":
-                raise self._fail(f"solver error: {' '.join(map(str, answer[1:]))}")
+                raise self._fail("solver error: " + " ".join(
+                    a if isinstance(a, str) else reprlib.repr(a) for a in answer[1:]))
             return answer
 
     def _fail(self, message: str) -> SmtBackendError:
@@ -455,10 +468,9 @@ def solver_session(backend) -> Iterator[Optional[SmtSession]]:
             yield session
 
 
-def smt_check_external(problem: SmtProblem,
-                       solver: Union[SmtSession, str, Sequence[str]],
+def smt_check_external(formula, solver: Union[SmtSession, str, Sequence[str]],
                        timeout: float = 300.0) -> SmtResult:
-    """Decide the problem through an external SMT-LIB2 solver.
+    """Decide the formula through an external SMT-LIB2 solver.
 
     ``solver`` is an open ``SmtSession`` or a solver command, for which a
     session is opened for this one query and closed again.  The query is
@@ -471,32 +483,33 @@ def smt_check_external(problem: SmtProblem,
     """
     if not isinstance(solver, SmtSession):
         with SmtSession(solver) as session:
-            return smt_check_external(problem, session, timeout)
+            return smt_check_external(formula, session, timeout)
     try:
-        return _external_query(problem, solver, timeout)
+        return _external_query(formula, solver, timeout)
     except SmtBackendError:
         solver.close()
         raise
 
 
-def _external_query(problem: SmtProblem, session: SmtSession,
-                    timeout: float) -> SmtResult:
-    sels = sorted(selectors_of(problem.skeleton))
+def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
+    sels = sorted(selectors_of(formula))
     (verdict,) = session.ask(
-        "(push 1)\n" + _smt_declarations(problem) + "(check-sat)\n", 1, timeout)
+        "(push 1)\n" + _smt_declarations(formula) + "(check-sat)\n", 1, timeout)
     if verdict == "unknown":
         raise SmtBackendError("solver answered 'unknown'")
     if verdict not in (SAT, UNSAT):
-        raise SmtBackendError(f"no check-sat answer in solver output: {verdict!r}")
+        raise SmtBackendError(
+            f"no check-sat answer in solver output: {reprlib.repr(verdict)}")
     if verdict == UNSAT:
         session.ask("(pop 1)\n", 0, timeout)
         return SmtResult(UNSAT)
 
+    real_vars = formula_vars(formula)
     script = []
     if sels:
         script.append("(get-value (" + " ".join(_selector_name(s) for s in sels) + "))\n")
-    if problem.real_vars:
-        script.append("(get-value (" + " ".join(_sym(v) for v in problem.real_vars) + "))\n")
+    if real_vars:
+        script.append("(get-value (" + " ".join(_sym(v) for v in real_vars) + "))\n")
     values = session.ask("".join(script) + "(pop 1)\n", len(script), timeout)
 
     pairs: Dict[str, object] = {}
@@ -518,13 +531,13 @@ def _external_query(problem: SmtProblem, session: SmtSession,
 
     atoms: List[Atom] = []
     pending: List[Or] = []
-    walk(problem.skeleton, selectors, atoms, pending)
+    walk(formula, selectors, atoms, pending)
     if pending:
         raise SmtBackendError("solver assignment leaves a reachable disjunction open")
 
     reals: Optional[Dict[str, Rat]] = None
     try:
-        candidate = {v: _sexp_rat(pairs[v]) for v in problem.real_vars}
+        candidate = {v: _sexp_rat(pairs[v]) for v in real_vars}
         if all(a.holds(candidate) for a in atoms):
             reals = candidate
     except (KeyError, SmtBackendError):
@@ -534,6 +547,6 @@ def _external_query(problem: SmtProblem, session: SmtSession,
         if not feas.feasible:
             raise SmtBackendError(
                 "solver said sat but its selected path is infeasible")
-        reals = {v: feas.witness.get(v, ZERO) for v in problem.real_vars}
+        reals = {v: feas.witness.get(v, ZERO) for v in real_vars}
     return SmtResult(SAT, SmtModel(selectors, reals))
 

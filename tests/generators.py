@@ -7,7 +7,7 @@ from invgen.formula import And, Atom, LinExpr, Or, label_selectors, primed
 from invgen.lp import Constraint, LpProblem
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
 
-from oracles import constraint_of
+from oracles import constraint_of, negated, rows_of
 
 
 def random_rat(rng: random.Random, lo=-9, hi=9) -> Rat:
@@ -15,8 +15,9 @@ def random_rat(rng: random.Random, lo=-9, hi=9) -> Rat:
 
 
 def random_lp(rng: random.Random) -> LpProblem:
-    """Random instance per the LP property suite: <= 4 vars, <= 6 rows,
-    integer coefficients in [-9, 9], occasional equality rows.  Half the
+    """Random instance per the LP property suite: <= 4 vars, <= 6 rows (an
+    equality counts once, as two ``<=`` rows), integer coefficients in
+    [-9, 9], occasional equality rows.  Half the
     instances bound every objective direction so finite optima are common."""
     nvars = rng.randint(1, 4)
     names = [f"x{i}" for i in range(nvars)]
@@ -26,11 +27,11 @@ def random_lp(rng: random.Random) -> LpProblem:
         for v, c in objective.items():
             if c:
                 sign = Rat(1) if c > 0 else Rat(-1)
-                rows.append(constraint_of({v: sign}, "<=", Rat(rng.randint(0, 9))))
+                rows.append(constraint_of({v: sign}, Rat(rng.randint(0, 9))))
     for _ in range(rng.randint(1, max(1, 6 - len(rows)))):
         coeffs = {v: Rat(rng.randint(-9, 9)) for v in names if rng.random() < 0.8}
         rel = "=" if rng.random() < 0.15 else "<="
-        rows.append(constraint_of(coeffs, rel, Rat(rng.randint(-9, 9))))
+        rows.extend(rows_of(coeffs, rel, Rat(rng.randint(-9, 9))))
     return LpProblem(names, objective, rows)
 
 
@@ -43,17 +44,17 @@ def degenerate_lp(rng: random.Random) -> LpProblem:
     rows = []
     for _ in range(rng.randint(3, 7)):
         coeffs = {v: Rat(rng.randint(-2, 2)) for v in names}
-        rows.append(constraint_of(coeffs, "=" if rng.random() < 0.1 else "<=", Rat(0)))
+        rows.extend(rows_of(coeffs, "=" if rng.random() < 0.1 else "<=", Rat(0)))
     for v in names:
-        rows.append(constraint_of({v: Rat(1)}, "<=", Rat(rng.choice((1, 1, 2)))))
-        rows.append(constraint_of({v: Rat(-1)}, "<=", Rat(rng.choice((1, 1, 2)))))
+        rows.append(constraint_of({v: Rat(1)}, Rat(rng.choice((1, 1, 2)))))
+        rows.append(constraint_of({v: Rat(-1)}, Rat(rng.choice((1, 1, 2)))))
     return LpProblem(names, objective, rows)
 
 
 def sparse_lp(rng: random.Random) -> LpProblem:
-    """8-20 variables and 10-30 rows of 1-3 nonzeros each, like the
-    evaluation LPs of a large template: a few ``=`` rows, and some explicit
-    zero coefficients, which the tableau must not store.  Half the
+    """8-20 variables and 10-30 rows of 1-3 nonzeros each (an equality counts
+    once, as two ``<=`` rows), like the evaluation LPs of a large template:
+    a few ``=`` rows, and some explicit zero coefficients, which the tableau must not store.  Half the
     instances bound every objective direction so finite optima are common."""
     names = [f"x{i}" for i in range(rng.randint(8, 20))]
     objective = {v: Rat(rng.randint(-3, 3)) for v in rng.sample(names, rng.randint(1, 4))}
@@ -61,16 +62,16 @@ def sparse_lp(rng: random.Random) -> LpProblem:
     if rng.random() < 0.5:
         for v, c in objective.items():
             if c:
-                rows.append(constraint_of({v: Rat(1 if c > 0 else -1)}, "<=",
-                                          Rat(rng.randint(0, 9))))
-    nrows = rng.randint(10, 30)
-    while len(rows) < nrows:
+                rows.append(constraint_of({v: Rat(1 if c > 0 else -1)}, Rat(rng.randint(0, 9))))
+    for _ in range(rng.randint(10, 30) - len(rows)):
         coeffs = [(v, random_rat(rng, -4, 4) or Rat(1))
                   for v in rng.sample(names, rng.randint(1, 3))]
         if rng.random() < 0.2:
             coeffs.append((rng.choice(names), Rat(0)))
-        rel = "=" if rng.random() < 0.1 else "<="
-        rows.append(Constraint(tuple(coeffs), rel, random_rat(rng, -2, 9)))
+        equality = rng.random() < 0.1
+        rows.append(Constraint(tuple(coeffs), random_rat(rng, -2, 9)))
+        if equality:
+            rows.append(negated(rows[-1]))
     return LpProblem(names, objective, rows)
 
 

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 from invgen.engine import BOTTOM, EngineError, StratConst
 from invgen.formula import (
-    REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, PathChoice, SmtProblem,
-    UNSAT_PROBLEM, formula_vars, map_atoms, primed, rename_vars, selectors_of,
+    FALSE_ATOM, REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, PathChoice,
+    formula_vars, map_atoms, primed, rename_vars, selectors_of,
 )
 from invgen.lp import (
     Constraint, INFEASIBLE, LpError, LpProblem, LpResult, OPTIMAL, UNBOUNDED,
@@ -28,12 +28,24 @@ from invgen.numeric import (
 from invgen.smt import SAT, UNSAT, SmtModel, SmtResult
 
 
-def constraint_of(coeffs: Dict[str, Rat], rel: str, rhs) -> Constraint:
-    """An LP row from a coefficient dict; zero coefficients are dropped."""
+def constraint_of(coeffs: Dict[str, Rat], rhs) -> Constraint:
+    """The LP row ``coeffs <= rhs``; zero coefficients are dropped."""
+    items = tuple((v, as_rat(c)) for v, c in coeffs.items() if c != 0)
+    return Constraint(items, as_rat(rhs))
+
+
+def rows_of(coeffs: Dict[str, Rat], rel: str, rhs) -> List[Constraint]:
+    """The LP rows of ``coeffs rel rhs``: one for ``<=``, and for ``=`` the
+    pair ``coeffs <= rhs``, ``-coeffs <= -rhs``."""
     if rel not in ("<=", "="):
         raise LpError(f"unsupported relation {rel!r}")
-    items = tuple((v, as_rat(c)) for v, c in coeffs.items() if c != 0)
-    return Constraint(items, rel, as_rat(rhs))
+    row = constraint_of(coeffs, rhs)
+    return [row] if rel == "<=" else [row, negated(row)]
+
+
+def negated(row: Constraint) -> Constraint:
+    """The row ``-coeffs <= -rhs``, which with ``row`` makes an equality."""
+    return Constraint(tuple((v, -c) for v, c in row.coeffs), -row.rhs)
 
 
 def parse_ext(text: str) -> ExtRat:
@@ -111,21 +123,20 @@ def format_program(prog) -> str:
 LINK_VAR = "$v"
 
 
-def linked_psi(statement, d, template, j, c) -> SmtProblem:
+def linked_psi(statement, d, template, j, c):
     """The improvement query as it was built before the presolve: the
     statement as it is, a fresh variable ``$v`` equal to row ``j`` over the
     post-state (two atoms) and the bound clause ``$v > c``."""
     rows = getattr(template, "rows", template)
     if any(di.is_neg_inf for di in d):
-        return UNSAT_PROBLEM
+        return FALSE_ATOM
     parts = [Atom(row, REL_LE, d[i].value) for i, row in enumerate(rows) if d[i].is_finite]
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
     v = LinExpr({LINK_VAR: 1})
     parts += [statement, Atom(v.sub(target), REL_LE, 0), Atom(target.sub(v), REL_LE, 0)]
     if c.is_finite:
         parts.append(Atom(LinExpr({LINK_VAR: -1}), REL_LT, -c.value))
-    skeleton = And(parts)
-    return SmtProblem(skeleton, tuple(formula_vars(skeleton)))
+    return And(parts)
 
 
 def completed_model(model: SmtModel, statement, defs, rows=None, j=None) -> SmtModel:
@@ -143,15 +154,6 @@ def completed_model(model: SmtModel, statement, defs, rows=None, j=None) -> SmtM
     return SmtModel(dict(model.selectors), reals)
 
 
-def _expand_rows(constraints):
-    """Rows as (coeffs dict, rhs, strict) with '=' split into two rows."""
-    rows = []
-    for c in constraints:
-        coeffs = dict(c.coeffs)
-        rows.append((coeffs, c.rhs, False))
-        if c.rel == "=":
-            rows.append(({v: -q for v, q in coeffs.items()}, -c.rhs, False))
-    return rows
 
 
 def _eliminate(rows, var):
@@ -225,17 +227,13 @@ def fm_feasible(variables, rows):
 
 def fm_strict_rows(problem: LpProblem, strict_rows):
     """Rows of an LpProblem with the given indices marked strict."""
-    out = []
-    for i, c in enumerate(problem.constraints):
-        out.append((dict(c.coeffs), c.rhs, i in strict_rows))
-        if c.rel == "=":
-            out.append(({v: -q for v, q in c.coeffs}, -c.rhs, False))
-    return out
+    return [(dict(c.coeffs), c.rhs, i in strict_rows)
+            for i, c in enumerate(problem.constraints)]
 
 
 def fm_solve(problem: LpProblem):
     """Classify an LpProblem by projection; returns (status, value)."""
-    rows = _expand_rows(problem.constraints)
+    rows = fm_strict_rows(problem, ())
     if not fm_feasible(problem.variables, rows):
         return "infeasible", None
     # adjoin t = objective, project out everything else, read off sup t
@@ -257,9 +255,9 @@ def fm_solve(problem: LpProblem):
     return "optimal", upper
 
 
-def check_model(problem, model) -> bool:
-    """Exact substitution check: does the model satisfy the problem?"""
-    return eval_formula(problem.skeleton, model.reals, model.selectors)
+def check_model(formula, model) -> bool:
+    """Exact substitution check: does the model satisfy the formula?"""
+    return eval_formula(formula, model.reals, model.selectors)
 
 
 def check_selector_invariant(formula) -> None:
@@ -288,7 +286,7 @@ def lp_text(problem: LpProblem) -> str:
     """Plain-text form of an LP, one constraint per line (for failure messages)."""
     lines = ["max: " + _expr_str(problem.objective)]
     for row in problem.constraints:
-        lines.append(f"  {_expr_str(dict(row.coeffs))} {row.rel} {rat_str(row.rhs)}")
+        lines.append(f"  {_expr_str(dict(row.coeffs))} <= {rat_str(row.rhs)}")
     return "\n".join(lines)
 
 
@@ -380,31 +378,31 @@ def _atoms_feasible(atoms):
             if v not in seen:
                 seen.add(v)
                 names.append(v)
-    lp = LpProblem(names, {}, [Constraint(tuple(a.lin.coeffs.items()), "<=", a.bound)
+    lp = LpProblem(names, {}, [Constraint(tuple(a.lin.coeffs.items()), a.bound)
                                for a in atoms])
     strict = {i for i, a in enumerate(atoms) if a.rel == "<"}
     return lp_feasible_strict(lp, strict)
 
 
-def brute_force_smt(problem) -> bool:
+def brute_force_smt(formula) -> bool:
     """Satisfiability by trying every selector assignment."""
-    sels = selectors_of(problem.skeleton)
+    sels = selectors_of(formula)
     for mask in range(1 << len(sels)):
         choice = {s: (mask >> i) & 1 for i, s in enumerate(sels)}
-        seq = select_path(problem.skeleton, choice)
+        seq = select_path(formula, choice)
         if _atoms_feasible(atoms_of(seq)).feasible:
             return True
     return False
 
 
-def cold_smt_check(problem) -> SmtResult:
+def cold_smt_check(formula) -> SmtResult:
     """The selector search as it ran before warm starts: depth first, the
     least reachable unassigned selector next, value 0 before 1, and one
     fresh ``lp_feasible_strict`` over all forced atoms at every node.  The
     first model in that order fixes the selectors of ``smt_check``."""
 
     def forced(assign):
-        atoms, pending, stack = [], [], [problem.skeleton]
+        atoms, pending, stack = [], [], [formula]
         while stack:
             node = stack.pop()
             if isinstance(node, Atom):
@@ -424,7 +422,7 @@ def cold_smt_check(problem) -> SmtResult:
             return None
         if not pending:
             return SmtModel(dict(assign), {v: feas.witness.get(v, ZERO)
-                                           for v in problem.real_vars})
+                                           for v in formula_vars(formula)})
         sel = min(pending)
         for value in (0, 1):
             assign[sel] = value
@@ -455,10 +453,9 @@ def rational_lp_solve(problem: LpProblem) -> LpResult:
 class _RationalTableau:
     """The simplex of ``invgen.lp`` on a tableau of rationals.
 
-    Every entry is a ``Rat``; free variables are split as u - w >= 0 and
-    ``=`` rows become two ``<=`` rows.  The start is the slack basis, each
-    slack basic even with a negative right-hand side, with every reduced
-    cost 0.  A dual simplex makes it feasible: the leaving row has a
+    Every entry is a ``Rat``; free variables are split as u - w >= 0.  The
+    start is the slack basis, each slack basic even with a negative
+    right-hand side, with every reduced cost 0.  A dual simplex makes it feasible: the leaving row has a
     negative right-hand side and the least basic column, the entering
     column a negative entry in that row and the least ``zrow[j] / a``, ties
     going to the least column.  A primal simplex then optimizes: Bland's
@@ -480,8 +477,6 @@ class _RationalTableau:
                 dense[j] = dense[j] + c
                 dense[j + 1] = dense[j + 1] - c
             raw.append((dense, row.rhs))
-            if row.rel == "=":
-                raw.append(([-c for c in dense], -row.rhs))
 
         m = len(raw)
         self.ncols = n2 + m  # structural + one slack per row
@@ -647,7 +642,7 @@ def full_evaluate(eq, strategy, bounds):
             if v not in seen:
                 seen.add(v)
                 variables.append(v)
-        constraints.append(constraint_of(coeffs, "<=", rhs))
+        constraints.append(constraint_of(coeffs, rhs))
 
     for copy_id, key in enumerate(remaining):
         entry = strategy[key]

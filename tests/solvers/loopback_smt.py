@@ -14,13 +14,14 @@ real solver does.  Modes let tests exercise the client's error paths:
     --mode claim-sat      answer sat with all-false Booleans, no values
     --mode claim-unsat    answer unsat regardless of the problem
     --mode print-success  answer success to every command without output
+    --mode deep-values    wrap each real value in 3,000 minus signs
 """
 
 import argparse
 import os
 import sys
 
-from invgen.formula import And, Atom, LinExpr, Or, SmtProblem
+from invgen.formula import And, Atom, LinExpr, Or
 from invgen.numeric import Rat
 from invgen.smt import _parse_sexps, _sexp_end, smt_check  # reuse the s-expression reader
 
@@ -176,9 +177,8 @@ class Loopback:
             self.result = "claimed"
             return "sat"
         assertions = [a for f in self.frames for a in f.assertions]
-        reals = [v for f in self.frames for v in f.reals]
         formula = assertions[0] if len(assertions) == 1 else And(assertions)
-        self.result = smt_check(SmtProblem(formula, tuple(reals)))
+        self.result = smt_check(formula)
         return self.result.status
 
     def get_value(self, names):
@@ -194,7 +194,10 @@ class Loopback:
             else:
                 q = self.result.model.reals.get(n, Rat(0))
                 sym = n if n.isalnum() else f"|{n}|"
-                parts.append(f"({sym} {emit_rat(q)})")
+                value = emit_rat(q)
+                if self.mode == "deep-values":  # an even count: the same value
+                    value = "(- " * 3000 + value + ")" * 3000
+                parts.append(f"({sym} {value})")
         return "(" + " ".join(parts) + ")"
 
 

@@ -15,7 +15,7 @@ from invgen.cli import analyze, gen_expo, parse_program, program_to_cfg
 from invgen.engine import (
     EngineOptions, check_post_fixpoint, kleene_oracle, run,
 )
-from invgen.formula import build_psi, selectors_of
+from invgen.formula import build_psi, formula_vars, selectors_of
 from invgen.lp import OPTIMAL, lp_solve
 from invgen.numeric import ext
 from invgen.smt import SmtSession, smt_check, smt_check_external
@@ -196,8 +196,8 @@ def test_criterion_8_smt_matches_brute_force_and_external():
             external_checked += 1
             total += 1
             declarations.update(f"(declare-const a{s} Bool)"
-                                for s in selectors_of(problem.skeleton))
-            declarations.update(f"(declare-const |{v}| Real)" for v in problem.real_vars)
+                                for s in selectors_of(problem))
+            declarations.update(f"(declare-const |{v}| Real)" for v in formula_vars(problem))
         # nothing survived the 500 (push 1) / (pop 1) frames: every symbol is
         # free to declare again, and no assertion is left to contradict
         leftover = session.ask("(push 1)\n" + "\n".join(sorted(declarations)) +

@@ -5,7 +5,7 @@ import pytest
 
 from invgen.cfg import Cfg, CfgError, compress, feedback_vertex_set, is_valid_cutset
 from invgen.formula import (
-    SmtProblem, And, Atom, LinExpr, formula_size, formula_vars,
+    And, Atom, LinExpr, formula_size, formula_vars,
     parse_statement, primed, selectors_of,
 )
 from invgen.numeric import Rat
@@ -36,8 +36,7 @@ def relation_holds(statement, pre, post):
     for v, q in post.items():
         lin = LinExpr.var(primed(v))
         parts.extend([Atom(lin, "<=", q), Atom(lin.scale(-1), "<=", -q)])
-    skeleton = And(parts)
-    return smt_check(SmtProblem(skeleton, tuple(formula_vars(skeleton)))).is_sat
+    return smt_check(And(parts)).is_sat
 
 
 def one_step_reachable(statement, pre):
@@ -45,8 +44,7 @@ def one_step_reachable(statement, pre):
     for v, q in pre.items():
         lin = LinExpr.var(v)
         parts.extend([Atom(lin, "<=", q), Atom(lin.scale(-1), "<=", -q)])
-    skeleton = And(parts)
-    return smt_check(SmtProblem(skeleton, tuple(formula_vars(skeleton)))).is_sat
+    return smt_check(And(parts)).is_sat
 
 
 def simple_paths(g, anchors, u, v):

@@ -311,6 +311,28 @@ def test_wide_disjunction_is_analysed_not_a_traceback(tmp_path):
     assert doc["nodes"]["a"] == {"x": "999"}
 
 
+def test_deeply_parenthesised_edge_is_analysed(tmp_path):
+    # the statement parser keeps its operators on an explicit stack, so an
+    # edge inside 5,000 levels of parentheses, around a formula and around
+    # an expression, analyses as the bare edge does
+    def analyse(body):
+        prog = tmp_path / "deep.prg"
+        prog.write_text("vars x ; template interval ; nodes st a ; start st ; cutset a ;"
+                        f"edge st -> a : x' = 0 ; edge a -> a : {body} ;")
+        proc = subprocess.run([sys.executable, "-m", "invgen.cli", "analyze", str(prog),
+                               "--json", "--check"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def deep(text):
+        return "(" * 5000 + text + ")" * 5000
+
+    bare = analyse("x <= 9 & x' = x + 1")
+    assert bare["nodes"]["a"] == {"x": "10", "-x": "0"} and bare["certified"] is True
+    wrapped = analyse(deep(f"{deep('x <= 9')} & x' = {deep('x + 1')}"))
+    assert wrapped == {**bare, "stats": {**bare["stats"], "wall_ms": wrapped["stats"]["wall_ms"]}}
+
+
 def test_cli_gen_expo_subcommand(tmp_path, capsys):
     assert main(["gen-expo", "2"]) == 0
     text = capsys.readouterr().out

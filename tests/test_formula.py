@@ -6,7 +6,7 @@ import pytest
 from invgen.cfg import Cfg
 from invgen.engine import EquationSystem, StratPath, Template, _entry_value
 from invgen.formula import (
-    FALSE_ATOM, TRUE, And, Atom, FormulaError, Or, ParseError, SmtProblem, UNSAT_PROBLEM,
+    FALSE_ATOM, TRUE, And, Atom, FormulaError, Or, ParseError,
     build_psi, eliminate_equalities, formula_size, formula_vars, label_selectors, map_atoms,
     parse_linexpr, parse_statement, paths, selectors_of, walk,
 )
@@ -89,6 +89,30 @@ def test_parse_errors_carry_location():
         parse_statement("x <= 1 <= 2")  # chained relation
     with pytest.raises(ParseError):
         parse_statement("$v <= 1")  # reserved namespace
+
+
+def test_parser_reads_deep_parentheses_and_reports_where_input_stops():
+    # operators wait on an explicit stack: 5,000 levels of parentheses
+    # around a formula or an expression read as none do
+    bare = parse_statement("x <= 1 & x' = 2 * x")
+    deep = parse_statement("(" * 5000 + "x <= 1 & x' = " + "-(" * 5000 + "2 * x"
+                           + ")" * 10000)
+    assert atoms_as_strings(deep) == atoms_as_strings(bare)
+    assert parse_linexpr("(" * 5000 + "x - 1" + ")" * 5000) == parse_linexpr("x - 1")
+    # an open parenthesis is reported where the input stops
+    with pytest.raises(ParseError) as err:
+        parse_statement("(x <= 1")
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError) as err:
+        parse_statement("(" * 5000 + "x <= 1")
+    assert (err.value.line, err.value.column) == (1, 5007)
+    # a parenthesised expression where a formula may stand must be followed
+    # by a relation; a formula may not stand inside an expression
+    for text, column in (("(x + 1) & y <= 1", 9), ("(x)", 4), ("(x) <= (1 | 2)", 11),
+                         ("2 * (x <= 1)", 8), ("(x <= 1) <= 2", 10)):
+        with pytest.raises(ParseError) as err:
+            parse_statement(text)
+        assert (err.value.line, err.value.column) == (1, column), text
 
 
 def test_walk_on_running_example():
@@ -183,18 +207,18 @@ def test_build_psi_structure():
     rows = [parse_linexpr("x1"), parse_linexpr("-x1")]
     psi = build_psi(f, [ext(0), ext(0)], rows, 0, ext(0))
     # two source rows, the body as it is, and x1' > 0 as one strict atom
-    assert psi.skeleton.children == (
+    assert psi.children == (
         Atom(rows[0], "<=", 0), Atom(rows[1], "<=", 0), f,
         Atom(parse_linexpr("-x1'"), "<", 0))
-    assert psi.skeleton.children[2] is f
-    assert psi.real_vars == ("x1", "x2'", "x1'")
+    assert psi.children[2] is f
+    assert formula_vars(psi) == ["x1", "x2'", "x1'"]
     # a presolved post-state row may carry a constant: 2*x1 + 1 > 3
     psi = build_psi(f, [ext(0), ext(0)], rows, 0, ext(3), post=parse_linexpr("2*x1 + 1"))
-    assert psi.skeleton.children[-1] == Atom(parse_linexpr("-2*x1"), "<", -2)
-    assert psi.real_vars == ("x1", "x2'", "x1'")
+    assert psi.children[-1] == Atom(parse_linexpr("-2*x1"), "<", -2)
+    assert formula_vars(psi) == ["x1", "x2'", "x1'"]
     # a constant one is still one strict atom: 5 > 3 holds
     psi = build_psi(f, [POS_INF, POS_INF], rows, 0, ext(3), post=parse_linexpr("5"))
-    assert psi.skeleton.children == (f, Atom(parse_linexpr("0"), "<", 2))
+    assert psi.children == (f, Atom(parse_linexpr("0"), "<", 2))
 
 
 def test_build_psi_drops_infinite_rows_and_bound():
@@ -202,14 +226,14 @@ def test_build_psi_drops_infinite_rows_and_bound():
     rows = [parse_linexpr("x1")]
     psi = build_psi(f, [POS_INF], rows, 0, NEG_INF)
     # no source row and no bound clause: just the body
-    assert psi.skeleton.children == (f,)
-    assert psi.real_vars == ("x1'", "x1")
+    assert psi.children == (f,)
+    assert formula_vars(psi) == ["x1'", "x1"]
 
 
 def test_build_psi_corner_cases():
     f = parse_statement("x1' = x1")
     rows = [parse_linexpr("x1")]
-    assert build_psi(f, [NEG_INF], rows, 0, ext(0)) is UNSAT_PROBLEM
+    assert build_psi(f, [NEG_INF], rows, 0, ext(0)) is FALSE_ATOM
     with pytest.raises(FormulaError):
         build_psi(f, [ext(0)], rows, 0, POS_INF)
     with pytest.raises(FormulaError):
@@ -342,7 +366,7 @@ def test_deep_disjunction_chain_is_rebuilt_without_recursion():
     def leaf(i):
         return f"(and (<= |x'| {i + 1}) (<= (* (- 1) |x'|) (- {i + 1})))"
 
-    text = _smt_declarations(SmtProblem(stmt, ("x'",)))
+    text = _smt_declarations(stmt)
     assert text.endswith("(declare-const |x'| Real)\n(assert "
                          + "".join(f"(or (and (not a{s}) " for s in range(4999)) + leaf(0)
                          + "".join(f") (and a{s} {leaf(4999 - s)}))" for s in range(4998, -1, -1))

@@ -10,13 +10,16 @@ from invgen.numeric import Rat
 
 from generators import degenerate_lp, random_lp, sparse_lp
 from oracles import (
-    constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, rational_lp_solve,
+    constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, negated, rational_lp_solve,
+    rows_of,
 )
 
 
 def lp(variables, objective, rows):
+    """An LP of (coefficients, relation, right-hand side) rows, each ``=``
+    written as its two ``<=`` rows."""
     return LpProblem(variables, objective,
-                     [constraint_of(c, rel, rhs) for c, rel, rhs in rows])
+                     [r for c, rel, rhs in rows for r in rows_of(c, rel, rhs)])
 
 
 def test_single_bound():
@@ -101,7 +104,7 @@ def test_witness_satisfies_all_rows_exactly():
         assert value == res.value
         for row in problem.constraints:
             total = sum((q * res.witness[v] for v, q in row.coeffs), Rat(0))
-            assert total <= row.rhs if row.rel == "<=" else total == row.rhs
+            assert total <= row.rhs
 
 
 def test_matches_fourier_motzkin_oracle_small():
@@ -171,8 +174,7 @@ def _scaled(problem, rng):
     rows = []
     for row in problem.constraints:
         f = factor()
-        rows.append(Constraint(tuple((v, q * f) for v, q in row.coeffs), row.rel,
-                               row.rhs * f))
+        rows.append(Constraint(tuple((v, q * f) for v, q in row.coeffs), row.rhs * f))
     f = factor()
     objective = {v: c * f for v, c in problem.objective.items()}
     return LpProblem(problem.variables, objective, rows), f
@@ -195,28 +197,30 @@ def test_rational_and_large_coefficients():
         assert got.value == want.value * f == fm_value
         for row in scaled.constraints:
             total = sum((q * got.witness[v] for v, q in row.coeffs), Rat(0))
-            assert total <= row.rhs if row.rel == "<=" else total == row.rhs
+            assert total <= row.rhs
     assert optimal > 30
+
+
+def _inequalities(problem):
+    """Indices of the rows that are not half of an equality: not next to
+    their own negation, the pair that ``rows_of`` writes an ``=`` as."""
+    rows = problem.constraints
+    halves = {i for i in range(1, len(rows)) if rows[i] == negated(rows[i - 1])}
+    return [i for i in range(len(rows)) if i not in halves and i + 1 not in halves]
 
 
 def test_strict_feasibility_matches_fm_oracle():
     rng = random.Random(13)
     for _ in range(150):
         problem = random_lp(rng)
-        le_rows = [i for i, c in enumerate(problem.constraints) if c.rel == "<="]
-        strict = {i for i in le_rows if rng.random() < 0.4}
+        strict = {i for i in _inequalities(problem) if rng.random() < 0.4}
         got = lp_feasible_strict(problem, strict)
         want = fm_feasible(problem.variables, fm_strict_rows(problem, strict))
         assert got.feasible == want
         if got.feasible:
             for i, c in enumerate(problem.constraints):
                 total = sum((q * got.witness[v] for v, q in c.coeffs), Rat(0))
-                if c.rel == "=":
-                    assert total == c.rhs
-                elif i in strict:
-                    assert total < c.rhs
-                else:
-                    assert total <= c.rhs
+                assert total < c.rhs if i in strict else total <= c.rhs
 
 
 def test_no_sampled_feasible_point_beats_the_optimum():
@@ -246,9 +250,7 @@ def test_no_sampled_feasible_point_beats_the_optimum():
 def _satisfies(problem, point):
     for row in problem.constraints:
         total = sum((q * point[v] for v, q in row.coeffs), Rat(0))
-        if row.rel == "<=" and not total <= row.rhs:
-            return False
-        if row.rel == "=" and total != row.rhs:
+        if not total <= row.rhs:
             return False
     return True
 
@@ -286,7 +288,7 @@ def _grown(problem, rng, tag, small=False):
             coeffs = {v: Rat(rng.randint(-9, 9)) for v in picked}
             rhs = Rat(rng.randint(-9, 9), rng.choice((1, 2)))
         rel = "=" if rng.random() < 0.2 else "<="
-        rows.append(constraint_of(coeffs, rel, rhs))
+        rows.extend(rows_of(coeffs, rel, rhs))
     return LpProblem(names, problem.objective, rows)
 
 
@@ -351,14 +353,13 @@ def test_warm_strict_feasibility_matches_cold_and_fm_oracle():
     for _ in range(300):
         parent = random_lp(rng)
         parent = LpProblem(parent.variables, {}, parent.constraints)
-        le_rows = [i for i, c in enumerate(parent.constraints) if c.rel == "<="]
-        strict = {i for i in le_rows if rng.random() < 0.4}
+        strict = {i for i in _inequalities(parent) if rng.random() < 0.4}
         start = lp_feasible_strict(parent, strict)
         if start.lp.status != OPTIMAL:
             continue
         child = _grown(parent, rng, "y")
-        strict |= {i for i in range(len(parent.constraints), len(child.constraints))
-                   if child.constraints[i].rel == "<=" and rng.random() < 0.4}
+        strict |= {i for i in _inequalities(child)
+                   if i >= len(parent.constraints) and rng.random() < 0.4}
         got = lp_feasible_strict(child, strict, start=start)
         want = fm_feasible(child.variables, fm_strict_rows(child, strict))
         assert got.feasible == lp_feasible_strict(child, strict).feasible == want
@@ -368,12 +369,7 @@ def test_warm_strict_feasibility_matches_cold_and_fm_oracle():
         feasible += 1
         for i, c in enumerate(child.constraints):
             total = sum((q * got.witness[v] for v, q in c.coeffs), Rat(0))
-            if c.rel == "=":
-                assert total == c.rhs
-            elif i in strict:
-                assert total < c.rhs
-            else:
-                assert total <= c.rhs
+            assert total < c.rhs if i in strict else total <= c.rhs
     assert feasible > 50 and infeasible > 30
 
 
@@ -382,7 +378,7 @@ def test_warm_start_outside_its_contract_is_an_error():
     start = lp_solve(parent)
     assert start.status == OPTIMAL and start.value == 4
     rows = parent.constraints
-    extra = constraint_of({"x": 1}, "<=", 3)
+    extra = constraint_of({"x": 1}, 3)
     assert lp_solve(LpProblem(["x", "y"], {"x": 1}, rows + [extra]), start=start).value == 3
     bad = [
         LpProblem(["x", "y"], {"x": 1}, [rows[1], rows[0], extra]),  # rows reordered

@@ -9,12 +9,12 @@ from collections import Counter
 import pytest
 
 from invgen.formula import (
-    And, Atom, SmtProblem, UNSAT_PROBLEM, build_psi, eliminate_equalities, formula_vars,
+    FALSE_ATOM, And, Atom, build_psi, eliminate_equalities, formula_vars,
     parse_linexpr, parse_statement, primed,
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _sexp_rat, _smt_declarations, smt_check,
+    SmtBackendError, SmtSession, _parse_sexps, _sexp_rat, _smt_declarations, smt_check,
     smt_check_external,
 )
 
@@ -33,11 +33,6 @@ def running_psi(d, j, c):
     return build_psi(stmt, [ext(x) for x in d], rows, j, c)
 
 
-def problem_of(text):
-    f = parse_statement(text)
-    return SmtProblem(f, tuple(formula_vars(f)))
-
-
 def test_running_example_improvement_query():
     res = smt_check(running_psi((0, 0), 0, ext(0)))
     assert res.is_sat
@@ -46,19 +41,19 @@ def test_running_example_improvement_query():
 
 
 def test_plain_contradiction():
-    assert not smt_check(problem_of("x <= 0 & 0 < x")).is_sat
-    assert not smt_check(UNSAT_PROBLEM).is_sat
+    assert not smt_check(parse_statement("x <= 0 & 0 < x")).is_sat
+    assert not smt_check(FALSE_ATOM).is_sat
 
 
 def test_disjunct_rescues_satisfiability():
-    res = smt_check(problem_of("(x <= -1 & 1 <= x) | x = 2"))
+    res = smt_check(parse_statement("(x <= -1 & 1 <= x) | x = 2"))
     assert res.is_sat
     assert res.model.selectors == {0: 1}
     assert res.model.reals["x"] == 2
 
 
 def test_model_uses_strict_interior():
-    res = smt_check(problem_of("x < 1 & 0 < x"))
+    res = smt_check(parse_statement("x < 1 & 0 < x"))
     assert res.is_sat
     assert 0 < res.model.reals["x"] < 1
 
@@ -86,7 +81,7 @@ def test_matches_brute_force_small():
             assert check_model(problem, got.model)
             # the model's path is sound: the real part satisfies the
             # selected sequential statement atom by atom
-            seq = select_path(problem.skeleton, got.model.selectors)
+            seq = select_path(problem, got.model.selectors)
             assert all(a.holds(got.model.reals) for a in atoms_of(seq))
 
 
@@ -181,8 +176,8 @@ def test_external_agrees_on_examples():
     cmd = external_solver_cmd()
     for problem in (running_psi((0, 0), 0, ext(0)),
                     running_psi((2001, 2000), 0, ext(2001)),
-                    problem_of("x <= 0 & 0 < x"),
-                    problem_of("x = 2 | x = 3")):
+                    parse_statement("x <= 0 & 0 < x"),
+                    parse_statement("x = 2 | x = 3")):
         internal = smt_check(problem)
         external = smt_check_external(problem, cmd)
         assert internal.status == external.status
@@ -191,7 +186,7 @@ def test_external_agrees_on_examples():
 
 
 def test_external_value_parsing_covers_rationals():
-    problem = problem_of("3*x = -2 & y = 1/3")
+    problem = parse_statement("3*x = -2 & y = 1/3")
     res = smt_check_external(problem, LOOPBACK)
     assert res.is_sat
     assert res.model.reals["x"] == Rat(-2, 3)
@@ -210,26 +205,49 @@ def test_solver_values_read_exactly():
             _sexp_rat(bad)
 
 
+def test_deeply_nested_solver_values_are_read_without_recursion():
+    # a value under 3,000 nested operators is read on an explicit stack
+    def deep(text, depth=3000):
+        (node,) = _parse_sexps("(- " * depth + text + ")" * depth)
+        return node
+
+    assert _sexp_rat(deep("1")) == 1
+    assert _sexp_rat(deep("(/ 1 3)", 3001)) == Rat(-1, 3)
+    for bad in (deep("(+ 1 2)"), ["+", deep("1")], deep("(/ 1 0)")):
+        with pytest.raises(SmtBackendError):
+            _sexp_rat(bad)
+    # end to end: such values reach the model as they are
+    problem = parse_statement("3*x = -2 & y = 1/3")
+    res = smt_check_external(problem, LOOPBACK + ["--mode", "deep-values"])
+    assert res.model == smt_check_external(problem, LOOPBACK).model
+    assert res.model.reals == {"x": Rat(-2, 3), "y": Rat(1, 3)}
+    # a deep answer that is no verdict, or a deep error, is quoted shortened
+    for head in ("", "error "):
+        solver = [sys.executable, "-c", f"print('({head}' + '(' * 3000 + 'x' + ')' * 3001)"]
+        with pytest.raises(SmtBackendError, match=r"\[\[\[.*\.\.\."):
+            smt_check_external(problem, solver)
+
+
 def test_external_malformed_output_is_backend_error():
     with pytest.raises(SmtBackendError):
-        smt_check_external(problem_of("x <= 0"), LOOPBACK + ["--mode", "garbage"])
+        smt_check_external(parse_statement("x <= 0"), LOOPBACK + ["--mode", "garbage"])
 
 
 def test_external_unknown_is_backend_error():
     with pytest.raises(SmtBackendError):
-        smt_check_external(problem_of("x <= 0"), LOOPBACK + ["--mode", "unknown"])
+        smt_check_external(parse_statement("x <= 0"), LOOPBACK + ["--mode", "unknown"])
 
 
 def test_external_missing_binary_is_backend_error():
     with pytest.raises(SmtBackendError):
-        smt_check_external(problem_of("x <= 0"), ["/no/such/solver"])
+        smt_check_external(parse_statement("x <= 0"), ["/no/such/solver"])
 
 
 def test_lying_sat_claim_fails_cross_check():
     # claim-sat answers sat with an all-false assignment and no values; on an
     # unsatisfiable problem the selected path cannot be rationalized
     with pytest.raises(SmtBackendError):
-        smt_check_external(problem_of("x <= 0 & 0 < x"),
+        smt_check_external(parse_statement("x <= 0 & 0 < x"),
                            LOOPBACK + ["--mode", "claim-sat"])
 
 
@@ -265,8 +283,8 @@ def same_answer(problem, first, second):
 
 def test_session_matches_one_shot_calls_on_reused_names(launched):
     # every problem declares a0 and x, so a frame left open fails loudly
-    problems = [problem_of("x <= -1 | x = 2"), problem_of("(x <= 0 & 0 < x) | x < x"),
-                problem_of("(x = 7 & 7 < x) | 3*x = 5")]
+    problems = [parse_statement("x <= -1 | x = 2"), parse_statement("(x <= 0 & 0 < x) | x < x"),
+                parse_statement("(x = 7 & 7 < x) | 3*x = 5")]
     one_shot = [smt_check_external(p, LOOPBACK) for p in problems]
     assert len(launched) == 3
     with SmtSession(LOOPBACK) as session:
@@ -278,8 +296,8 @@ def test_session_matches_one_shot_calls_on_reused_names(launched):
 
 
 def test_print_success_solver_frames_correctly():
-    problems = [running_psi((0, 0), 0, ext(0)), problem_of("x <= 0 & 0 < x"),
-                problem_of("x = 2 | x = 3")]
+    problems = [running_psi((0, 0), 0, ext(0)), parse_statement("x <= 0 & 0 < x"),
+                parse_statement("x = 2 | x = 3")]
     with SmtSession(LOOPBACK + ["--mode", "print-success"]) as session:
         for problem in problems:
             same_answer(problem, smt_check_external(problem, session), smt_check(problem))
@@ -291,13 +309,13 @@ def test_redeclaration_is_a_backend_error_and_closes_the_session(launched):
         session.ask("(declare-const x Real)\n(declare-const x Real)\n(check-sat)\n")
     assert launched[0].returncode is not None
     with pytest.raises(SmtBackendError, match="closed"):
-        smt_check_external(problem_of("x <= 0"), session)
+        smt_check_external(parse_statement("x <= 0"), session)
 
 
 def test_silent_solver_times_out_and_is_reaped(launched):
     started = time.monotonic()
     with pytest.raises(SmtBackendError, match="timed out"):
-        smt_check_external(problem_of("x <= 0"),
+        smt_check_external(parse_statement("x <= 0"),
                            [sys.executable, "-c", "import time; time.sleep(30)"],
                            timeout=0.5)
     assert time.monotonic() - started < 5.0
@@ -307,7 +325,7 @@ def test_silent_solver_times_out_and_is_reaped(launched):
 def test_solver_stderr_is_quoted_in_the_error():
     crash = [sys.executable, "-c", "import sys; sys.stderr.write('bad licence\\n')"]
     with pytest.raises(SmtBackendError, match="bad licence"):
-        smt_check_external(problem_of("x <= 0"), crash)
+        smt_check_external(parse_statement("x <= 0"), crash)
 
 
 def load_updown():
@@ -344,22 +362,22 @@ def test_analyze_shares_one_session_for_run_and_check(launched):
 
 
 def test_build_psi_with_prebuilt_parts_is_the_same_query():
-    # the engine builds each edge's post-state rows and statement variables
-    # once per analysis; the query, its variable order and its script stay
-    # the same, and its bound clause is one strict atom over the post-state
+    # the engine builds each edge's post-state rows once per analysis; the
+    # query, its variable order and its script stay the same, and its bound
+    # clause is one strict atom over the post-state
     rng = random.Random(515)
     for _ in range(200):
         stmt, rows, d, j, c = random_psi_inputs(rng)
         plain = build_psi(stmt, d, rows, j, c)
         post = rows[j].rename({v: primed(v) for v in rows[j].variables()})
-        shared = build_psi(stmt, d, rows, j, c, post=post, statement_vars=formula_vars(stmt))
-        assert shared.real_vars == plain.real_vars == tuple(formula_vars(plain.skeleton))
+        shared = build_psi(stmt, d, rows, j, c, post=post)
+        assert formula_vars(shared) == formula_vars(plain)
         assert _smt_declarations(shared) == _smt_declarations(plain)
-        if plain is UNSAT_PROBLEM:
+        if plain is FALSE_ATOM:
             continue
         region = [Atom(row, "<=", di.value) for row, di in zip(rows, d) if di.is_finite]
         bound = [Atom(post.scale(-1), "<", -c.value)] if c.is_finite else []
-        assert plain.skeleton.children == tuple(region) + (stmt,) + tuple(bound)
+        assert plain.children == tuple(region) + (stmt,) + tuple(bound)
 
 
 def _psi_pair(stmt, rows, d, j, c, keep):
