@@ -4,7 +4,7 @@ The fixpoint system has one variable per (node, template row).  Start rows
 are the constant +inf; every other variable is the maximum, over incoming
 edges, of the edge's abstract transformer applied to the source bounds.  A
 strategy picks one operand per maximum (an edge plus a path through its
-disjunctions, or bottom); the loop alternates
+disjunctions, +inf at a start row, or bottom); the loop alternates
 
   * improvement: a satisfiability query per (variable, operand) asks
     whether some transition pushes the row strictly above its current
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .cfg import Cfg
 from .formula import (
@@ -107,37 +107,25 @@ class Stats:
 
 # -- strategies --------------------------------------------------------------
 
-class _Bottom:
+class _Marker:
+    """A strategy entry that is no path: ``BOTTOM`` (-inf) or ``TOP`` (the
+    constant +inf of a start row); ``text`` is how ``--trace`` prints it."""
+
+    def __init__(self, text: str):
+        self.text = text
+
     def __repr__(self):
-        return "BOTTOM"
+        return self.text
 
 
-BOTTOM = _Bottom()
+BOTTOM = _Marker("bottom")
+TOP = _Marker("const inf")
 
 
-@dataclass(frozen=True)
-class StratConst:
-    value: ExtRat
-
-
-@dataclass(frozen=True, eq=False)
-class StratPath:
+class StratPath(NamedTuple):
+    """A path entry: an edge and a choice per selector of its statement."""
     edge_index: int
     path: Dict[int, int]
-
-    def __eq__(self, other):
-        return isinstance(other, StratPath) and \
-            other.edge_index == self.edge_index and other.path == self.path
-
-
-@dataclass(frozen=True)
-class ConstChoice:
-    value: ExtRat
-
-
-@dataclass(frozen=True)
-class EdgeChoice:
-    edge_index: int
 
 
 class EquationSystem:
@@ -157,20 +145,13 @@ class EquationSystem:
             for v in row.variables():
                 if v not in declared:
                     raise EngineError(f"template row uses undeclared variable {v!r}")
-        self.order: List[VarKey] = []
-        self.choices: Dict[VarKey, List] = {}
-        m = len(template)
-        incoming: Dict[str, List[int]] = {n: [] for n in cfg.nodes}
+        incoming: Dict[str, List] = {n: [] for n in cfg.nodes}
         for idx, edge in enumerate(cfg.edges):
             incoming[edge.target].append(idx)
-        for node in cfg.nodes:
-            for i in range(m):
-                key = (node, i)
-                self.order.append(key)
-                if node == cfg.start:
-                    self.choices[key] = [ConstChoice(POS_INF)]
-                else:
-                    self.choices[key] = [EdgeChoice(e) for e in incoming[node]]
+        incoming[cfg.start] = [TOP]
+        self.order = [(node, i) for node in cfg.nodes for i in range(len(template))]
+        # the operands of each key's maximum: incoming edge indices, or [TOP]
+        self.choices: Dict[VarKey, List] = {key: incoming[key[0]] for key in self.order}
         self.index = {key: k for k, key in enumerate(self.order)}
         presolved = [eliminate_equalities(edge.statement, declared) for edge in cfg.edges]
         self.statements = [statement for statement, _ in presolved]
@@ -201,7 +182,7 @@ class EquationSystem:
 
 # -- abstract transformer of a single path ------------------------------------
 
-def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template,
+def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: Template,
                            j: int, stats: Optional[Stats] = None) -> ExtRat:
     """Best bound of template row ``j`` after one step along a path, given
     by its atoms, from the region ``T x <= d``.
@@ -210,7 +191,7 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template,
     -inf); the supremum itself is taken over the non-strict closure, which
     coincides with the strict supremum whenever the set is nonempty.
     """
-    rows = getattr(template, "rows", template)
+    rows = template.rows
     if any(di.is_neg_inf for di in d):
         return NEG_INF
     atoms = [Atom(row, "<=", d[i].value)
@@ -235,12 +216,10 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template,
 
 # -- improvement --------------------------------------------------------------
 
-def _smt(formula, stats: Optional[Stats], backend) -> SmtResult:
-    if stats is not None:
-        stats.smt_queries += 1
-    if backend is None:
-        return smt_check(formula)
-    return smt_check_external(formula, backend)
+def _source_bounds(eq: EquationSystem, idx: int, bounds) -> List[ExtRat]:
+    """The bounds of every template row at edge ``idx``'s source."""
+    source = eq.cfg.edges[idx].source
+    return [bounds[(source, i)] for i in range(len(eq.template))]
 
 
 def _psi(eq: EquationSystem, idx: int, d: Sequence[ExtRat], j: int, c: ExtRat):
@@ -248,35 +227,41 @@ def _psi(eq: EquationSystem, idx: int, d: Sequence[ExtRat], j: int, c: ExtRat):
     return build_psi(eq.statements[idx], d, eq.template, j, c, post=eq.posts[idx][j])
 
 
+def _query(eq: EquationSystem, idx: int, bounds, j: int, c: ExtRat,
+           stats: Optional[Stats], backend) -> SmtResult:
+    """Counted query: can edge ``idx`` take a state within ``bounds`` to one
+    strictly above ``c`` in row ``j``?  ``backend`` None decides internally."""
+    if stats is not None:
+        stats.smt_queries += 1
+    formula = _psi(eq, idx, _source_bounds(eq, idx, bounds), j, c)
+    if backend is None:
+        return smt_check(formula)
+    return smt_check_external(formula, backend)
+
+
 def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
                     stats, backend):
     """First operand of the maximum whose value strictly exceeds the
-    threshold, in declared order; None if there is none."""
-    node, j = key
-    for choice in eq.choices[key]:
-        if isinstance(choice, ConstChoice):
-            if choice.value > threshold:
-                return StratConst(choice.value)
-            continue
-        edge = eq.cfg.edges[choice.edge_index]
-        d = [bounds[(edge.source, i)] for i in range(len(eq.template))]
-        res = _smt(_psi(eq, choice.edge_index, d, j, threshold), stats, backend)
+    threshold (always below +inf), in declared order; None if there is none."""
+    for idx in eq.choices[key]:
+        if idx is TOP:
+            return TOP
+        res = _query(eq, idx, bounds, key[1], threshold, stats, backend)
         if res.is_sat:
-            return StratPath(choice.edge_index, dict(res.model.selectors))
+            return StratPath(idx, dict(res.model.selectors))
     return None
 
 
 def _entry_value(eq: EquationSystem, key: VarKey, entry, bounds, stats) -> ExtRat:
-    if isinstance(entry, StratConst):
-        return entry.value
-    edge = eq.cfg.edges[entry.edge_index]
-    d = [bounds[(edge.source, i)] for i in range(len(eq.template))]
+    if entry is TOP:
+        return POS_INF
     atoms: List[Atom] = []
     unresolved: List = []
-    walk(edge.statement, entry.path, atoms, unresolved)
+    walk(eq.cfg.edges[entry.edge_index].statement, entry.path, atoms, unresolved)
     if unresolved:
         raise FormulaError(f"no choice for selector {unresolved[0].selector}")
-    return abstract_transform_row(atoms, d, eq.template, key[1], stats)
+    return abstract_transform_row(atoms, _source_bounds(eq, entry.edge_index, bounds),
+                                  eq.template, key[1], stats)
 
 
 def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = None,
@@ -445,12 +430,12 @@ def _solve_component(eq: EquationSystem, component: Sequence[VarKey], strategy,
 
 
 def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None,
-             changed: Optional[Iterable[VarKey]] = None) -> Dict[VarKey, ExtRat]:
+             changed: Optional[Sequence[VarKey]] = None) -> Dict[VarKey, ExtRat]:
     """Least solution of the chosen conjunctive system above ``bounds``.
 
-    Bottom variables are -inf, constant ones their constant, and variables
-    already at +inf stay there.  Key ``(n, j)`` of a path entry reads every
-    row of its edge's source.  Only the keys in ``changed`` (by default all
+    Bottom variables are -inf, top ones +inf, and variables already at +inf
+    stay there.  Key ``(n, j)`` of a path entry reads every row of its
+    edge's source.  Only the keys in ``changed`` (by default all
     of them) and the keys reading them, transitively, are solved again;
     every other key keeps its bound, which the same equations gave before.
     The keys to solve are split into strongly connected components of the
@@ -469,8 +454,8 @@ def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None
         entry = strategy[key]
         if entry is BOTTOM:
             result[key] = NEG_INF
-        elif isinstance(entry, StratConst):
-            result[key] = entry.value
+        elif entry is TOP:
+            result[key] = POS_INF
         elif not bounds[key].is_pos_inf:
             source[key] = eq.cfg.edges[entry.edge_index].source
     readers: Dict[str, List[VarKey]] = {}
@@ -521,10 +506,8 @@ def _trace_record(sink, eq: EquationSystem, step: int, changed_keys, strategy,
     labels = eq.template.labels
 
     def describe(entry) -> str:
-        if entry is BOTTOM:
-            return "bottom"
-        if isinstance(entry, StratConst):
-            return f"const {entry.value}"
+        if not isinstance(entry, StratPath):
+            return entry.text
         edge = eq.cfg.edges[entry.edge_index]
         path = ",".join(f"{s}:{v}" for s, v in sorted(entry.path.items()))
         return f"edge {entry.edge_index} {edge.source}->{edge.target} path[{path}]"
@@ -612,12 +595,11 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
     eq = EquationSystem(g, template)
     with solver_session(backend) as session:
         for idx, edge in enumerate(g.edges):
-            d = [bounds[(edge.source, i)] for i in range(len(template))]
             for j in range(len(template)):
                 c = bounds[(edge.target, j)]
                 if c.is_pos_inf:
                     continue
-                res = _smt(_psi(eq, idx, d, j, c), stats, session)
+                res = _query(eq, idx, bounds, j, c, stats, session)
                 if res.is_sat:
                     reals = dict.fromkeys(formula_vars(edge.statement), ZERO)
                     reals.update(res.model.reals)
@@ -644,14 +626,12 @@ def kleene_oracle(g: Cfg, template: Template,
         for key in eq.order:
             node, j = key
             best = NEG_INF
-            for choice in eq.choices[key]:
-                if isinstance(choice, ConstChoice):
-                    val = choice.value
-                    best = val if val > best else best
+            for idx in eq.choices[key]:
+                if idx is TOP:
+                    best = POS_INF
                     continue
-                edge = eq.cfg.edges[choice.edge_index]
-                d = [bounds[(edge.source, i)] for i in range(len(template))]
-                for path in paths_cache[choice.edge_index]:
+                d = _source_bounds(eq, idx, bounds)
+                for path in paths_cache[idx]:
                     val = abstract_transform_row(path, d, template, j)
                     if val > best:
                         best = val

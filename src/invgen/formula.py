@@ -455,7 +455,7 @@ def tokenize(text: str) -> List[Token]:
                 i += 1
             continue
         start_col = col
-        if any(text.startswith(op, i) for op in _TWO_CHAR_OPS):
+        if text[i:i + 2] in _TWO_CHAR_OPS:
             tokens.append(Token("op", text[i:i + 2], line, start_col))
             i += 2
             col += 2
@@ -467,7 +467,7 @@ def tokenize(text: str) -> List[Token]:
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
             lit = text[i:j]
-            if lit.count(".") > 1:
+            if lit.count(".") > 1 or lit.endswith("."):
                 raise ParseError(f"malformed number {lit!r}", line, col)
             tokens.append(Token("num", lit, line, start_col))
             col += j - i

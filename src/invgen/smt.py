@@ -253,36 +253,24 @@ def _lex(text: str):
         i = j
 
 
-def _parse_sexps(text: str) -> List:
-    out: List = []
+def _read_sexp(text: str) -> Optional[Tuple[object, int]]:
+    """The first complete s-expression in ``text``, an atom or a nested
+    list of them, and the offset just past it; None while more input is
+    needed."""
     stack: List[List] = []
-    for tok, end in _lex(text):
-        if end is None and tok.startswith("|"):
-            raise SmtBackendError("unterminated quoted symbol in solver output")
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise SmtBackendError("unbalanced solver output")
-            done = stack.pop()
-            (stack[-1] if stack else out).append(done)
-        else:
-            (stack[-1] if stack else out).append(tok)
-    if stack:
-        raise SmtBackendError("unbalanced solver output")
-    return out
-
-
-def _sexp_end(text: str) -> Optional[int]:
-    """Offset just past the first complete s-expression in ``text``, or
-    None while more input is needed."""
-    depth = 0
     for tok, end in _lex(text):
         if end is None or (end == len(text) and tok[0] not in '()"|'):
             return None  # cut off, or an atom that may go on
-        depth += (tok == "(") - (tok == ")")
-        if depth <= 0:
-            return end
+        if tok == "(":
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise SmtBackendError("unbalanced solver output")
+            tok = stack.pop()
+        if not stack:
+            return tok, end
+        stack[-1].append(tok)
     return None
 
 
@@ -409,14 +397,13 @@ class SmtSession:
     def _next_answer(self):
         """The next complete answer in the output read so far, or None."""
         while True:
-            end = _sexp_end(self._text)
-            if end is None:
+            read = _read_sexp(self._text)
+            if read is None:
                 return None
-            sexps = _parse_sexps(self._text[:end])
+            answer, end = read
             self._text = self._text[end:]
-            if not sexps or sexps[0] == "success":
+            if answer == "success":
                 continue
-            answer = sexps[0]
             if isinstance(answer, list) and answer and answer[0] == "error":
                 raise self._fail("solver error: " + " ".join(
                     a if isinstance(a, str) else reprlib.repr(a) for a in answer[1:]))
@@ -481,14 +468,12 @@ def smt_check_external(formula, solver: Union[SmtSession, str, Sequence[str]],
     are re-derived internally on the selected path.  Everything unexpected
     raises ``SmtBackendError`` and closes the session.
     """
-    if not isinstance(solver, SmtSession):
-        with SmtSession(solver) as session:
-            return smt_check_external(formula, session, timeout)
-    try:
-        return _external_query(formula, solver, timeout)
-    except SmtBackendError:
-        solver.close()
-        raise
+    with solver_session(solver) as session:
+        try:
+            return _external_query(formula, session, timeout)
+        except SmtBackendError:
+            session.close()
+            raise
 
 
 def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:

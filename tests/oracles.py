@@ -13,7 +13,7 @@ variable over the whole system.
 
 from typing import Dict, List, Optional, Tuple
 
-from invgen.engine import BOTTOM, EngineError, StratConst
+from invgen.engine import BOTTOM, TOP, EngineError
 from invgen.formula import (
     FALSE_ATOM, REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, PathChoice,
     formula_vars, map_atoms, primed, rename_vars, selectors_of,
@@ -610,9 +610,7 @@ def full_evaluate(eq, strategy, bounds):
         entry = strategy[key]
         if entry is BOTTOM:
             pinned[key] = NEG_INF
-        elif isinstance(entry, StratConst):
-            pinned[key] = entry.value
-        elif bounds[key].is_pos_inf:
+        elif entry is TOP or bounds[key].is_pos_inf:
             pinned[key] = POS_INF
 
     while True:  # propagate empty source regions

@@ -23,7 +23,7 @@ import sys
 
 from invgen.formula import And, Atom, LinExpr, Or
 from invgen.numeric import Rat
-from invgen.smt import _parse_sexps, _sexp_end, smt_check  # reuse the s-expression reader
+from invgen.smt import _read_sexp, smt_check  # reuse the s-expression reader
 
 
 def parse_rat(node):
@@ -113,11 +113,11 @@ def commands(fd):
         if not chunk:
             return
         text += chunk.decode()
-        end = _sexp_end(text)
-        while end is not None:
-            yield from _parse_sexps(text[:end])
-            text = text[end:]
-            end = _sexp_end(text)
+        read = _read_sexp(text)
+        while read is not None:
+            yield read[0]
+            text = text[read[1]:]
+            read = _read_sexp(text)
 
 
 class Frame:

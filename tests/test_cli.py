@@ -245,9 +245,12 @@ def test_cli_main_trace_and_max_iters(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "not final" in out
-    lines = trace.read_text().splitlines()
-    assert len(lines) == 2
-    assert json.loads(lines[0])["step"] == 1
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["step"] for r in records] == [1, 2]
+    # the start rows take the constant +inf, then n1's rows the entry edge
+    assert records[0]["changed"] == {"st[x1]": "const inf", "st[-x1]": "const inf"}
+    assert records[1]["changed"] == {"n1[x1]": "edge 0 st->n1 path[]",
+                                     "n1[-x1]": "edge 0 st->n1 path[]"}
 
 
 def test_capped_result_is_marked_not_final(capsys):
@@ -279,6 +282,20 @@ def test_cli_main_error_paths(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.prg")]) == 2
     capsys.readouterr()
     assert main(["analyze", corpus("running.prg"), "--solver", "bogus"]) == 2
+
+
+def test_malformed_numbers_are_reported_where_they_stand(tmp_path, capsys):
+    # a literal with a second dot, or ending in one, is a parse error with
+    # its location, in a statement and in a template alike
+    prog = tmp_path / "bad.prg"
+    for template, edge, where in (
+            ("interval", "x' = 1.", "'1.' (line 5, column 21)"),
+            ("{ x ; 2.x ; }", "x' = 1", "'2.' (line 2, column 16)"),
+            ("interval", "x' = 1.2.3", "'1.2.3' (line 5, column 21)")):
+        prog.write_text(f"vars x ;\ntemplate {template} ;\nnodes st n ;\nstart st ;\n"
+                        f"edge st -> n : {edge} ;\n")
+        assert main(["analyze", str(prog)]) == 2
+        assert capsys.readouterr().err == f"error: malformed number {where}\n"
 
 
 def test_wide_disjunction_is_analysed_not_a_traceback(tmp_path):

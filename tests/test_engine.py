@@ -11,9 +11,9 @@ from invgen import engine
 from invgen.cfg import Cfg, compress, feedback_vertex_set
 from invgen.cli import analyze, parse_program, program_to_cfg
 from invgen.engine import (
-    BOTTOM, ConstChoice, EngineError, EngineOptions, EquationSystem, StratConst,
-    StratPath, Template, abstract_transform_row, check_post_fixpoint, evaluate,
-    Stats, improve, kleene_oracle, run,
+    BOTTOM, TOP, EngineError, EngineOptions, EquationSystem, StratPath, Template,
+    abstract_transform_row, check_post_fixpoint, evaluate, Stats, improve, kleene_oracle,
+    run,
 )
 from invgen.formula import parse_linexpr, parse_statement
 from invgen.numeric import NEG_INF, POS_INF, ext
@@ -46,8 +46,8 @@ def expand(bounds, labels=None):
 def test_equation_system_shape():
     eq = EquationSystem(running_cfg(), running_template())
     assert len(eq.order) == 4
-    assert eq.choices[("st", 0)] == [ConstChoice(POS_INF)]
-    assert [type(c).__name__ for c in eq.choices[("n1", 0)]] == ["EdgeChoice", "EdgeChoice"]
+    assert eq.choices[("st", 0)] == [TOP]
+    assert eq.choices[("n1", 0)] == [0, 1]
 
 
 def test_no_incoming_edges_means_empty_max():
@@ -81,7 +81,7 @@ def test_worked_iteration_trace():
     rho = eq.initial_bounds()
 
     sigma = improve(eq, sigma, rho)
-    assert sigma[("st", 0)] == StratConst(POS_INF)
+    assert sigma[("st", 0)] is TOP
     assert sigma[("n1", 0)] is BOTTOM  # source bounds are still -inf
     rho = evaluate(eq, sigma, rho)
     assert rho[("n1", 0)] is NEG_INF
@@ -135,8 +135,8 @@ def test_ascent_is_monotone_and_strict_while_running():
             entry = sigma[key]
             if isinstance(entry, StratPath):
                 assert _entry_value(eq, key, entry, rho) >= rho[key]
-            elif isinstance(entry, StratConst):
-                assert entry.value >= rho[key]
+            elif entry is TOP:
+                assert rho[key] is POS_INF
 
 
 def test_evaluate_all_bottom_is_identity():
@@ -216,19 +216,6 @@ def test_strict_supremum_uses_closure():
     assert abstract_transform_row(empty, [ext(10)], T, 0) is NEG_INF
 
 
-def test_local_opt_picks_best_constant():
-    g = Cfg(["st", "n"], "st", [], ["x"])
-    T = Template([parse_linexpr("x")])
-    eq = EquationSystem(g, T)
-    eq.choices[("n", 0)] = [ConstChoice(ext(0)), ConstChoice(ext(1)), ConstChoice(ext(2))]
-    sigma = eq.initial_strategy()
-    rho = eq.initial_bounds()
-    plain = improve(eq, sigma, rho)
-    assert plain[("n", 0)] == StratConst(ext(0))  # first improving operand
-    best = improve(eq, sigma, rho, local=True)
-    assert best[("n", 0)] == StratConst(ext(2))  # locally optimal operand
-
-
 def test_local_opt_on_running_example_matches_plain():
     # only one improving path exists at rho2, so both operators agree
     eq = EquationSystem(running_cfg(), running_template())
@@ -273,8 +260,8 @@ def test_local_opt_dominates_every_path_value():
             if not isinstance(entry, StratPath):
                 continue
             chosen = _entry_value(eq, key, entry, rho)
-            for choice in eq.choices[key]:
-                edge = eq.cfg.edges[choice.edge_index]
+            for idx in eq.choices[key]:
+                edge = eq.cfg.edges[idx]
                 d = [rho[(edge.source, i)] for i in range(len(T))]
                 for path in enumerate_path_choices(edge.statement):
                     seq = select_path(edge.statement, path)
@@ -472,7 +459,7 @@ def test_unbounded_component_falls_back_to_one_lp_per_variable():
     # sum LP is unbounded, since y' = y leaves the y row free
     eq = EquationSystem(_loop_cfg("x <= 5 & x' = x + 1 & y' = y"),
                         Template([parse_linexpr("x"), parse_linexpr("y")]))
-    strategy = {("st", 0): StratConst(POS_INF), ("st", 1): StratConst(POS_INF),
+    strategy = {("st", 0): TOP, ("st", 1): TOP,
                 ("n", 0): StratPath(1, {}), ("n", 1): StratPath(1, {})}
     stats = Stats()
     got = evaluate(eq, strategy, eq.initial_bounds(), stats)
@@ -484,7 +471,7 @@ def test_unbounded_component_falls_back_to_one_lp_per_variable():
 def test_one_key_component_without_bound_is_infinite():
     eq = EquationSystem(_loop_cfg("x' = x + 1 & y' = 0"),
                         Template([parse_linexpr("x"), parse_linexpr("y")]))
-    strategy = {("st", 0): StratConst(POS_INF), ("st", 1): StratConst(POS_INF),
+    strategy = {("st", 0): TOP, ("st", 1): TOP,
                 ("n", 0): StratPath(1, {}), ("n", 1): StratPath(0, {})}
     stats = Stats()
     got = evaluate(eq, strategy, eq.initial_bounds(), stats)
@@ -501,7 +488,7 @@ def test_keys_outside_the_affected_set_keep_their_bounds():
              ("a", parse_statement("x <= 3 & x' = x + 1"), "a"),
              ("b", parse_statement("x <= 7 & x' = x + 1"), "b")], ["x"])
     eq = EquationSystem(g, Template([parse_linexpr("x")]))
-    first = {("st", 0): StratConst(POS_INF), ("a", 0): StratPath(0, {}),
+    first = {("st", 0): TOP, ("a", 0): StratPath(0, {}),
              ("b", 0): StratPath(1, {})}
     bounds = evaluate(eq, first, eq.initial_bounds())
     assert bounds == {("st", 0): POS_INF, ("a", 0): ext(0), ("b", 0): ext(1)}

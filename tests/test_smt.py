@@ -14,7 +14,7 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _parse_sexps, _sexp_rat, _smt_declarations, smt_check,
+    SmtBackendError, SmtSession, _read_sexp, _sexp_rat, _smt_declarations, smt_check,
     smt_check_external,
 )
 
@@ -208,7 +208,7 @@ def test_solver_values_read_exactly():
 def test_deeply_nested_solver_values_are_read_without_recursion():
     # a value under 3,000 nested operators is read on an explicit stack
     def deep(text, depth=3000):
-        (node,) = _parse_sexps("(- " * depth + text + ")" * depth)
+        node, _ = _read_sexp("(- " * depth + text + ")" * depth)
         return node
 
     assert _sexp_rat(deep("1")) == 1
