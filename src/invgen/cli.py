@@ -98,6 +98,8 @@ def parse_program(text: str) -> ProgramFile:
             names = _ident_list(ts)
             if len(names) != 1:
                 raise ParseError("start takes exactly one node", tok.line, tok.column)
+            if prog.start is not None:
+                raise ParseError("duplicate start directive", tok.line, tok.column)
             prog.start = names[0]
         elif directive == "edge":
             prog.edges.append(_parse_edge(ts))

@@ -60,7 +60,7 @@ class Template:
     """Rows of the template constraint matrix, as linear expressions over
     the program variables (no constant parts), with printable labels."""
 
-    def __init__(self, rows: Sequence[LinExpr], labels: Optional[Sequence[str]] = None):
+    def __init__(self, rows: Sequence[LinExpr]):
         self.rows = list(rows)
         if not self.rows:
             raise EngineError("template needs at least one row")
@@ -69,20 +69,14 @@ class Template:
                 raise EngineError("template row without variables")
             if row.const != 0:
                 raise EngineError("template row must not carry a constant offset")
-        self.labels = list(labels) if labels is not None else [str(r) for r in self.rows]
-        if len(self.labels) != len(self.rows):
-            raise EngineError("one label per template row required")
-        # duplicate expressions are allowed; a repeated label gets the next unused #k
-        taken = set(self.labels)
-        seen: Set[str] = set()
-        for i, lab in enumerate(self.labels):
-            if lab in seen:
-                k = 2
-                while f"{lab}#{k}" in taken:
-                    k += 1
-                lab = self.labels[i] = f"{lab}#{k}"
-                taken.add(lab)
-            seen.add(lab)
+        # a row's text labels it; duplicate rows are allowed, and the k-th
+        # repeat gets ``#k``, which row text cannot contain
+        self.labels: List[str] = []
+        seen: Dict[str, int] = {}
+        for row in self.rows:
+            label = str(row)
+            seen[label] = k = seen.get(label, 0) + 1
+            self.labels.append(label if k == 1 else f"{label}#{k}")
 
     def __len__(self):
         return len(self.rows)
@@ -199,7 +193,7 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: 
     atoms.extend(path)
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
     problem, strict = atoms_problem(atoms, dict(target.coeffs))
-    feas = lp_feasible_strict(problem, strict)
+    feas = lp_feasible_strict(problem.constraints, strict)
     if stats is not None:
         stats.lp_solves += 1
     if not feas.feasible:
@@ -399,14 +393,12 @@ def _solve_component(eq: EquationSystem, component: Sequence[VarKey], strategy,
             elif result[src].is_finite:
                 constraints.append(Constraint(pre, result[src].value))
             # +inf rows vanish; a -inf source empties the whole component
-    # the component's variables, then the copies' in order of first occurrence
-    variables = dict.fromkeys(eq.lp_var(key) for key in component)
-    for row in constraints:
-        variables.update(dict.fromkeys(v for v, _ in row.coeffs))
 
     def solve(objective: Sequence[VarKey]):
-        res = lp_solve(LpProblem(list(variables), {eq.lp_var(k): ONE for k in objective},
-                                 constraints))
+        # the component's variables, then the copies' in order of first occurrence
+        problem = LpProblem([eq.lp_var(k) for k in component],
+                            {eq.lp_var(k): ONE for k in objective}, [])
+        res = lp_solve(problem.extend(constraints))
         if stats is not None:
             stats.lp_solves += 1
         if res.status not in (OPTIMAL, UNBOUNDED):

@@ -20,17 +20,20 @@ The pivot sequence is exactly that of a dense tableau of rationals.  Every
 outcome (infeasible / optimal with witness / unbounded) is exact; there is
 no floating point anywhere.
 
-An ``OPTIMAL`` result keeps its final tableau, so a later problem that
-only adds variables and rows can start from it (the branch-and-bound warm
-start): the new rows are appended exactly as a slack basis is built, and
-the dual simplex alone restores a nonnegative right-hand side.  The old
-reduced costs stay optimal, because the objective is the same and the new
-columns cost nothing.  No row is ever changed in place, so the warm start
-shares every old row with its start.  ``LpProblem.extend`` builds such a
-problem from the earlier one, checking only what it adds.
+A problem grows only by ``LpProblem.extend``, which appends rows and
+records the problem it extends as ``base``.  An ``OPTIMAL`` result keeps
+its final tableau, and a problem whose ``base`` is that tableau's problem
+(by identity) starts from it, the branch-and-bound warm start: the new
+rows are appended exactly as a slack basis is built, and the dual simplex
+alone restores a nonnegative right-hand side.  The old reduced costs stay
+optimal, because the objective is the same and the new columns cost
+nothing.  No row is ever changed in place, so the warm start shares every
+old row with its start.
 
 Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
-maximize an auxiliary slack that strict rows must leave open.
+maximize an auxiliary slack that strict rows must leave open.  A check
+adds rows to an earlier check's system and is solved warm from it, so a
+search asserts rows, checks, and backtracks by starting from an older check.
 """
 
 from __future__ import annotations
@@ -79,50 +82,40 @@ class Constraint:
         return Constraint(self.coeffs + ((_DELTA, ONE),), self.rhs)
 
 
-_DELTA_ROW = Constraint(((_DELTA, ONE),), ONE)
-
-
 class LpProblem:
-    """Maximize a linear objective subject to ``<=`` rows."""
+    """Maximize a linear objective subject to ``<=`` rows; ``base`` is the
+    problem that this one extends, or None."""
 
     def __init__(self, variables: Sequence[str], objective: Dict[str, Rat],
                  constraints: Sequence[Constraint]):
-        self.variables: List[str] = []
-        self.constraints: List[Constraint] = []
-        self._add(variables, constraints)
+        self.variables, self.constraints, self.base = list(variables), list(constraints), None
         declared = set(self.variables)
+        if len(declared) != len(self.variables):
+            raise LpError("duplicate variable declaration")
+        for row in self.constraints:
+            for v, _ in row.coeffs:
+                if v not in declared:
+                    raise LpError(f"constraint uses undeclared variable {v!r}")
         self.objective = {v: as_rat(c) for v, c in objective.items() if c != 0}
         for v in self.objective:
             if v not in declared:
                 raise LpError(f"objective uses undeclared variable {v!r}")
 
-    def extend(self, variables: Sequence[str],
-               constraints: Sequence[Constraint]) -> "LpProblem":
-        """A new problem with this one's objective, variables and rows,
-        then ``variables`` and ``constraints``; only these are checked."""
-        grown = _checked(self.variables, self.objective, self.constraints)
-        grown._add(variables, constraints)
+    def extend(self, constraints: Sequence[Constraint]) -> "LpProblem":
+        """A problem whose ``base`` is this one: ``constraints`` appended,
+        and their variables that this one lacks, in order of occurrence."""
+        declared = set(self.variables)
+        grown = LpProblem.__new__(LpProblem)
+        grown.variables = self.variables + [
+            v for v in dict.fromkeys(v for row in constraints for v, _ in row.coeffs)
+            if v not in declared]
+        grown.constraints = self.constraints + list(constraints)
+        grown.objective, grown.base = self.objective, self
         return grown
 
-    def _add(self, variables: Sequence[str], constraints: Sequence[Constraint]) -> None:
-        self.variables = self.variables + list(variables)
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise LpError("duplicate variable declaration")
-        for row in constraints:
-            for v, _ in row.coeffs:
-                if v not in declared:
-                    raise LpError(f"constraint uses undeclared variable {v!r}")
-        self.constraints = self.constraints + list(constraints)
 
-
-def _checked(variables: List[str], objective: Dict[str, Rat],
-             constraints: List[Constraint]) -> LpProblem:
-    """An ``LpProblem`` of parts that are checked already."""
-    problem = LpProblem.__new__(LpProblem)
-    problem.variables, problem.objective, problem.constraints = \
-        variables, objective, constraints
-    return problem
+# what a cold ``lp_feasible_strict`` extends: maximize d subject to d <= 1
+_STRICT_BASE = LpProblem([_DELTA], {_DELTA: ONE}, [Constraint(((_DELTA, ONE),), ONE)])
 
 
 class LpResult:
@@ -195,20 +188,20 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
     Without ``start`` the solve begins at the slack basis of ``problem``,
     whose reduced costs are all 0: a dual simplex makes it feasible and a
     primal simplex then optimizes.  ``start`` is an earlier ``OPTIMAL``
-    result whose problem has the same objective and whose variables and
-    rows are each a prefix of ``problem``'s; anything else raises
-    ``LpError``.  The solve then begins at a copy of its final tableau
-    (``start`` itself is never changed), extended by the same code that
-    builds a slack basis, and the dual simplex alone finishes it: its
-    reduced costs stay optimal, and rows only shrink the feasible set of a
-    bounded problem, so the result is never unbounded.  Status and value
-    are those of a cold solve; the witness may differ.
+    result of the problem that ``problem`` extends (``problem.base``);
+    anything else raises ``LpError``.  The solve then begins at a copy of
+    its final tableau (``start`` itself is never changed), extended by the
+    same code that builds a slack basis, and the dual simplex alone
+    finishes it: its reduced costs stay optimal, and rows only shrink the
+    feasible set of a bounded problem, so the result is never unbounded.
+    Status and value are those of a cold solve; the witness may differ.
     """
     if start is None:
         tab = _Tableau(problem)
     else:
-        if start.status != OPTIMAL or start.tableau is None:
-            raise LpError("a warm start must be an optimal result")
+        if start.status != OPTIMAL or start.tableau is None or \
+                start.tableau.problem is not problem.base:
+            raise LpError("a warm start must be an optimal solve of problem.base")
         tab = start.tableau.extended(problem)
     if not tab.dual_simplex():
         return LpResult(INFEASIBLE)
@@ -217,29 +210,31 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
     return LpResult(OPTIMAL, tab.value(), tableau=tab)
 
 
-def lp_feasible_strict(problem: LpProblem, strict_rows: Set[int],
+def lp_feasible_strict(constraints: Sequence[Constraint], strict: Set[int],
                        start: Optional[FeasResult] = None) -> FeasResult:
-    """Decide a system where some rows must hold strictly.
+    """Decide ``start``'s system plus ``constraints``, where the rows whose
+    indices (into ``constraints``) are in ``strict`` must hold strictly.
 
     Maximizes an auxiliary slack d with ``row + d <= rhs`` for every strict
     row and ``d <= 1``; the mixed system is satisfiable iff the optimum is
     positive.  The witness then satisfies strict rows with room to spare.
-    The column of d and the row ``d <= 1`` come first, so the relaxed
-    problem of a prefix extension of ``problem`` (same strict rows among the
-    old ones) extends the relaxed problem of ``start``, an earlier result of
-    this function, and is solved warm from its ``lp``.
+    The relaxed problem extends that of ``start``, an earlier result whose
+    ``lp`` is optimal, and is solved warm from it; without ``start`` it
+    extends the problem of d alone and is solved cold.
     """
-    rows = [_DELTA_ROW, *problem.constraints]
-    for i in strict_rows:
-        if not 0 <= i < len(problem.constraints):
+    rows = list(constraints)
+    for i in strict:
+        if not 0 <= i < len(rows):
             raise LpError(f"strict row index {i} out of range")
-        rows[i + 1] = problem.constraints[i].slackened
-    if _DELTA in problem.variables:
+        rows[i] = rows[i].slackened
+    if any(v == _DELTA for row in constraints for v, _ in row.coeffs):
         raise LpError(f"variable name {_DELTA!r} is reserved")
-    relaxed = _checked([_DELTA, *problem.variables], {_DELTA: ONE}, rows)
-    if start is not None and start.lp is None:
-        raise LpError("a warm start must carry its LP result")
-    res = lp_solve(relaxed, None if start is None else start.lp)
+    if start is None:
+        res = lp_solve(_STRICT_BASE.extend(rows))
+    else:
+        if start.lp is None or start.lp.status != OPTIMAL:
+            raise LpError("a warm start must carry an optimal LP result")
+        res = lp_solve(start.lp.tableau.problem.extend(rows), start.lp)
     return FeasResult(res.status == OPTIMAL and res.value > 0, lp=res)
 
 
@@ -273,15 +268,9 @@ class _Tableau:
 
     def extended(self, problem: LpProblem) -> "_Tableau":
         """A copy of this optimal tableau for ``problem``, which extends this
-        one's problem by variables and rows.  The reduced costs stay dual
-        feasible: the new columns' are 0."""
-        old = self.problem
-        nvars, nrows = len(old.variables), len(old.constraints)
-        if problem.objective != old.objective or \
-                problem.variables[:nvars] != old.variables or \
-                problem.constraints[:nrows] != old.constraints:
-            raise LpError("a warm start must be a prefix of the problem "
-                          "with the same objective")
+        one's problem (``problem.base is self.problem``).  The reduced costs
+        stay dual feasible: the new columns' are 0."""
+        nvars, nrows = len(self.problem.variables), len(self.problem.constraints)
         tab = _Tableau.__new__(_Tableau)
         tab.problem, tab.ncols, tab.zrow = problem, self.ncols, self.zrow
         tab.rows, tab.den, tab.basis = list(self.rows), list(self.den), list(self.basis)

@@ -9,6 +9,8 @@ otherwise; both are exact, auto-reducing and interchangeable for our use.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -68,25 +70,13 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class ExtRat:
-    """A rational extended with the two infinities.
+class ExtRat(NamedTuple):
+    """A rational extended with the two infinities: ``kind`` is -1, 0 or +1
+    for -inf, a finite ``value`` or +inf.  Tuple order is the order of the
+    extended line; equality, hashing and immutability are the tuple's."""
 
-    Instances are immutable, and the order is total (``-inf < q < +inf``).
-    """
-
-    __slots__ = ("kind", "value")
-
-    # kind: -1 = -inf, 0 = finite, +1 = +inf
-    def __init__(self, kind: int, value=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", as_rat(value) if kind == 0 else None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExtRat is immutable")
-
-    @staticmethod
-    def finite(value) -> "ExtRat":
-        return ExtRat(0, value)
+    kind: int
+    value: Optional[Rat] = None
 
     @property
     def is_finite(self) -> bool:
@@ -100,32 +90,8 @@ class ExtRat:
     def is_neg_inf(self) -> bool:
         return self.kind < 0
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtRat):
-            return NotImplemented
-        return self.kind == other.kind and (self.kind != 0 or self.value == other.value)
-
-    def __lt__(self, other):
-        return ext_cmp(self, other) < 0
-
-    def __le__(self, other):
-        return ext_cmp(self, other) <= 0
-
-    def __gt__(self, other):
-        return ext_cmp(self, other) > 0
-
-    def __ge__(self, other):
-        return ext_cmp(self, other) >= 0
-
-    def __hash__(self):
-        return hash((self.kind, None if self.kind else self.value))
-
     def __str__(self):
-        if self.kind > 0:
-            return "inf"
-        if self.kind < 0:
-            return "-inf"
-        return rat_str(self.value)
+        return rat_str(self.value) if self.kind == 0 else "inf" if self.kind > 0 else "-inf"
 
     def __repr__(self):
         return f"ExtRat({self})"
@@ -139,15 +105,4 @@ def ext(value) -> ExtRat:
     """Lift a rational-like value (or an ExtRat) into ExtRat."""
     if isinstance(value, ExtRat):
         return value
-    return ExtRat.finite(value)
-
-
-def ext_cmp(a: ExtRat, b: ExtRat) -> int:
-    """Three-way comparison: -1, 0 or +1."""
-    if a.kind != b.kind:
-        return -1 if a.kind < b.kind else 1
-    if a.kind != 0:
-        return 0
-    if a.value == b.value:
-        return 0
-    return -1 if a.value < b.value else 1
+    return ExtRat(0, as_rat(value))

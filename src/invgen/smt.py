@@ -9,11 +9,12 @@ forced so far are consistent (strict atoms are handled natively); an
 infeasible prefix prunes the whole subtree.
 Each node keeps its frontier, the reachable disjunctions without a value.
 Giving one a value walks only its chosen branch, once per time the
-disjunction is reached: the atoms found there become the rows the child
-appends to its parent's LP (``LpProblem.extend``), and the disjunctions
-found there join the child's frontier.  Each atom's LP row is built once,
-and each node's check re-solves from its parent's optimal tableau (the
-warm start of ``lp_solve``), so a node pays only for its branch's rows.
+disjunction is reached: the atoms found there are the rows that the
+child's theory check adds to its parent's (``lp_feasible_strict`` with the
+parent's check as ``start``), and the disjunctions found there join the
+child's frontier.  Each atom's LP row is built once, and each check is
+solved warm from its parent's optimal tableau, so a node pays only for its
+branch's rows; backtracking is starting from an older check.
 
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
@@ -78,22 +79,12 @@ def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = N
     for atom in atoms:
         variables.update(dict.fromkeys(atom.lin.coeffs))
     variables.update(dict.fromkeys(objective or ()))
-    strict = {i for i, a in enumerate(atoms) if a.rel == REL_LT}
-    return LpProblem(list(variables), objective or {}, [a.row for a in atoms]), strict
+    return LpProblem(list(variables), objective or {}, [a.row for a in atoms]), _strict(atoms)
 
 
-def _grow(problem: LpProblem, strict: Set[int], atoms: Sequence[Atom]
-          ) -> Tuple[LpProblem, Set[int]]:
-    """``problem`` and its strict rows extended by ``atoms``: what
-    ``atoms_problem`` gives for the parent's atoms followed by these."""
-    declared = set(problem.variables)
-    variables: Dict[str, None] = {}
-    for atom in atoms:
-        variables.update(dict.fromkeys(atom.lin.coeffs))
-    n = len(problem.constraints)
-    strict = strict | {n + i for i, a in enumerate(atoms) if a.rel == REL_LT}
-    return problem.extend([v for v in variables if v not in declared],
-                          [a.row for a in atoms]), strict
+def _strict(atoms: Sequence[Atom]) -> Set[int]:
+    """The indices of the strict atoms."""
+    return {i for i, a in enumerate(atoms) if a.rel == REL_LT}
 
 
 def smt_check(formula) -> SmtResult:
@@ -102,15 +93,16 @@ def smt_check(formula) -> SmtResult:
 
     The search is depth first, value 0 before 1, on an explicit stack.  A
     search node holds its frontier (each selector without a value, with the
-    disjunctions that carry it, once per time each is reached), its LP and
-    the LP's strict rows.  A pending node holds what it is grown from: its
-    depth, the selector value it adds, the subtrees that value reaches, its
-    parent's other parts and the parent's solve to start from.  The root is
-    the whole formula, grown from an empty LP and solved cold."""
+    disjunctions that carry it, once per time each is reached) and its
+    theory check.  A pending node holds what it is grown from: its depth,
+    the selector value it adds, the subtrees that value reaches, its
+    parent's frontier without that selector and the parent's check, which
+    its own check extends by the atoms those subtrees force.  The root is
+    the whole formula, checked cold."""
     assign: Dict[int, int] = {}  # in the order assigned, so a prefix is a path
-    pending: List[tuple] = [(0, {}, (formula,), {}, LpProblem([], {}, []), set(), None)]
+    pending: List[tuple] = [(0, {}, (formula,), {}, None)]
     while pending:
-        depth, choice, subtrees, rest, lp, strict, start = pending.pop()
+        depth, choice, subtrees, rest, start = pending.pop()
         while len(assign) > depth:
             assign.popitem()
         assign.update(choice)
@@ -119,8 +111,7 @@ def smt_check(formula) -> SmtResult:
         for node in subtrees:
             walk(node, assign, atoms, reached)
         frontier = _open(rest, reached)
-        lp, strict = _grow(lp, strict, atoms)
-        feas = lp_feasible_strict(lp, strict, start=start)
+        feas = lp_feasible_strict([a.row for a in atoms], _strict(atoms), start)
         if not feas.feasible:
             continue
         if not frontier:
@@ -132,7 +123,7 @@ def smt_check(formula) -> SmtResult:
         nodes = rest.pop(sel)
         for value in (1, 0):
             subtrees = [node.right if value else node.left for node in nodes]
-            pending.append((len(assign), {sel: value}, subtrees, rest, lp, strict, feas))
+            pending.append((len(assign), {sel: value}, subtrees, rest, feas))
     return SmtResult(UNSAT)
 
 
@@ -528,7 +519,7 @@ def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
     except (KeyError, SmtBackendError):
         reals = None
     if reals is None:
-        feas = lp_feasible_strict(*atoms_problem(atoms))
+        feas = lp_feasible_strict([a.row for a in atoms], _strict(atoms))
         if not feas.feasible:
             raise SmtBackendError(
                 "solver said sat but its selected path is infeasible")

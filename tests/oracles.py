@@ -55,7 +55,7 @@ def parse_ext(text: str) -> ExtRat:
         return POS_INF
     if s == "-inf":
         return NEG_INF
-    return ExtRat.finite(parse_rat(s))
+    return ext(parse_rat(s))
 
 
 def eval_formula(formula, env: Dict[str, Rat],
@@ -371,17 +371,8 @@ def atoms_of(formula) -> List[Atom]:
 
 def _atoms_feasible(atoms):
     """One cold strict-feasibility check of a conjunction of atoms."""
-    names = []
-    seen = set()
-    for a in atoms:
-        for v in a.lin.variables():
-            if v not in seen:
-                seen.add(v)
-                names.append(v)
-    lp = LpProblem(names, {}, [Constraint(tuple(a.lin.coeffs.items()), a.bound)
-                               for a in atoms])
-    strict = {i for i, a in enumerate(atoms) if a.rel == "<"}
-    return lp_feasible_strict(lp, strict)
+    rows = [Constraint(tuple(a.lin.coeffs.items()), a.bound) for a in atoms]
+    return lp_feasible_strict(rows, {i for i, a in enumerate(atoms) if a.rel == "<"})
 
 
 def brute_force_smt(formula) -> bool:

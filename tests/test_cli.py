@@ -298,6 +298,16 @@ def test_malformed_numbers_are_reported_where_they_stand(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: malformed number {where}\n"
 
 
+def test_second_start_directive_is_an_error(tmp_path, capsys):
+    # a second start must not silently replace the first
+    prog = tmp_path / "two_starts.prg"
+    prog.write_text("vars x ;\ntemplate interval ;\nnodes a b ;\nstart a ;\n"
+                    "edge a -> b : x' = 1 ;\n  start b ;\n")
+    assert main(["analyze", str(prog)]) == 2
+    assert capsys.readouterr().err == \
+        "error: duplicate start directive (line 6, column 3)\n"
+
+
 def test_wide_disjunction_is_analysed_not_a_traceback(tmp_path):
     # 1,000 disjuncts nest 999 deep; every formula walk of the analysis and
     # the selector search use explicit stacks, so the command analyses it,

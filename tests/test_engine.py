@@ -67,11 +67,9 @@ def test_template_validation():
         Template([parse_linexpr("x + 1")])
     with pytest.raises(EngineError):
         EquationSystem(running_cfg(), Template([parse_linexpr("zz")]))
-    # a repeated label takes the next #k that no other label uses
+    # a row's text labels it, and its k-th repeat gets #k
     x = parse_linexpr("x")
     assert Template([x] * 3).labels == ["x", "x#2", "x#3"]
-    assert Template([x] * 3, labels=["a", "a", "a#2"]).labels == ["a", "a#3", "a#2"]
-    assert Template([x] * 3, labels=["a#2", "a", "a#2"]).labels == ["a#2", "a", "a#2#2"]
 
 
 def test_worked_iteration_trace():

@@ -80,17 +80,21 @@ def test_undeclared_variable_rejected():
 
 def test_strict_feasibility_basics():
     p = lp(["x"], {}, [({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0)])
-    assert not lp_feasible_strict(p, {0}).feasible  # x < 0 and x >= 0
+    assert not lp_feasible_strict(p.constraints, {0}).feasible  # x < 0 and x >= 0
     p = lp(["x"], {}, [({"x": 1}, "<=", 1)])
-    got = lp_feasible_strict(p, {0})  # x < 1
+    got = lp_feasible_strict(p.constraints, {0})  # x < 1
     assert got.feasible and got.witness["x"] < 1
+    with pytest.raises(LpError):
+        lp_feasible_strict(p.constraints, {1})  # there is no row 1
+    with pytest.raises(LpError):
+        lp_feasible_strict([constraint_of({"$strict": 1}, 0)], set())  # reserved name
 
 
 def test_strict_needs_interior_point():
     # 0 <= x and x < epsilon for every epsilon is fine; x < 0 with x >= 0 is not
     p = lp(["x", "y"], {}, [({"x": 1, "y": -1}, "<=", 0),
                             ({"y": 1, "x": -1}, "<=", 0)])
-    assert not lp_feasible_strict(p, {0}).feasible  # x < y and y <= x
+    assert not lp_feasible_strict(p.constraints, {0}).feasible  # x < y and y <= x
 
 
 def test_witness_satisfies_all_rows_exactly():
@@ -214,7 +218,7 @@ def test_strict_feasibility_matches_fm_oracle():
     for _ in range(150):
         problem = random_lp(rng)
         strict = {i for i in _inequalities(problem) if rng.random() < 0.4}
-        got = lp_feasible_strict(problem, strict)
+        got = lp_feasible_strict(problem.constraints, strict)
         want = fm_feasible(problem.variables, fm_strict_rows(problem, strict))
         assert got.feasible == want
         if got.feasible:
@@ -273,12 +277,12 @@ def test_dump_format():
 # -- warm starts ----------------------------------------------------------------
 
 def _grown(problem, rng, tag, small=False):
-    """``problem`` plus up to two new variables and one to three new rows
-    over old and new variables, some of them ``=`` rows; ``small`` keeps
+    """``problem`` extended by one to three new rows over old variables and
+    up to two new ones, some of them ``=`` rows; ``small`` keeps
     coefficients in [-2, 2] and right-hand sides at 0, for ratio ties."""
     room = max(0, 4 - len(problem.variables))
     names = problem.variables + [f"{tag}{i}" for i in range(rng.randint(0, min(2, room)))]
-    rows = list(problem.constraints)
+    rows = []
     for _ in range(rng.randint(1, 3)):
         picked = rng.sample(names, rng.randint(1, min(3, len(names))))
         if small:
@@ -289,7 +293,7 @@ def _grown(problem, rng, tag, small=False):
             rhs = Rat(rng.randint(-9, 9), rng.choice((1, 2)))
         rel = "=" if rng.random() < 0.2 else "<="
         rows.extend(rows_of(coeffs, rel, rhs))
-    return LpProblem(names, problem.objective, rows)
+    return problem.extend(rows)
 
 
 def _check_warm(problem, start):
@@ -354,15 +358,16 @@ def test_warm_strict_feasibility_matches_cold_and_fm_oracle():
         parent = random_lp(rng)
         parent = LpProblem(parent.variables, {}, parent.constraints)
         strict = {i for i in _inequalities(parent) if rng.random() < 0.4}
-        start = lp_feasible_strict(parent, strict)
+        start = lp_feasible_strict(parent.constraints, strict)
         if start.lp.status != OPTIMAL:
             continue
         child = _grown(parent, rng, "y")
-        strict |= {i for i in _inequalities(child)
-                   if i >= len(parent.constraints) and rng.random() < 0.4}
-        got = lp_feasible_strict(child, strict, start=start)
+        n = len(parent.constraints)
+        new = {i - n for i in _inequalities(child) if i >= n and rng.random() < 0.4}
+        strict |= {n + i for i in new}
+        got = lp_feasible_strict(child.constraints[n:], new, start=start)
         want = fm_feasible(child.variables, fm_strict_rows(child, strict))
-        assert got.feasible == lp_feasible_strict(child, strict).feasible == want
+        assert got.feasible == lp_feasible_strict(child.constraints, strict).feasible == want
         if not got.feasible:
             infeasible += 1
             continue
@@ -379,23 +384,27 @@ def test_warm_start_outside_its_contract_is_an_error():
     assert start.status == OPTIMAL and start.value == 4
     rows = parent.constraints
     extra = constraint_of({"x": 1}, 3)
-    assert lp_solve(LpProblem(["x", "y"], {"x": 1}, rows + [extra]), start=start).value == 3
+    child = parent.extend([extra])
+    assert lp_solve(child, start=start).value == 3
     bad = [
-        LpProblem(["x", "y"], {"x": 1}, [rows[1], rows[0], extra]),  # rows reordered
-        LpProblem(["x", "y"], {"x": 1}, [rows[0], extra]),  # a row dropped
-        LpProblem(["y", "x"], {"x": 1}, rows + [extra]),  # variables reordered
-        LpProblem(["x", "y"], {"y": 1}, rows + [extra]),  # another objective
+        LpProblem(["x", "y"], {"x": 1}, rows + [extra]),  # equal rows, not extended
+        child.extend([constraint_of({"y": 1}, 9)]),  # a grandchild
+        LpProblem(["x", "y"], {"x": 1}, rows).extend([extra]),  # an equal, distinct base
     ]
     for problem in bad:
         with pytest.raises(LpError):
             lp_solve(problem, start=start)
-    child = LpProblem(["x", "y"], {"x": 1}, rows + [extra])
-    infeasible = lp_solve(lp(["x", "y"], {"x": 1}, [({"x": 1}, "<=", -1),
-                                                    ({"x": -1}, "<=", -1)]))
+    infeasible_rows = [constraint_of({"x": 1}, -1), constraint_of({"x": -1}, -1)]
+    infeasible = lp_solve(LpProblem(["x", "y"], {"x": 1}, infeasible_rows))
     unbounded = lp_solve(lp(["x", "y"], {"x": 1}, [({"y": 1}, "<=", 0)]))
     assert (infeasible.status, unbounded.status) == (INFEASIBLE, UNBOUNDED)
     for not_optimal in (infeasible, unbounded, LpResult(OPTIMAL, Rat(4), start.witness)):
         with pytest.raises(LpError):
             lp_solve(child, start=not_optimal)
     with pytest.raises(LpError):
-        lp_feasible_strict(child, set(), start=FeasResult(True, start.witness))
+        lp_feasible_strict([extra], set(), start=FeasResult(True, start.witness))
+    # a check whose relaxed LP is infeasible has no tableau to start from
+    empty = lp_feasible_strict(infeasible_rows, set())
+    assert empty.lp.status == INFEASIBLE
+    with pytest.raises(LpError):
+        lp_feasible_strict([extra], set(), start=empty)

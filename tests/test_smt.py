@@ -87,17 +87,22 @@ def test_matches_brute_force_small():
 
 def test_shared_subtrees_and_repeated_atoms(monkeypatch):
     # ``compress`` shares subtrees by identity, so one path can force an atom
-    # more than once and reach a disjunction more than once.  The search
-    # grows each node's LP by the chosen branches only; every theory check
-    # must still hold exactly the atoms forced at its node, as a multiset.
+    # more than once and reach a disjunction more than once.  Each theory
+    # check adds only its node's branch rows to its start's system; every
+    # node's whole system must still hold exactly the atoms forced at the
+    # node, as a multiset.
     import invgen.smt as smt
 
     checks, nodes = [], []
+    systems = {}  # id of a check's result -> (the result, its whole system)
     real_check, real_feasible = smt.lp_feasible_strict, oracles._atoms_feasible
 
-    def check(problem, strict, start=None):
-        checks.append(Counter(map(id, problem.constraints)))
-        return real_check(problem, strict, start=start)
+    def check(constraints, strict, start=None):
+        rows = (systems[id(start)][1] if start is not None else []) + list(constraints)
+        checks.append(Counter(map(id, rows)))
+        result = real_check(constraints, strict, start)
+        systems[id(result)] = result, rows
+        return result
 
     def feasible(atoms):  # one call per node of the cold search
         nodes.append(Counter(id(a.row) for a in atoms))
@@ -112,6 +117,7 @@ def test_shared_subtrees_and_repeated_atoms(monkeypatch):
         problem = build_psi(stmt, d, rows, j, c)
         checks.clear()
         nodes.clear()
+        systems.clear()
         got = smt_check(problem)
         cold = cold_smt_check(problem)
         assert checks == nodes
