@@ -244,7 +244,9 @@ class _Tableau:
     Row ``i`` is ``rows[i]``, a dict from column (one per split variable
     and per slack; ``-1`` for the right-hand side) to nonzero ``int``
     numerator, over the positive ``int`` denominator ``den[i]``; one gcd per
-    update keeps it in lowest terms.  The column of ``u`` is ``col[v]``,
+    update keeps it in lowest terms.  Its basic column holds ``den[i]`` (the
+    basic variable's coefficient is 1), so a row's numerators alone have gcd
+    1, and a pivot row needs no reduction.  The column of ``u`` is ``col[v]``,
     that of ``w`` the next one.  The reduced-cost row ``zrow`` has the same
     form at some positive scale, since only its signs and ratios are read.
     Rows are never changed in place, only replaced, so tableaus may share
@@ -316,10 +318,6 @@ class _Tableau:
         if q < 0:
             prow = {j: -p for j, p in prow.items()}
             q = -q
-        g = gcd(*prow.values())
-        if g != 1:
-            prow = {j: p // g for j, p in prow.items()}
-            q //= g
         rows[leave] = prow
         dens[leave] = q
         for i, row in enumerate(rows):

@@ -2,35 +2,25 @@
 
 All quantities in the analysis are rationals kept in lowest terms; nothing
 is ever rounded.  Bound values additionally need the two infinities.
-
-``Rat`` is ``gmpy2.mpq`` when gmpy2 is importable and ``fractions.Fraction``
-otherwise; both are exact, auto-reducing and interchangeable for our use.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from typing import NamedTuple, Optional
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
 def as_rat(value) -> Rat:
-    """Coerce an int, string or rational to ``Rat``; a ``Rat`` is returned
-    as it is."""
+    """Coerce an int or string to ``Rat``; a ``Rat`` is returned as it is."""
     if isinstance(value, Rat):
         return value
     if isinstance(value, int):
         return Rat(value)
     if isinstance(value, str):
         return parse_rat(value)
-    if hasattr(value, "numerator") and hasattr(value, "denominator"):
-        return Rat(int(value.numerator), int(value.denominator))
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

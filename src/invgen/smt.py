@@ -19,9 +19,11 @@ branch's rows; backtracking is starting from an older check.
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
 ``(push 1)`` / ``(pop 1)`` frame and every answer is read under a deadline.
-The solver's Boolean assignment is trusted only after the rational part has
-been checked (or re-derived) by exact substitution, so a misbehaving solver
-surfaces as a backend error, never as a wrong verdict.
+The solver supplies only the verdict and, on sat, the selector values: a
+path through the formula.  The model's rational point always comes from the
+exact LP on the atoms of that path, so no number is read from the solver,
+and a path that leaves a disjunction open or is infeasible surfaces as a
+backend error, never as a wrong verdict.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .formula import REL_LT, And, Atom, Or, formula_vars, selectors_of, walk
 from .lp import LpProblem, lp_feasible_strict
-from .numeric import Rat, ZERO, parse_rat
+from .numeric import Rat, ZERO
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -150,7 +152,8 @@ def _sym(name: str) -> str:
 
 
 def _selector_name(sel: int) -> str:
-    return f"a{sel}"
+    # "!" occurs in no program identifier, so the name cannot clash
+    return f"sel!{sel}"
 
 
 def _smt_rat(q) -> str:
@@ -263,34 +266,6 @@ def _read_sexp(text: str) -> Optional[Tuple[object, int]]:
             return tok, end
         stack[-1].append(tok)
     return None
-
-
-def _sexp_rat(node) -> Rat:
-    """A solver value: a numeral or decimal under any nesting of ``(- x)``
-    and ``(/ x y)``, read on an explicit stack."""
-    out: List[Rat] = []
-    stack = [(node, False)]  # a node to read, or (with True) one to apply
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            if node[0] == "-":
-                out[-1] = -out[-1]
-            elif out[-1]:
-                den = out.pop()
-                out[-1] /= den
-            else:
-                raise SmtBackendError("zero denominator in solver value")
-        elif isinstance(node, str):
-            try:
-                out.append(parse_rat(node))
-            except ValueError:
-                raise SmtBackendError(f"cannot read solver value {node!r}") from None
-        elif isinstance(node, list) and node and (node[0], len(node)) in (("-", 2), ("/", 3)):
-            stack.append((node, True))
-            stack.extend((arg, False) for arg in reversed(node[1:]))
-        else:
-            raise SmtBackendError(f"cannot read solver value {reprlib.repr(node)}")
-    return out[0]
 
 
 def _strip_sym(name: str) -> str:
@@ -454,10 +429,10 @@ def smt_check_external(formula, solver: Union[SmtSession, str, Sequence[str]],
     session is opened for this one query and closed again.  The query is
     framed by ``(push 1)`` / ``(pop 1)``, so a session can answer any number
     of them in turn; each answer must arrive within ``timeout`` seconds.
-    Boolean selector values come from the solver; rational values are taken
-    from the solver only when they pass exact substitution, otherwise they
-    are re-derived internally on the selected path.  Everything unexpected
-    raises ``SmtBackendError`` and closes the session.
+    Only the verdict and the Boolean selector values come from the solver;
+    the rational values are the exact LP's witness on the selected path, as
+    in ``smt_check``.  Everything unexpected raises ``SmtBackendError`` and
+    closes the session.
     """
     with solver_session(solver) as session:
         try:
@@ -476,22 +451,17 @@ def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
     if verdict not in (SAT, UNSAT):
         raise SmtBackendError(
             f"no check-sat answer in solver output: {reprlib.repr(verdict)}")
+    script = ""
+    if verdict == SAT and sels:
+        script = "(get-value (" + " ".join(_selector_name(s) for s in sels) + "))\n"
+    values = session.ask(script + "(pop 1)\n", 1 if script else 0, timeout)
     if verdict == UNSAT:
-        session.ask("(pop 1)\n", 0, timeout)
         return SmtResult(UNSAT)
 
-    real_vars = formula_vars(formula)
-    script = []
-    if sels:
-        script.append("(get-value (" + " ".join(_selector_name(s) for s in sels) + "))\n")
-    if real_vars:
-        script.append("(get-value (" + " ".join(_sym(v) for v in real_vars) + "))\n")
-    values = session.ask("".join(script) + "(pop 1)\n", len(script), timeout)
-
     pairs: Dict[str, object] = {}
-    for s in values:
-        if isinstance(s, list):
-            for entry in s:
+    for answer in values:
+        if isinstance(answer, list):
+            for entry in answer:
                 if isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str):
                     pairs[_strip_sym(entry[0])] = entry[1]
 
@@ -510,19 +480,8 @@ def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
     walk(formula, selectors, atoms, pending)
     if pending:
         raise SmtBackendError("solver assignment leaves a reachable disjunction open")
-
-    reals: Optional[Dict[str, Rat]] = None
-    try:
-        candidate = {v: _sexp_rat(pairs[v]) for v in real_vars}
-        if all(a.holds(candidate) for a in atoms):
-            reals = candidate
-    except (KeyError, SmtBackendError):
-        reals = None
-    if reals is None:
-        feas = lp_feasible_strict([a.row for a in atoms], _strict(atoms))
-        if not feas.feasible:
-            raise SmtBackendError(
-                "solver said sat but its selected path is infeasible")
-        reals = {v: feas.witness.get(v, ZERO) for v in real_vars}
+    feas = lp_feasible_strict([a.row for a in atoms], _strict(atoms))
+    if not feas.feasible:
+        raise SmtBackendError("solver said sat but its selected path is infeasible")
+    reals = {v: feas.witness.get(v, ZERO) for v in formula_vars(formula)}
     return SmtResult(SAT, SmtModel(selectors, reals))
-

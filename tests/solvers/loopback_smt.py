@@ -14,7 +14,7 @@ real solver does.  Modes let tests exercise the client's error paths:
     --mode claim-sat      answer sat with all-false Booleans, no values
     --mode claim-unsat    answer unsat regardless of the problem
     --mode print-success  answer success to every command without output
-    --mode deep-values    wrap each real value in 3,000 minus signs
+    --mode no-real-values answer (error ...) to a get-value naming a Real
 """
 
 import argparse
@@ -42,6 +42,12 @@ def parse_rat(node):
 
 def strip(name):
     return name[1:-1] if name.startswith("|") else name
+
+
+def selector_index(name):
+    """k for the selector constant ``sel!k``, None for any other name."""
+    head, _, k = name.partition("!")
+    return int(k) if head == "sel" and k.isdigit() else None
 
 
 def parse_expr(node):
@@ -83,7 +89,7 @@ def parse_formula(root):
         elif head not in ("and", "or"):
             raise ValueError(f"bad formula {node!r}")
         elif not built:
-            # emission shape of a disjunction: (or (and (not aK) L) (and aK R))
+            # emission shape of a disjunction: (or (and (not sel!K) L) (and sel!K R))
             args = node[1:] if head == "and" else [node[1][2], node[2][2]]
             stack.append((node, True))
             stack.extend((arg, False) for arg in reversed(args))
@@ -93,7 +99,7 @@ def parse_formula(root):
             done.append(And(args))
         else:
             right = done.pop()
-            done.append(Or(done.pop(), right, int(node[1][1][1][1:])))
+            done.append(Or(done.pop(), right, selector_index(node[1][1][1])))
     return done[0]
 
 
@@ -182,22 +188,24 @@ class Loopback:
         return self.result.status
 
     def get_value(self, names):
+        if self.mode == "no-real-values" and \
+                any(n in f.reals for f in self.frames for n in names):
+            return '(error "no values for Real constants")'
         if self.result == "claimed":
-            return "(" + " ".join(f"({n} false)" for n in names if n.startswith("a")) + ")"
+            return "(" + " ".join(f"({n} false)" for n in names
+                                  if selector_index(n) is not None) + ")"
         if self.result is None or not self.result.is_sat:
             return '(error "no model available")'
         parts = []
         for n in names:
-            if n.startswith("a") and n[1:].isdigit():
-                v = self.result.model.selectors.get(int(n[1:]), 0)
+            k = selector_index(n)
+            if k is not None:
+                v = self.result.model.selectors.get(k, 0)
                 parts.append(f"({n} {'true' if v else 'false'})")
             else:
                 q = self.result.model.reals.get(n, Rat(0))
                 sym = n if n.isalnum() else f"|{n}|"
-                value = emit_rat(q)
-                if self.mode == "deep-values":  # an even count: the same value
-                    value = "(- " * 3000 + value + ")" * 3000
-                parts.append(f"({sym} {value})")
+                parts.append(f"({sym} {emit_rat(q)})")
         return "(" + " ".join(parts) + ")"
 
 

@@ -195,7 +195,7 @@ def test_criterion_8_smt_matches_brute_force_and_external():
                 assert check_model(problem, external.model)
             external_checked += 1
             total += 1
-            declarations.update(f"(declare-const a{s} Bool)"
+            declarations.update(f"(declare-const sel!{s} Bool)"
                                 for s in selectors_of(problem))
             declarations.update(f"(declare-const |{v}| Real)" for v in formula_vars(problem))
         # nothing survived the 500 (push 1) / (pop 1) frames: every symbol is

@@ -308,6 +308,43 @@ def test_second_start_directive_is_an_error(tmp_path, capsys):
         "error: duplicate start directive (line 6, column 3)\n"
 
 
+PREAMBLE = ["vars x ;", "template interval ;", "nodes a ;", "start a ;"]
+
+
+@pytest.mark.parametrize("line, replaces, message", [
+    ("start a b ;", 3, "start takes exactly one node (line 4, column 1)"),
+    ("foo a ;", None, "unknown directive 'foo' (line 5, column 1)"),
+    ("edge a -> a [real] : x' = x ;", None,
+     "expected 'int' edge annotation, found 'real' (line 5, column 14)"),
+    ("vars x x ;", 0, "duplicate variable declaration"),
+    ("cutset z ;", None, "cutset names undeclared node 'z'"),
+    ("edge a -> a : x' = x / y ;", None, "division by a non-constant (line 5, column 22)"),
+])
+def test_program_file_errors_are_reported(line, replaces, message, tmp_path, capsys):
+    # each case appends a fifth line or replaces one of the preamble's
+    lines = list(PREAMBLE)
+    if replaces is None:
+        lines.append(line)
+    else:
+        lines[replaces] = line
+    prog = tmp_path / "bad.prg"
+    prog.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(prog)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_failed_certification_is_reported(capsys):
+    # one step leaves n1 at -inf, which the entry edge already beats
+    assert main(["analyze", corpus("running.prg"), "--max-iters", "1", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("certified: NO\n"
+                        "counterexample: edge st -> n1, row x1, state {\"x1'\": '0'}\n")
+    assert main(["analyze", corpus("running.prg"), "--max-iters", "1", "--check",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["final"] is False and doc["certified"] is False
+
+
 def test_wide_disjunction_is_analysed_not_a_traceback(tmp_path):
     # 1,000 disjuncts nest 999 deep; every formula walk of the analysis and
     # the selector search use explicit stacks, so the command analyses it,
@@ -376,6 +413,22 @@ def test_cli_external_solver_flag(capsys):
                  "--solver", f"external:{cmd}", "--check"]) == 0
     out = capsys.readouterr().out
     assert "x  <= 5" in out and "certified: yes" in out
+
+
+def test_selector_names_cannot_clash_with_program_variables(tmp_path, capsys):
+    # a variable named like a selector constant analyses through an
+    # external solver as it does internally
+    from conftest import LOOPBACK
+    prog = tmp_path / "a0.prg"
+    prog.write_text("vars a0 ; template interval ; nodes st h ; start st ;"
+                    "edge st -> h : a0' = 0 ;"
+                    "edge h -> h : a0 <= 5 & (a0' = a0 + 1 | a0' = a0 + 2) ;")
+    assert main(["analyze", str(prog), "--check"]) == 0
+    internal = capsys.readouterr().out
+    assert internal.endswith("node h:\n  a0  <= 7\n  -a0 <= 0\ncertified: yes\n")
+    assert main(["analyze", str(prog), "--check",
+                 "--solver", "external:" + " ".join(LOOPBACK)]) == 0
+    assert capsys.readouterr().out == internal
 
 
 def test_cli_external_solver_from_environment(capsys, monkeypatch):

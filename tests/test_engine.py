@@ -144,6 +144,21 @@ def test_evaluate_all_bottom_is_identity():
     assert evaluate(eq, sigma, rho) == rho
 
 
+def test_component_reading_a_bottom_source_is_neg_inf():
+    # b reads a, whose keys are bottom, so b's region is empty.  improve
+    # never builds this strategy (a query from a -inf source is false), so
+    # the rule is only reached by hand
+    g = Cfg(["st", "a", "b"], "st",
+            [("st", parse_statement("x' = 0"), "a"), ("a", parse_statement("x' = x + 1"), "b")],
+            ["x"])
+    eq = EquationSystem(g, Template([parse_linexpr("x"), parse_linexpr("-x")]))
+    sigma = {("st", 0): TOP, ("st", 1): TOP, ("a", 0): BOTTOM, ("a", 1): BOTTOM,
+             ("b", 0): StratPath(1, {}), ("b", 1): StratPath(1, {})}
+    rho = evaluate(eq, sigma, eq.initial_bounds())
+    assert rho[("st", 0)] is POS_INF and rho[("a", 0)] is NEG_INF
+    assert rho[("b", 0)] is NEG_INF and rho[("b", 1)] is NEG_INF
+
+
 def test_improve_never_touches_equal_value_choices():
     eq = EquationSystem(running_cfg(), running_template())
     sigma = eq.initial_strategy()

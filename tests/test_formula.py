@@ -368,7 +368,7 @@ def test_deep_disjunction_chain_is_rebuilt_without_recursion():
 
     text = _smt_declarations(stmt)
     assert text.endswith("(declare-const |x'| Real)\n(assert "
-                         + "".join(f"(or (and (not a{s}) " for s in range(4999)) + leaf(0)
-                         + "".join(f") (and a{s} {leaf(4999 - s)}))" for s in range(4998, -1, -1))
+                         + "".join(f"(or (and (not sel!{s}) " for s in range(4999)) + leaf(0)
+                         + "".join(f") (and sel!{s} {leaf(4999 - s)}))" for s in range(4998, -1, -1))
                          + ")\n")
-    assert text.startswith("(declare-const a0 Bool)\n(declare-const a1 Bool)\n")
+    assert text.startswith("(declare-const sel!0 Bool)\n(declare-const sel!1 Bool)\n")

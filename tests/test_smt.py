@@ -14,7 +14,7 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _read_sexp, _sexp_rat, _smt_declarations, smt_check,
+    SmtBackendError, SmtSession, _smt_declarations, smt_check,
     smt_check_external,
 )
 
@@ -169,7 +169,7 @@ def test_determinism():
 def test_emission_mentions_everything():
     # the text a session sends inside each (push 1) / (pop 1) frame
     text = _smt_declarations(running_psi((0, 0), 0, ext(0)))
-    assert "(declare-const a0 Bool)" in text
+    assert "(declare-const sel!0 Bool)" in text
     assert "(declare-const |x1'| Real)" in text
     assert "(assert " in text
     assert "(set-logic" not in text  # sent once per session
@@ -199,39 +199,22 @@ def test_external_value_parsing_covers_rationals():
     assert res.model.reals["y"] == Rat(1, 3)
 
 
-def test_solver_values_read_exactly():
-    # a bare negative decimal keeps its sign
-    assert _sexp_rat("-0.5") == Rat(-1, 2)
-    assert _sexp_rat("-1.5") == Rat(-3, 2)
-    assert _sexp_rat("2") == Rat(2)
-    assert _sexp_rat(["-", "1.5"]) == Rat(-3, 2)
-    assert _sexp_rat(["/", "1", "3"]) == Rat(1, 3)
-    for bad in ("x", "1.2.3", ["/", "1", "0"], ["+", "1"], []):
-        with pytest.raises(SmtBackendError):
-            _sexp_rat(bad)
-
-
-def test_deeply_nested_solver_values_are_read_without_recursion():
-    # a value under 3,000 nested operators is read on an explicit stack
-    def deep(text, depth=3000):
-        node, _ = _read_sexp("(- " * depth + text + ")" * depth)
-        return node
-
-    assert _sexp_rat(deep("1")) == 1
-    assert _sexp_rat(deep("(/ 1 3)", 3001)) == Rat(-1, 3)
-    for bad in (deep("(+ 1 2)"), ["+", deep("1")], deep("(/ 1 0)")):
-        with pytest.raises(SmtBackendError):
-            _sexp_rat(bad)
-    # end to end: such values reach the model as they are
-    problem = parse_statement("3*x = -2 & y = 1/3")
-    res = smt_check_external(problem, LOOPBACK + ["--mode", "deep-values"])
-    assert res.model == smt_check_external(problem, LOOPBACK).model
-    assert res.model.reals == {"x": Rat(-2, 3), "y": Rat(1, 3)}
+def test_deep_solver_answers_are_quoted_shortened():
     # a deep answer that is no verdict, or a deep error, is quoted shortened
+    problem = parse_statement("3*x = -2 & y = 1/3")
     for head in ("", "error "):
         solver = [sys.executable, "-c", f"print('({head}' + '(' * 3000 + 'x' + ')' * 3001)"]
         with pytest.raises(SmtBackendError, match=r"\[\[\[.*\.\.\."):
             smt_check_external(problem, solver)
+
+
+def test_no_real_value_is_read_from_the_solver():
+    # this solver answers (error ...) to any get-value naming a Real, so a
+    # model can only come from its selector values and the exact LP
+    for problem in (parse_statement("3*x = -2 & y = 1/3"), parse_statement("x <= -1 | x = 2")):
+        res = smt_check_external(problem, LOOPBACK + ["--mode", "no-real-values"])
+        assert res.is_sat
+        assert res.model == smt_check_external(problem, LOOPBACK).model
 
 
 def test_external_malformed_output_is_backend_error():
