@@ -44,8 +44,7 @@ from .formula import (
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
 from .numeric import NEG_INF, ONE, POS_INF, ZERO, ExtRat, ext
 from .smt import (
-    SmtModel, SmtResult, SmtSession, atoms_problem, smt_check, smt_check_external,
-    solver_session,
+    SmtModel, SmtResult, SmtSession, smt_check, smt_check_external, solver_session,
 )
 
 VarKey = Tuple[str, int]  # (node, template row index)
@@ -182,8 +181,8 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: 
     by its atoms, from the region ``T x <= d``.
 
     Strict atoms decide emptiness (empty source or disabled guard gives
-    -inf); the supremum itself is taken over the non-strict closure, which
-    coincides with the strict supremum whenever the set is nonempty.
+    -inf); the supremum itself is taken over the closure (``lp_solve``),
+    which coincides with the strict supremum whenever the set is nonempty.
     """
     rows = template.rows
     if any(di.is_neg_inf for di in d):
@@ -192,13 +191,15 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: 
              for i, row in enumerate(rows) if d[i].is_finite]
     atoms.extend(path)
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
-    problem, strict = atoms_problem(atoms, dict(target.coeffs))
-    feas = lp_feasible_strict(problem.constraints, strict)
+    constraints = [a.row for a in atoms]
+    feas = lp_feasible_strict(constraints)
     if stats is not None:
         stats.lp_solves += 1
     if not feas.feasible:
         return NEG_INF
-    res = lp_solve(problem)
+    columns = dict.fromkeys(v for row in constraints for v, _ in row.coeffs)
+    columns.update(dict.fromkeys(target.coeffs))
+    res = lp_solve(LpProblem(list(columns), dict(target.coeffs), constraints))
     if stats is not None:
         stats.lp_solves += 1
     if res.status == UNBOUNDED:
@@ -561,7 +562,7 @@ def run(g: Cfg, template: Template,
 @dataclass
 class CertResult:
     verified: bool
-    edge_index: Optional[int] = None
+    edge_index: Optional[int] = None  # None, if not verified: a start row below +inf
     row: Optional[int] = None
     model: Optional[object] = None
 
@@ -571,8 +572,8 @@ class CertResult:
 
 def check_post_fixpoint(g: Cfg, template: Template, bounds,
                         *, backend=None, stats: Optional[Stats] = None) -> CertResult:
-    """Certificate: no edge maps a state inside the source bounds strictly
-    above any finite target row bound.
+    """Certificate: every start row is +inf, and no edge maps a state
+    inside the source bounds strictly above any finite target row bound.
 
     Checks, per edge and finite row, that the improvement formula against
     the candidate's own bound is unsatisfiable; a model, completed from the
@@ -582,9 +583,12 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
     formulas of its own ``EquationSystem``, so it is not independent of
     that search.  ``backend`` is None (internal), an open
     ``SmtSession``, or a solver command run as one session for the whole
-    check.
+    check.  A start row below +inf fails with ``edge_index`` None.
     """
     eq = EquationSystem(g, template)
+    for j in range(len(template)):
+        if not bounds[(g.start, j)].is_pos_inf:
+            return CertResult(False, None, j)
     with solver_session(backend) as session:
         for idx, edge in enumerate(g.edges):
             for j in range(len(template)):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .lp import Constraint
-from .numeric import ExtRat, Rat, ZERO, as_rat, parse_rat, rat_str
+from .numeric import ExtRat, Rat, ZERO, as_rat
 
 PRIME = "'"
 
@@ -131,7 +131,7 @@ class LinExpr:
             elif c == -1:
                 term = "-" + v
             else:
-                term = f"{rat_str(c)}*{v}"
+                term = f"{c}*{v}"
             if not parts:
                 parts.append(term)
             elif c > 0:
@@ -139,7 +139,7 @@ class LinExpr:
             else:
                 parts.append("- " + term.lstrip("-"))
         if self.const != 0 or not parts:
-            cs = rat_str(self.const)
+            cs = str(self.const)
             if not parts:
                 parts.append(cs)
             elif self.const > 0:
@@ -179,12 +179,12 @@ class Atom:
 
     @property
     def row(self) -> Constraint:
-        """``lin <= bound`` as an LP row, built on first use and kept, so
+        """``lin rel bound`` as an LP row, built on first use and kept, so
         its integer form is computed once however many LPs it enters."""
         try:
             return self._row
         except AttributeError:
-            row = Constraint(tuple(self.lin.coeffs.items()), self.bound)
+            row = Constraint(tuple(self.lin.coeffs.items()), self.bound, self.rel == REL_LT)
             object.__setattr__(self, "_row", row)
             return row
 
@@ -197,7 +197,7 @@ class Atom:
         return self.rel == other.rel and self.bound == other.bound and self.lin == other.lin
 
     def __str__(self):
-        return f"{self.lin} {self.rel} {rat_str(self.bound)}"
+        return f"{self.lin} {self.rel} {self.bound}"
 
     def __repr__(self):
         return f"Atom({self})"
@@ -433,6 +433,7 @@ class Token:
 
 _TWO_CHAR_OPS = ("<=", ">=", "!=", "->")
 _ONE_CHAR_OPS = "<>=&|+-*/();:{}[],"
+_DIGITS = frozenset("0123456789")  # str.isdigit takes other scripts' digits too
 
 
 def tokenize(text: str) -> List[Token]:
@@ -462,9 +463,9 @@ def tokenize(text: str) -> List[Token]:
             continue
         if ch in ("!", "~"):
             raise ParseError("negation is not allowed in statements", line, col)
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
+            while j < n and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
             lit = text[i:j]
             if lit.count(".") > 1 or lit.endswith("."):
@@ -589,7 +590,7 @@ def _parse(ts: TokenStream, formula: bool):
                 outer = ops[-1][0] if ops else "(" if formula else "e("
                 ops.append(("(" if outer in ("(", "&", "|") else "e(", tok))
             elif tok.kind == "num":
-                values.append(LinExpr.constant(parse_rat(tok.text)))
+                values.append(LinExpr.constant(Rat(tok.text)))
                 operand = False
             elif tok.kind == "ident":
                 if tok.text.startswith("$"):

@@ -30,10 +30,11 @@ optimal, because the objective is the same and the new columns cost
 nothing.  No row is ever changed in place, so the warm start shares every
 old row with its start.
 
-Mixed strict/non-strict feasibility is decided by ``lp_feasible_strict``:
-maximize an auxiliary slack that strict rows must leave open.  A check
-adds rows to an earlier check's system and is solved warm from it, so a
-search asserts rows, checks, and backtracks by starting from an older check.
+A row may be strict, ``a.x < b``.  Only ``lp_feasible_strict`` reads that:
+its relaxed solve maximizes an auxiliary slack that strict rows must leave
+open.  Every other solve reads a strict row as its closure.  A check adds
+rows to an earlier check's system and is solved warm from it, so a search
+asserts rows, checks, and backtracks by starting from an older check.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numeric import Rat, ZERO, ONE, as_rat
 
@@ -58,10 +59,12 @@ class LpError(Exception):
 
 @dataclass(frozen=True)
 class Constraint:
-    """A row ``sum(coeffs) <= rhs``."""
+    """A row ``sum(coeffs) <= rhs``, or ``<`` when ``strict``: its relation,
+    which only ``lp_feasible_strict`` reads."""
 
     coeffs: Tuple[Tuple[str, Rat], ...]
     rhs: Rat
+    strict: bool = False
 
     @cached_property
     def ints(self) -> Tuple[Dict[str, int], int, int]:
@@ -78,13 +81,13 @@ class Constraint:
 
     @cached_property
     def slackened(self) -> "Constraint":
-        """``row + d <= rhs`` for the strict-row slack d of ``lp_feasible_strict``."""
+        """``row + d <= rhs``, for the slack d of ``lp_feasible_strict``."""
         return Constraint(self.coeffs + ((_DELTA, ONE),), self.rhs)
 
 
 class LpProblem:
-    """Maximize a linear objective subject to ``<=`` rows; ``base`` is the
-    problem that this one extends, or None."""
+    """Maximize a linear objective subject to rows, a strict row read as its
+    closure; ``base`` is the problem that this one extends, or None."""
 
     def __init__(self, variables: Sequence[str], objective: Dict[str, Rat],
                  constraints: Sequence[Constraint]):
@@ -150,32 +153,17 @@ class LpResult:
         return f"LpResult({self.status!r}, {self.value!r}, {self.witness!r})"
 
 
-class FeasResult:
-    """Whether a mixed strict system is satisfiable, and if so a witness.
+class FeasResult(NamedTuple):
+    """Whether a mixed strict system is satisfiable; ``lp`` is the solve of
+    its relaxed problem, which a later check may start from."""
 
-    ``lp`` is the solve of the relaxed problem, for warm starts; the
-    witness is read from it when it is first asked for.  Equality compares
-    the verdict and the witness."""
-
-    __slots__ = ("feasible", "lp", "_witness")
-
-    def __init__(self, feasible: bool, witness: Optional[Dict[str, Rat]] = None,
-                 lp: Optional[LpResult] = None):
-        self.feasible, self._witness, self.lp = feasible, witness, lp
+    feasible: bool
+    lp: Optional[LpResult] = None
 
     @property
     def witness(self) -> Optional[Dict[str, Rat]]:
-        if self._witness is None and self.feasible and self.lp is not None:
-            self._witness = {v: q for v, q in self.lp.witness.items() if v != _DELTA}
-        return self._witness
-
-    def __eq__(self, other):
-        if not isinstance(other, FeasResult):
-            return NotImplemented
-        return (self.feasible, self.witness) == (other.feasible, other.witness)
-
-    def __repr__(self):
-        return f"FeasResult({self.feasible!r}, {self.witness!r})"
+        """``lp``'s witness, with the slack ``$strict``, if feasible."""
+        return self.lp.witness if self.feasible else None
 
 
 def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
@@ -183,7 +171,8 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
 
     Returns ``LpResult(OPTIMAL, value, witness)`` where the witness
     satisfies every row exactly and attains the value, or the
-    ``INFEASIBLE`` / ``UNBOUNDED`` classification.
+    ``INFEASIBLE`` / ``UNBOUNDED`` classification.  A strict row is read
+    as its closure, so the value is the strict system's supremum.
 
     Without ``start`` the solve begins at the slack basis of ``problem``,
     whose reduced costs are all 0: a dual simplex makes it feasible and a
@@ -210,10 +199,10 @@ def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:
     return LpResult(OPTIMAL, tab.value(), tableau=tab)
 
 
-def lp_feasible_strict(constraints: Sequence[Constraint], strict: Set[int],
+def lp_feasible_strict(constraints: Sequence[Constraint],
                        start: Optional[FeasResult] = None) -> FeasResult:
-    """Decide ``start``'s system plus ``constraints``, where the rows whose
-    indices (into ``constraints``) are in ``strict`` must hold strictly.
+    """Decide ``start``'s system plus ``constraints``, each strict row
+    holding strictly.
 
     Maximizes an auxiliary slack d with ``row + d <= rhs`` for every strict
     row and ``d <= 1``; the mixed system is satisfiable iff the optimum is
@@ -222,11 +211,7 @@ def lp_feasible_strict(constraints: Sequence[Constraint], strict: Set[int],
     ``lp`` is optimal, and is solved warm from it; without ``start`` it
     extends the problem of d alone and is solved cold.
     """
-    rows = list(constraints)
-    for i in strict:
-        if not 0 <= i < len(rows):
-            raise LpError(f"strict row index {i} out of range")
-        rows[i] = rows[i].slackened
+    rows = [row.slackened if row.strict else row for row in constraints]
     if any(v == _DELTA for row in constraints for v, _ in row.coeffs):
         raise LpError(f"variable name {_DELTA!r} is reserved")
     if start is None:
@@ -235,7 +220,7 @@ def lp_feasible_strict(constraints: Sequence[Constraint], strict: Set[int],
         if start.lp is None or start.lp.status != OPTIMAL:
             raise LpError("a warm start must carry an optimal LP result")
         res = lp_solve(start.lp.tableau.problem.extend(rows), start.lp)
-    return FeasResult(res.status == OPTIMAL and res.value > 0, lp=res)
+    return FeasResult(res.status == OPTIMAL and res.value > 0, res)
 
 
 class _Tableau:

@@ -1,7 +1,9 @@
 """Exact rational arithmetic, extended with +inf / -inf.
 
 All quantities in the analysis are rationals kept in lowest terms; nothing
-is ever rounded.  Bound values additionally need the two infinities.
+is ever rounded.  ``Rat`` is ``fractions.Fraction``, whose text form
+(``7/2``, ``2``) is the one printed everywhere.  Bound values additionally
+need the two infinities, which are all that this module adds.
 """
 
 from __future__ import annotations
@@ -14,50 +16,13 @@ ONE = Rat(1)
 
 
 def as_rat(value) -> Rat:
-    """Coerce an int or string to ``Rat``; a ``Rat`` is returned as it is."""
+    """Coerce an int or a literal string (``7``, ``-5/4``, ``1.25``) to
+    ``Rat``; a ``Rat`` is returned as it is, and a float is refused."""
     if isinstance(value, Rat):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Rat(value)
-    if isinstance(value, str):
-        return parse_rat(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def parse_rat(text: str) -> Rat:
-    """Parse ``p/q``, decimal (``1.25``) or integer literals, exactly."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty rational literal")
-    sign = 1
-    if s[0] in "+-":
-        if s[0] == "-":
-            sign = -1
-        s = s[1:].strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if not (num.strip().isdigit() and den.strip().isdigit()):
-            raise ValueError(f"malformed rational literal {text!r}")
-        d = int(den)
-        if d == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Rat(sign * int(num), d)
-    if "." in s:
-        whole, _, frac = s.partition(".")
-        if not ((whole == "" or whole.isdigit()) and frac.isdigit()):
-            raise ValueError(f"malformed decimal literal {text!r}")
-        scale = 10 ** len(frac)
-        return Rat(sign * (int(whole or "0") * scale + int(frac)), scale)
-    if not s.isdigit():
-        raise ValueError(f"malformed numeric literal {text!r}")
-    return Rat(sign * int(s))
-
-
-def rat_str(q) -> str:
-    """Canonical text form: ``p/q`` with the denominator omitted when 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 class ExtRat(NamedTuple):
@@ -81,7 +46,7 @@ class ExtRat(NamedTuple):
         return self.kind < 0
 
     def __str__(self):
-        return rat_str(self.value) if self.kind == 0 else "inf" if self.kind > 0 else "-inf"
+        return str(self.value) if self.kind == 0 else "inf" if self.kind > 0 else "-inf"
 
     def __repr__(self):
         return f"ExtRat({self})"

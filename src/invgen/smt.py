@@ -5,8 +5,9 @@ Boolean structure is the selector attached to each disjunction, so a model
 is a path through the formula plus an exact rational point on that path.
 The internal backend searches selector assignments in index order, depth
 first on an explicit stack, and asks the exact LP layer whether the atoms
-forced so far are consistent (strict atoms are handled natively); an
-infeasible prefix prunes the whole subtree.
+forced so far are consistent; an infeasible prefix prunes the whole
+subtree.  Each atom's LP row (``Atom.row``) carries its own strictness,
+so the search passes rows only, and the LP layer alone reads it.
 Each node keeps its frontier, the reachable disjunctions without a value.
 Giving one a value walks only its chosen branch, once per time the
 disjunction is reached: the atoms found there are the rows that the
@@ -38,10 +39,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .formula import REL_LT, And, Atom, Or, formula_vars, selectors_of, walk
-from .lp import LpProblem, lp_feasible_strict
+from .lp import lp_feasible_strict
 from .numeric import Rat, ZERO
 
 SAT = "sat"
@@ -72,23 +73,6 @@ class SmtResult:
 # internal backend
 # ---------------------------------------------------------------------------
 
-def atoms_problem(atoms: Sequence[Atom], objective: Optional[Dict[str, Rat]] = None
-                  ) -> Tuple[LpProblem, Set[int]]:
-    """The atoms as ``<=`` rows of an LP maximising ``objective``, and the
-    indices of the rows that must hold strictly.  Columns follow the first
-    occurrence of each variable; variables only in the objective come last."""
-    variables: Dict[str, None] = {}
-    for atom in atoms:
-        variables.update(dict.fromkeys(atom.lin.coeffs))
-    variables.update(dict.fromkeys(objective or ()))
-    return LpProblem(list(variables), objective or {}, [a.row for a in atoms]), _strict(atoms)
-
-
-def _strict(atoms: Sequence[Atom]) -> Set[int]:
-    """The indices of the strict atoms."""
-    return {i for i, a in enumerate(atoms) if a.rel == REL_LT}
-
-
 def smt_check(formula) -> SmtResult:
     """Decide the formula exactly; a sat answer carries a checked model,
     with a value for each variable of the formula.
@@ -113,7 +97,7 @@ def smt_check(formula) -> SmtResult:
         for node in subtrees:
             walk(node, assign, atoms, reached)
         frontier = _open(rest, reached)
-        feas = lp_feasible_strict([a.row for a in atoms], _strict(atoms), start)
+        feas = lp_feasible_strict([a.row for a in atoms], start)
         if not feas.feasible:
             continue
         if not frontier:
@@ -480,7 +464,7 @@ def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
     walk(formula, selectors, atoms, pending)
     if pending:
         raise SmtBackendError("solver assignment leaves a reachable disjunction open")
-    feas = lp_feasible_strict([a.row for a in atoms], _strict(atoms))
+    feas = lp_feasible_strict([a.row for a in atoms])
     if not feas.feasible:
         raise SmtBackendError("solver said sat but its selected path is infeasible")
     reals = {v: feas.witness.get(v, ZERO) for v in formula_vars(formula)}

@@ -11,7 +11,7 @@ entries, and ``full_evaluate`` replays strategy evaluation with one LP per
 variable over the whole system.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from invgen.engine import BOTTOM, TOP, EngineError
 from invgen.formula import (
@@ -23,7 +23,7 @@ from invgen.lp import (
     lp_feasible_strict, lp_solve,
 )
 from invgen.numeric import (
-    NEG_INF, ONE, POS_INF, ExtRat, Rat, ZERO, as_rat, ext, parse_rat, rat_str,
+    NEG_INF, ONE, POS_INF, ExtRat, Rat, ZERO, as_rat, ext,
 )
 from invgen.smt import SAT, UNSAT, SmtModel, SmtResult
 
@@ -43,6 +43,11 @@ def rows_of(coeffs: Dict[str, Rat], rel: str, rhs) -> List[Constraint]:
     return [row] if rel == "<=" else [row, negated(row)]
 
 
+def strictly(rows: Sequence[Constraint], indices: Collection[int]) -> List[Constraint]:
+    """``rows`` with those at ``indices`` made strict."""
+    return [Constraint(r.coeffs, r.rhs, r.strict or i in indices) for i, r in enumerate(rows)]
+
+
 def negated(row: Constraint) -> Constraint:
     """The row ``-coeffs <= -rhs``, which with ``row`` makes an equality."""
     return Constraint(tuple((v, -c) for v, c in row.coeffs), -row.rhs)
@@ -55,7 +60,7 @@ def parse_ext(text: str) -> ExtRat:
         return POS_INF
     if s == "-inf":
         return NEG_INF
-    return ext(parse_rat(s))
+    return ext(Rat(s))
 
 
 def eval_formula(formula, env: Dict[str, Rat],
@@ -225,15 +230,15 @@ def fm_feasible(variables, rows):
     return _constants_ok(rows)
 
 
-def fm_strict_rows(problem: LpProblem, strict_rows):
-    """Rows of an LpProblem with the given indices marked strict."""
-    return [(dict(c.coeffs), c.rhs, i in strict_rows)
-            for i, c in enumerate(problem.constraints)]
+def fm_strict_rows(rows: Sequence[Constraint]):
+    """LP rows as ``fm_feasible`` takes them, each with its own relation."""
+    return [(dict(c.coeffs), c.rhs, c.strict) for c in rows]
 
 
 def fm_solve(problem: LpProblem):
-    """Classify an LpProblem by projection; returns (status, value)."""
-    rows = fm_strict_rows(problem, ())
+    """Classify an LpProblem by projection, reading a strict row as its
+    closure, as ``lp_solve`` does; returns (status, value)."""
+    rows = [(dict(c.coeffs), c.rhs, False) for c in problem.constraints]
     if not fm_feasible(problem.variables, rows):
         return "infeasible", None
     # adjoin t = objective, project out everything else, read off sup t
@@ -277,7 +282,7 @@ def _expr_str(coeffs: Dict[str, Rat]) -> str:
         elif c == -1:
             term = f"-{v}"
         else:
-            term = f"{rat_str(c)}*{v}"
+            term = f"{c}*{v}"
         parts.append(term if not parts else (f"+ {term}" if c > 0 else f"- {term.lstrip('-')}"))
     return " ".join(parts)
 
@@ -286,7 +291,8 @@ def lp_text(problem: LpProblem) -> str:
     """Plain-text form of an LP, one constraint per line (for failure messages)."""
     lines = ["max: " + _expr_str(problem.objective)]
     for row in problem.constraints:
-        lines.append(f"  {_expr_str(dict(row.coeffs))} <= {rat_str(row.rhs)}")
+        rel = "<" if row.strict else "<="
+        lines.append(f"  {_expr_str(dict(row.coeffs))} {rel} {row.rhs}")
     return "\n".join(lines)
 
 
@@ -371,8 +377,8 @@ def atoms_of(formula) -> List[Atom]:
 
 def _atoms_feasible(atoms):
     """One cold strict-feasibility check of a conjunction of atoms."""
-    rows = [Constraint(tuple(a.lin.coeffs.items()), a.bound) for a in atoms]
-    return lp_feasible_strict(rows, {i for i, a in enumerate(atoms) if a.rel == "<"})
+    return lp_feasible_strict([Constraint(tuple(a.lin.coeffs.items()), a.bound, a.rel == REL_LT)
+                               for a in atoms])
 
 
 def brute_force_smt(formula) -> bool:

@@ -319,6 +319,9 @@ PREAMBLE = ["vars x ;", "template interval ;", "nodes a ;", "start a ;"]
     ("vars x x ;", 0, "duplicate variable declaration"),
     ("cutset z ;", None, "cutset names undeclared node 'z'"),
     ("edge a -> a : x' = x / y ;", None, "division by a non-constant (line 5, column 22)"),
+    # numbers are ASCII: other scripts' digits are neither misread nor a traceback
+    ("edge a -> a : x' = x + \u00b2 ;", None, "unexpected character '\u00b2' (line 5, column 24)"),
+    ("edge a -> a : x' = x + \u0663 ;", None, "unexpected character '\u0663' (line 5, column 24)"),
 ])
 def test_program_file_errors_are_reported(line, replaces, message, tmp_path, capsys):
     # each case appends a fifth line or replaces one of the preamble's

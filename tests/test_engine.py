@@ -374,6 +374,22 @@ def test_certification_vacuous_on_all_infinite_bounds():
     assert check_post_fixpoint(g, T, bounds).verified
 
 
+def test_certification_rejects_start_rows_below_infinity():
+    # a start row's equation is the constant +inf, so a vector that leaves
+    # out the initial states is no post-fixpoint, however the edges map it
+    g, T = running_cfg(), running_template()
+    nothing = {key: NEG_INF for key in EquationSystem(g, T).order}
+    cert = check_post_fixpoint(g, T, nothing)
+    assert (cert.verified, cert.edge_index, cert.row) == (False, None, 0)
+    bounds, _ = run(g, T)
+    assert check_post_fixpoint(g, T, bounds).verified
+    for j in range(len(T)):
+        lowered = dict(bounds)
+        lowered[("st", j)] = ext(0)
+        cert = check_post_fixpoint(g, T, lowered)
+        assert (cert.verified, cert.edge_index, cert.row) == (False, None, j)
+
+
 def test_random_programs_certify_and_match_oracle():
     rng = random.Random(999)
     agree = 0

@@ -11,7 +11,7 @@ from invgen.numeric import Rat
 from generators import degenerate_lp, random_lp, sparse_lp
 from oracles import (
     constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, negated, rational_lp_solve,
-    rows_of,
+    rows_of, strictly,
 )
 
 
@@ -80,21 +80,25 @@ def test_undeclared_variable_rejected():
 
 def test_strict_feasibility_basics():
     p = lp(["x"], {}, [({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0)])
-    assert not lp_feasible_strict(p.constraints, {0}).feasible  # x < 0 and x >= 0
+    assert not lp_feasible_strict(strictly(p.constraints, {0})).feasible  # x < 0 and x >= 0
     p = lp(["x"], {}, [({"x": 1}, "<=", 1)])
-    got = lp_feasible_strict(p.constraints, {0})  # x < 1
+    got = lp_feasible_strict(strictly(p.constraints, {0}))  # x < 1
     assert got.feasible and got.witness["x"] < 1
     with pytest.raises(LpError):
-        lp_feasible_strict(p.constraints, {1})  # there is no row 1
-    with pytest.raises(LpError):
-        lp_feasible_strict([constraint_of({"$strict": 1}, 0)], set())  # reserved name
+        lp_feasible_strict([constraint_of({"$strict": 1}, 0)])  # reserved name
+
+
+def test_lp_solve_reads_a_strict_row_as_its_closure():
+    # only lp_feasible_strict reads strictness: max x subject to x < 1 is 1
+    res = lp_solve(LpProblem(["x"], {"x": 1}, strictly([constraint_of({"x": 1}, 1)], {0})))
+    assert (res.status, res.value) == (OPTIMAL, 1)
 
 
 def test_strict_needs_interior_point():
     # 0 <= x and x < epsilon for every epsilon is fine; x < 0 with x >= 0 is not
     p = lp(["x", "y"], {}, [({"x": 1, "y": -1}, "<=", 0),
                             ({"y": 1, "x": -1}, "<=", 0)])
-    assert not lp_feasible_strict(p.constraints, {0}).feasible  # x < y and y <= x
+    assert not lp_feasible_strict(strictly(p.constraints, {0})).feasible  # x < y and y <= x
 
 
 def test_witness_satisfies_all_rows_exactly():
@@ -217,14 +221,15 @@ def test_strict_feasibility_matches_fm_oracle():
     rng = random.Random(13)
     for _ in range(150):
         problem = random_lp(rng)
-        strict = {i for i in _inequalities(problem) if rng.random() < 0.4}
-        got = lp_feasible_strict(problem.constraints, strict)
-        want = fm_feasible(problem.variables, fm_strict_rows(problem, strict))
+        rows = strictly(problem.constraints,
+                        {i for i in _inequalities(problem) if rng.random() < 0.4})
+        got = lp_feasible_strict(rows)
+        want = fm_feasible(problem.variables, fm_strict_rows(rows))
         assert got.feasible == want
         if got.feasible:
-            for i, c in enumerate(problem.constraints):
+            for c in rows:
                 total = sum((q * got.witness[v] for v, q in c.coeffs), Rat(0))
-                assert total < c.rhs if i in strict else total <= c.rhs
+                assert total < c.rhs if c.strict else total <= c.rhs
 
 
 def test_no_sampled_feasible_point_beats_the_optimum():
@@ -358,23 +363,23 @@ def test_warm_strict_feasibility_matches_cold_and_fm_oracle():
         parent = random_lp(rng)
         parent = LpProblem(parent.variables, {}, parent.constraints)
         strict = {i for i in _inequalities(parent) if rng.random() < 0.4}
-        start = lp_feasible_strict(parent.constraints, strict)
+        start = lp_feasible_strict(strictly(parent.constraints, strict))
         if start.lp.status != OPTIMAL:
             continue
         child = _grown(parent, rng, "y")
         n = len(parent.constraints)
-        new = {i - n for i in _inequalities(child) if i >= n and rng.random() < 0.4}
-        strict |= {n + i for i in new}
-        got = lp_feasible_strict(child.constraints[n:], new, start=start)
-        want = fm_feasible(child.variables, fm_strict_rows(child, strict))
-        assert got.feasible == lp_feasible_strict(child.constraints, strict).feasible == want
+        strict |= {i for i in _inequalities(child) if i >= n and rng.random() < 0.4}
+        rows = strictly(child.constraints, strict)
+        got = lp_feasible_strict(rows[n:], start=start)
+        want = fm_feasible(child.variables, fm_strict_rows(rows))
+        assert got.feasible == lp_feasible_strict(rows).feasible == want
         if not got.feasible:
             infeasible += 1
             continue
         feasible += 1
-        for i, c in enumerate(child.constraints):
+        for c in rows:
             total = sum((q * got.witness[v] for v, q in c.coeffs), Rat(0))
-            assert total < c.rhs if i in strict else total <= c.rhs
+            assert total < c.rhs if c.strict else total <= c.rhs
     assert feasible > 50 and infeasible > 30
 
 
@@ -402,9 +407,9 @@ def test_warm_start_outside_its_contract_is_an_error():
         with pytest.raises(LpError):
             lp_solve(child, start=not_optimal)
     with pytest.raises(LpError):
-        lp_feasible_strict([extra], set(), start=FeasResult(True, start.witness))
+        lp_feasible_strict([extra], start=FeasResult(True))  # no LP to start from
     # a check whose relaxed LP is infeasible has no tableau to start from
-    empty = lp_feasible_strict(infeasible_rows, set())
+    empty = lp_feasible_strict(infeasible_rows)
     assert empty.lp.status == INFEASIBLE
     with pytest.raises(LpError):
-        lp_feasible_strict([extra], set(), start=empty)
+        lp_feasible_strict([extra], start=empty)

@@ -97,10 +97,10 @@ def test_shared_subtrees_and_repeated_atoms(monkeypatch):
     systems = {}  # id of a check's result -> (the result, its whole system)
     real_check, real_feasible = smt.lp_feasible_strict, oracles._atoms_feasible
 
-    def check(constraints, strict, start=None):
+    def check(constraints, start=None):
         rows = (systems[id(start)][1] if start is not None else []) + list(constraints)
         checks.append(Counter(map(id, rows)))
-        result = real_check(constraints, strict, start)
+        result = real_check(constraints, start)
         systems[id(result)] = result, rows
         return result
 
