@@ -16,11 +16,11 @@ at parse time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lp import Constraint
-from .numeric import ExtRat, Rat, ZERO, as_rat
+from .numeric import ExtRat, ONE, Rat, ZERO, as_rat
 
 PRIME = "'"
 
@@ -54,8 +54,10 @@ def is_primed(name: str) -> bool:
 class LinExpr:
     """A linear expression ``sum(c_i * v_i) + const`` with exact coefficients.
 
-    Zero coefficients are never stored; insertion order of variables is kept
-    so printing is stable.
+    ``coeffs`` maps each variable to a nonzero ``Rat``, in order of first
+    occurrence, so printing is stable; ``const`` is a ``Rat``.  Only the
+    public constructor coerces and drops zeros: the arithmetic below keeps
+    that invariant itself and hands its results to ``_of`` unchecked.
     """
 
     __slots__ = ("coeffs", "const")
@@ -65,45 +67,82 @@ class LinExpr:
                            {v: as_rat(c) for v, c in (coeffs or {}).items() if c != 0})
         object.__setattr__(self, "const", as_rat(const))
 
+    @staticmethod
+    def _of(coeffs: Dict[str, Rat], const: Rat) -> "LinExpr":
+        """The expression over ``coeffs``, which it owns from now on."""
+        self = object.__new__(LinExpr)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError("LinExpr is immutable")
 
     @staticmethod
     def var(name: str) -> "LinExpr":
-        return LinExpr({name: 1})
+        return LinExpr._of({name: ONE}, ZERO)
 
     @staticmethod
     def constant(c) -> "LinExpr":
-        return LinExpr({}, c)
+        return LinExpr._of({}, as_rat(c))
 
     def add(self, other: "LinExpr") -> "LinExpr":
-        coeffs = dict(self.coeffs)
+        coeffs = self.coeffs.copy()
         for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, ZERO) + c
-        return LinExpr(coeffs, self.const + other.const)
+            c = coeffs[v] + c if v in coeffs else c
+            if c:
+                coeffs[v] = c
+            else:
+                del coeffs[v]
+        return LinExpr._of(coeffs, self.const + other.const if other.const else self.const)
 
     def sub(self, other: "LinExpr") -> "LinExpr":
-        return self.add(other.scale(-1))
+        coeffs = self.coeffs.copy()
+        for v, c in other.coeffs.items():
+            c = coeffs[v] - c if v in coeffs else -c
+            if c:
+                coeffs[v] = c
+            else:
+                del coeffs[v]
+        return LinExpr._of(coeffs, self.const - other.const if other.const else self.const)
 
     def scale(self, factor) -> "LinExpr":
+        if factor == 1:
+            return self
+        if factor == -1:
+            return LinExpr._of({v: -c for v, c in self.coeffs.items()}, -self.const)
         f = as_rat(factor)
-        return LinExpr({v: c * f for v, c in self.coeffs.items()}, self.const * f)
+        return LinExpr._of({v: c * f for v, c in self.coeffs.items()} if f else {},
+                           self.const * f)
 
     def substitute(self, defs: Dict[str, "LinExpr"]) -> "LinExpr":
         """The expression with each variable of ``defs`` replaced by its
-        definition."""
-        out = LinExpr({v: c for v, c in self.coeffs.items() if v not in defs}, self.const)
+        definition.  A variable whose coefficient cancels is dropped at
+        once, so if it comes back it comes last."""
+        coeffs = {v: c for v, c in self.coeffs.items() if v not in defs}
+        const = self.const
         for v, c in self.coeffs.items():
-            if v in defs:
-                out = out.add(defs[v].scale(c))
-        return out
+            expr = defs.get(v)
+            if expr is None:
+                continue
+            for u, a in expr.coeffs.items():
+                a = coeffs[u] + a * c if u in coeffs else a * c
+                if a:
+                    coeffs[u] = a
+                else:
+                    del coeffs[u]
+            if expr.const:
+                const += expr.const * c
+        return LinExpr._of(coeffs, const)
 
     def rename(self, mapping: Dict[str, str]) -> "LinExpr":
         coeffs: Dict[str, Rat] = {}
         for v, c in self.coeffs.items():
             target = mapping.get(v, v)
-            coeffs[target] = coeffs.get(target, ZERO) + c
-        return LinExpr(coeffs, self.const)
+            coeffs[target] = coeffs[target] + c if target in coeffs else c
+        if len(coeffs) < len(self.coeffs):  # merged variables may cancel
+            coeffs = {v: c for v, c in coeffs.items() if c}
+        return LinExpr._of(coeffs, self.const)
 
     def evaluate(self, env: Dict[str, Rat]) -> Rat:
         total = self.const
@@ -164,8 +203,8 @@ class Atom:
     def __init__(self, lin: LinExpr, rel: str, bound):
         if rel not in (REL_LE, REL_LT):
             raise FormulaError(f"bad relation {rel!r}")
-        if lin.const != 0:
-            lin = LinExpr(lin.coeffs)
+        if lin.const:
+            lin = LinExpr._of(lin.coeffs, ZERO)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "bound", as_rat(bound))
@@ -400,8 +439,9 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
             if v is None:
                 continue
             c = lin.coeffs[v]
-            expr = LinExpr({u: -a / c for u, a in lin.coeffs.items() if u != v},
-                           (node.bound - lin.const) / c)
+            f = -1 / c
+            expr = LinExpr._of({u: a * f for u, a in lin.coeffs.items() if u != v},
+                               (lin.const - node.bound) * f)
             for w, old in defs.items():
                 if v in old.coeffs:
                     defs[w] = old.substitute({v: expr})
@@ -413,7 +453,7 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
         if defs.keys().isdisjoint(atom.lin.coeffs):
             return atom
         lin = atom.lin.substitute(defs)
-        new = Atom(lin, atom.rel, atom.bound - lin.const)
+        new = Atom(lin, atom.rel, atom.bound - lin.const if lin.const else atom.bound)
         return new if new.lin.coeffs else TRUE if new.holds({}) else FALSE_ATOM
 
     return map_atoms(statement, fold), defs
@@ -423,8 +463,7 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
 # tokenizer (shared with the program-file reader in the cli module)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | num | op | eof
     text: str
     line: int
@@ -455,45 +494,31 @@ def tokenize(text: str) -> List[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_col = col
         if text[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("op", text[i:i + 2], line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in ("!", "~"):
+            kind, j = "op", i + 2
+        elif ch in ("!", "~"):
             raise ParseError("negation is not allowed in statements", line, col)
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
+        elif ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
+            kind, j = "num", i
             while j < n and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
-            lit = text[i:j]
-            if lit.count(".") > 1 or lit.endswith("."):
-                raise ParseError(f"malformed number {lit!r}", line, col)
-            tokens.append(Token("num", lit, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            if text.count(".", i, j) > 1 or text[j - 1] == ".":
+                raise ParseError(f"malformed number {text[i:j]!r}", line, col)
+        elif ch.isalpha() or ch == "_":
+            kind, j = "ident", i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            name = text[i:j]
             if j < n and text[j] == PRIME:
                 j += 1
-                name += PRIME
                 if j < n and text[j] == PRIME:
                     raise ParseError("doubly primed variable", line, col)
-            tokens.append(Token("ident", name, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif ch in _ONE_CHAR_OPS:
+            kind, j = "op", i + 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append(Token(kind, text[i:j], line, col))
+        col += j - i
+        i = j
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -627,21 +652,18 @@ def _parse(ts: TokenStream, formula: bool):
 
 
 def _desugar_relation(lhs: LinExpr, rel: str, rhs: LinExpr):
-    if rel == ">=":
-        lhs, rhs, rel = rhs, lhs, "<="
-    elif rel == ">":
-        lhs, rhs, rel = rhs, lhs, "<"
-    if rel in (REL_LE, REL_LT):
-        return _atom(lhs, rel, rhs)
-    if rel == "=":
-        return And((_atom(lhs, REL_LE, rhs), _atom(rhs, REL_LE, lhs)))
-    # a != b  ->  a < b | b < a  (fresh selector assigned by the label pass)
-    return Or(_atom(lhs, REL_LT, rhs), _atom(rhs, REL_LT, lhs), -1)
-
-
-def _atom(lhs: LinExpr, rel: str, rhs: LinExpr) -> Atom:
+    if rel in (">=", ">"):
+        lhs, rhs, rel = rhs, lhs, rel.replace(">", "<")
     diff = lhs.sub(rhs)
-    return Atom(LinExpr(diff.coeffs), rel, -diff.const)
+    if rel in (REL_LE, REL_LT):
+        return Atom(diff, rel, -diff.const)
+    # rhs - lhs in rhs.sub(lhs)'s variable order, which picks the presolve's pivot
+    back = LinExpr._of({v: -diff.coeffs[v] for v in (*rhs.coeffs, *lhs.coeffs)
+                        if v in diff.coeffs}, ZERO)
+    half = REL_LE if rel == "=" else REL_LT
+    pair = (Atom(diff, half, -diff.const), Atom(back, half, diff.const))
+    # a != b  ->  a < b | b < a  (fresh selector assigned by the label pass)
+    return And(pair) if rel == "=" else Or(*pair, -1)
 
 
 def parse_expr_tokens(ts: TokenStream) -> LinExpr:
@@ -650,8 +672,7 @@ def parse_expr_tokens(ts: TokenStream) -> LinExpr:
 
 def label_selectors(formula, start: int = 0):
     """Assign pre-order selector ids ``start``, ``start+1``, ... to every Or node."""
-    counter = iter(range(start, start + formula_size(formula)))
-    return _rebuild(formula, lambda a: a, counter)
+    return _rebuild(formula, lambda a: a, count(start))
 
 
 def parse_statement_tokens(ts: TokenStream):

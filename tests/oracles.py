@@ -7,8 +7,10 @@ walk paths recursively, apart from ``formula.walk``, the
 selector-enumeration oracle replays satisfiability by trying every path,
 ``cold_smt_check`` replays the selector search with no warm start,
 ``rational_lp_solve`` replays the simplex pivot for pivot on ``Rat``
-entries, and ``full_evaluate`` replays strategy evaluation with one LP per
-variable over the whole system.
+entries, ``full_evaluate`` replays strategy evaluation with one LP per
+variable over the whole system, and the ``ref_*`` functions replay
+``LinExpr`` arithmetic with every result built by the validating
+constructor.
 """
 
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -61,6 +63,55 @@ def parse_ext(text: str) -> ExtRat:
     if s == "-inf":
         return NEG_INF
     return ext(Rat(s))
+
+
+def ref_add(a: LinExpr, b: LinExpr) -> LinExpr:
+    coeffs = dict(a.coeffs)
+    for v, c in b.coeffs.items():
+        coeffs[v] = coeffs.get(v, ZERO) + c
+    return LinExpr(coeffs, a.const + b.const)
+
+
+def ref_scale(a: LinExpr, factor) -> LinExpr:
+    f = as_rat(factor)
+    return LinExpr({v: c * f for v, c in a.coeffs.items()}, a.const * f)
+
+
+def ref_sub(a: LinExpr, b: LinExpr) -> LinExpr:
+    return ref_add(a, ref_scale(b, -1))
+
+
+def ref_substitute(a: LinExpr, defs: Dict[str, LinExpr]) -> LinExpr:
+    out = LinExpr({v: c for v, c in a.coeffs.items() if v not in defs}, a.const)
+    for v, c in a.coeffs.items():
+        if v in defs:
+            out = ref_add(out, ref_scale(defs[v], c))
+    return out
+
+
+def ref_rename(a: LinExpr, mapping: Dict[str, str]) -> LinExpr:
+    coeffs: Dict[str, Rat] = {}
+    for v, c in a.coeffs.items():
+        target = mapping.get(v, v)
+        coeffs[target] = coeffs.get(target, ZERO) + c
+    return LinExpr(coeffs, a.const)
+
+
+def ref_relation(lhs: LinExpr, rel: str, rhs: LinExpr) -> List[Atom]:
+    """The atoms ``lhs rel rhs`` desugars to, each side's difference taken
+    on its own: ``a = b`` is ``a - b <= 0`` and ``b - a <= 0``, ``a != b``
+    is ``a - b < 0`` or ``b - a < 0``, ``>`` and ``>=`` swap the sides."""
+    if rel in (">=", ">"):
+        lhs, rhs, rel = rhs, lhs, rel.replace(">", "<")
+
+    def atom(a, r, b):
+        diff = ref_sub(a, b)
+        return Atom(LinExpr(diff.coeffs), r, -diff.const)
+
+    if rel in (REL_LE, REL_LT):
+        return [atom(lhs, rel, rhs)]
+    half = REL_LE if rel == "=" else REL_LT
+    return [atom(lhs, half, rhs), atom(rhs, half, lhs)]
 
 
 def eval_formula(formula, env: Dict[str, Rat],

@@ -6,7 +6,7 @@ import pytest
 from invgen.cfg import Cfg
 from invgen.engine import EquationSystem, StratPath, Template, _entry_value
 from invgen.formula import (
-    FALSE_ATOM, TRUE, And, Atom, FormulaError, Or, ParseError,
+    FALSE_ATOM, TRUE, And, Atom, FormulaError, LinExpr, Or, ParseError,
     build_psi, eliminate_equalities, formula_size, formula_vars, label_selectors, map_atoms,
     parse_linexpr, parse_statement, paths, selectors_of, walk,
 )
@@ -16,7 +16,8 @@ from invgen.smt import _smt_declarations
 from generators import random_shared_statement, random_state, random_statement
 from oracles import (
     atoms_of, check_selector_invariant, enumerate_path_choices, eval_formula,
-    format_statement, nonstrict_relaxation, select_path,
+    format_statement, nonstrict_relaxation, ref_add, ref_relation, ref_rename, ref_scale,
+    ref_substitute, ref_sub, select_path,
 )
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
@@ -244,6 +245,84 @@ def test_linexpr_printer_round_trip():
     for text in ("x1", "-x1", "x1 + x2", "2*x1 - 3/2*x2", "x1 - 1"):
         e = parse_linexpr(text)
         assert parse_linexpr(str(e)) == e
+
+
+KERNEL_VARS = ("a", "b", "c", "d", "e")
+KERNEL_COEFFS = (Rat(-2), Rat(-1), Rat(-1, 2), Rat(1, 3), Rat(1), Rat(3, 2), Rat(2))
+
+
+def random_linexpr(rng, like=None):
+    """A random expression over a few variables in random order; with
+    ``like``, many of its coefficients are the negations of ``like``'s, so
+    that sums cancel."""
+    names = rng.sample(KERNEL_VARS, rng.randint(0, 4))
+    coeffs = {v: rng.choice(KERNEL_COEFFS) for v in names}
+    if like is not None:
+        for v, c in like.coeffs.items():
+            if rng.random() < 0.6:
+                coeffs[v] = -c
+    return LinExpr(coeffs, rng.choice((0, 0, Rat(5, 3), Rat(-1))))
+
+
+def assert_same_expr(got, want):
+    """Equal values, the same variable order, and the stored invariant:
+    nonzero ``Rat`` coefficients and a ``Rat`` constant."""
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+    assert all(type(c) is Rat and c != 0 for c in got.coeffs.values())
+    assert type(got.const) is Rat
+
+
+def test_linexpr_kernel_matches_reference_arithmetic():
+    rng = random.Random(2212)
+    cancelled = Counter()
+    for _ in range(600):
+        a = random_linexpr(rng)
+        b = random_linexpr(rng, like=a)
+        for got, want in ((a.add(b), ref_add(a, b)), (a.sub(b), ref_sub(a, b)),
+                          (a.sub(a.scale(-1)), ref_sub(a, ref_scale(a, -1)))):
+            assert_same_expr(got, want)
+            cancelled["sum"] += len(got.coeffs) < len(a.coeffs.keys() | b.coeffs.keys())
+        for factor in (0, 1, -1, 2, Rat(-3, 4), Rat(1), Rat(-1)):
+            assert_same_expr(a.scale(factor), ref_scale(a, factor))
+        # definitions may mention defined variables and cancel each other
+        defs = {v: random_linexpr(rng, like=a) for v in rng.sample(KERNEL_VARS, 2)}
+        got = a.substitute(defs)
+        assert_same_expr(got, ref_substitute(a, defs))
+        cancelled["substitute"] += len(got.coeffs) < len(
+            {v for v in a.coeffs if v not in defs}.union(*(defs[v].coeffs for v in a.coeffs
+                                                           if v in defs)))
+        # renaming may merge variables, and merged coefficients may cancel
+        mapping = {v: rng.choice(KERNEL_VARS) for v in rng.sample(KERNEL_VARS, 3)}
+        got = a.rename(mapping)
+        assert_same_expr(got, ref_rename(a, mapping))
+        cancelled["rename"] += len(got.coeffs) < len({mapping.get(v, v) for v in a.coeffs})
+    assert min(cancelled.values()) >= 10, cancelled
+    # a variable that cancels and comes back goes last, as with chained adds
+    e = parse_linexpr("y + x + z")
+    defs = {"x": parse_linexpr("w - y"), "z": parse_linexpr("y")}
+    assert_same_expr(e.substitute(defs), ref_substitute(e, defs))
+    assert list(e.substitute(defs).coeffs) == ["w", "y"]
+    # merged coefficients that cancel on the way keep their first place
+    e = parse_linexpr("x - y + a + w")
+    mapping = {"x": "z", "y": "z", "w": "z"}
+    assert_same_expr(e.rename(mapping), ref_rename(e, mapping))
+    assert list(e.rename(mapping).coeffs) == ["z", "a"]
+
+
+def test_relations_desugar_like_the_reference():
+    rng = random.Random(2213)
+    for _ in range(300):
+        lhs = random_linexpr(rng)
+        rhs = random_linexpr(rng, like=lhs)
+        for rel in ("<=", "<", ">=", ">", "=", "!="):
+            got = _all_atoms(parse_statement(f"{lhs} {rel} {rhs}"))
+            want = ref_relation(lhs, rel, rhs)
+            assert [str(x) for x in got] == [str(x) for x in want]
+            for x, y in zip(got, want):
+                assert x == y and x.lin.const == 0
+                assert_same_expr(x.lin, y.lin)
+                assert type(x.bound) is Rat
 
 
 def _presolve(text, keep):
