@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from .cfg import Cfg
 from .formula import (
-    Atom, FormulaError, LinExpr, build_psi, eliminate_equalities, formula_vars, paths,
+    Atom, LinExpr, build_psi, eliminate_equalities, formula_vars, paths,
     primed, walk,
 )
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
@@ -48,7 +48,6 @@ from .smt import (
 )
 
 VarKey = Tuple[str, int]  # (node, template row index)
-Bounds = Dict[VarKey, ExtRat]
 
 
 class EngineError(Exception):
@@ -127,8 +126,7 @@ class EquationSystem:
     share whatever the bounds.  Per edge: its statement presolved by
     ``eliminate_equalities`` (the unprimed program variables kept), the
     definitions of the eliminated variables and each template row over the
-    post-state with them substituted.  Per strategy entry: its evaluation
-    rows."""
+    post-state with them substituted."""
 
     def __init__(self, cfg: Cfg, template: Template):
         self.cfg = cfg
@@ -151,7 +149,6 @@ class EquationSystem:
         self.definitions = [defs for _, defs in presolved]
         self.posts = [[row.rename({v: primed(v) for v in row.variables()}).substitute(defs)
                        for row in template.rows] for defs in self.definitions]
-        self._entry_rows: Dict[Tuple, _EntryRows] = {}
 
     def initial_strategy(self) -> Dict[VarKey, object]:
         return {key: BOTTOM for key in self.order}
@@ -163,20 +160,11 @@ class EquationSystem:
         """The variable of ``key`` in evaluation LPs."""
         return f"$b{self.index[key]}"
 
-    def entry_rows(self, key: VarKey, entry: StratPath) -> "_EntryRows":
-        """The evaluation rows of ``key`` under ``entry``, built on first use
-        and kept, so their integer forms are computed once per analysis."""
-        cache_key = (key, entry.edge_index, tuple(sorted(entry.path.items())))
-        rows = self._entry_rows.get(cache_key)
-        if rows is None:
-            rows = self._entry_rows[cache_key] = _EntryRows(self, key, entry)
-        return rows
-
 
 # -- abstract transformer of a single path ------------------------------------
 
 def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: Template,
-                           j: int, stats: Optional[Stats] = None) -> ExtRat:
+                           j: int) -> ExtRat:
     """Best bound of template row ``j`` after one step along a path, given
     by its atoms, from the region ``T x <= d``.
 
@@ -193,15 +181,11 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: 
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
     constraints = [a.row for a in atoms]
     feas = lp_feasible_strict(constraints)
-    if stats is not None:
-        stats.lp_solves += 1
     if not feas.feasible:
         return NEG_INF
     columns = dict.fromkeys(v for row in constraints for v, _ in row.coeffs)
     columns.update(dict.fromkeys(target.coeffs))
     res = lp_solve(LpProblem(list(columns), dict(target.coeffs), constraints))
-    if stats is not None:
-        stats.lp_solves += 1
     if res.status == UNBOUNDED:
         return POS_INF
     if res.status != OPTIMAL:
@@ -248,15 +232,22 @@ def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
 
 
 def _entry_value(eq: EquationSystem, key: VarKey, entry, bounds, stats) -> ExtRat:
+    """The value of ``key``'s improving operand ``entry`` at ``bounds``: one
+    LP maximises the key's variable over the entry's evaluation rows, every
+    source pinned.  An improving path is strictly feasible within the source
+    region, so the closure's maximum is the supremum."""
     if entry is TOP:
         return POS_INF
-    atoms: List[Atom] = []
-    unresolved: List = []
-    walk(eq.cfg.edges[entry.edge_index].statement, entry.path, atoms, unresolved)
-    if unresolved:
-        raise FormulaError(f"no choice for selector {unresolved[0].selector}")
-    return abstract_transform_row(atoms, _source_bounds(eq, entry.edge_index, bounds),
-                                  eq.template, key[1], stats)
+    var = eq.lp_var(key)
+    rows = _entry_rows(eq, key, entry, bounds, ())
+    res = lp_solve(LpProblem([var], {var: ONE}, []).extend(rows))
+    if stats is not None:
+        stats.lp_solves += 1
+    if res.status == UNBOUNDED:
+        return POS_INF
+    if res.status != OPTIMAL:
+        raise EngineError(f"the strategy path of {key} is infeasible at the current bounds")
+    return ext(res.value)
 
 
 def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = None,
@@ -297,37 +288,37 @@ def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = No
 
 # -- strategy evaluation -------------------------------------------------------
 
-class _EntryRows:
-    """The evaluation rows of one key under one strategy entry, over a copy
-    of the edge's variables named with the key's prefix.
-
-    ``statement`` holds the path's atoms in the presolved statement, strict
-    ones relaxed to ``<=``; ``link`` bounds the key's LP variable by its row
-    over the post-state, with the edge's definitions substituted;
-    ``pre[i]`` is template row ``i`` over the pre-state, and ``reads[i]``
-    bounds it by the LP variable of ``sources[i]``."""
-
-    __slots__ = ("sources", "statement", "link", "pre", "reads")
-
-    def __init__(self, eq: EquationSystem, key: VarKey, entry: StratPath):
-        edge = eq.cfg.edges[entry.edge_index]
-        prefix = f"$q{eq.index[key]}_"
-        atoms: List[Atom] = []
-        unresolved: List = []
-        walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
-        if unresolved:
-            raise EngineError(f"the strategy path of {key} leaves a disjunction open")
-        rows = eq.template.rows
-        self.sources = [(edge.source, i) for i in range(len(rows))]
-        self.statement = [
-            Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), a.bound)
+def _entry_rows(eq: EquationSystem, key: VarKey, entry: StratPath, bounds,
+                inside) -> List[Constraint]:
+    """The evaluation rows of ``key`` under ``entry``, over a copy of the
+    edge's variables named with the key's prefix ``$q<k>_``: the path's
+    atoms in the presolved statement, strict ones relaxed to ``<=``; the
+    link, which bounds the key's LP variable by its row over the post-state,
+    with the edge's definitions substituted; and per template row over the
+    pre-state, its source's bound.  That is a read of the source's LP
+    variable when the source is ``inside``, a row pinned at its value in
+    ``bounds`` when that is finite, and nothing at +inf; no caller passes a
+    -inf source."""
+    prefix = f"$q{eq.index[key]}_"
+    atoms: List[Atom] = []
+    unresolved: List = []
+    walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
+    if unresolved:
+        raise EngineError(f"the strategy path of {key} leaves a disjunction open")
+    rows = [Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), a.bound)
             for a in atoms]
-        post = eq.posts[entry.edge_index][key[1]]
-        self.link = Constraint(((eq.lp_var(key), ONE),) + tuple(
-            (prefix + v, -c) for v, c in post.coeffs.items()), post.const)
-        self.pre = [tuple((prefix + v, c) for v, c in row.coeffs.items()) for row in rows]
-        self.reads = [Constraint(pre + ((eq.lp_var(src), -ONE),), ZERO)
-                      for pre, src in zip(self.pre, self.sources)]
+    post = eq.posts[entry.edge_index][key[1]]
+    rows.append(Constraint(((eq.lp_var(key), ONE),) + tuple(
+        (prefix + v, -c) for v, c in post.coeffs.items()), post.const))
+    source = eq.cfg.edges[entry.edge_index].source
+    for i, row in enumerate(eq.template.rows):
+        pre = tuple((prefix + v, c) for v, c in row.coeffs.items())
+        src = (source, i)
+        if src in inside:
+            rows.append(Constraint(pre + ((eq.lp_var(src), -ONE),), ZERO))
+        elif bounds[src].is_finite:
+            rows.append(Constraint(pre, bounds[src].value))
+    return rows
 
 
 def _components(keys: Sequence[VarKey], reads) -> List[List[VarKey]]:
@@ -383,17 +374,8 @@ def _solve_component(eq: EquationSystem, component: Sequence[VarKey], strategy,
     greatest point and that point alone attains the optimum.  An unbounded
     one falls back to one LP per variable, where unbounded means +inf."""
     inside = set(component)
-    constraints: List[Constraint] = []
-    for key in component:
-        rows = eq.entry_rows(key, strategy[key])
-        constraints.extend(rows.statement)
-        constraints.append(rows.link)
-        for pre, read, src in zip(rows.pre, rows.reads, rows.sources):
-            if src in inside:
-                constraints.append(read)
-            elif result[src].is_finite:
-                constraints.append(Constraint(pre, result[src].value))
-            # +inf rows vanish; a -inf source empties the whole component
+    constraints = [row for key in component
+                   for row in _entry_rows(eq, key, strategy[key], result, inside)]
 
     def solve(objective: Sequence[VarKey]):
         # the component's variables, then the copies' in order of first occurrence

@@ -79,11 +79,6 @@ class Constraint:
         return ({v: a for v, a in nums.items() if a},
                 int(rhs.numerator) * (den // int(rhs.denominator)), den)
 
-    @cached_property
-    def slackened(self) -> "Constraint":
-        """``row + d <= rhs``, for the slack d of ``lp_feasible_strict``."""
-        return Constraint(self.coeffs + ((_DELTA, ONE),), self.rhs)
-
 
 class LpProblem:
     """Maximize a linear objective subject to rows, a strict row read as its
@@ -211,7 +206,8 @@ def lp_feasible_strict(constraints: Sequence[Constraint],
     ``lp`` is optimal, and is solved warm from it; without ``start`` it
     extends the problem of d alone and is solved cold.
     """
-    rows = [row.slackened if row.strict else row for row in constraints]
+    rows = [Constraint(row.coeffs + ((_DELTA, ONE),), row.rhs) if row.strict else row
+            for row in constraints]
     if any(v == _DELTA for row in constraints for v, _ in row.coeffs):
         raise LpError(f"variable name {_DELTA!r} is reserved")
     if start is None:

@@ -291,6 +291,39 @@ def _entry_value(eq, key, entry, rho):
     return abstract_transform_row(atoms_of(seq), d, eq.template, key[1])
 
 
+@pytest.mark.filterwarnings("ignore:dropping nodes unreachable")
+def test_local_opt_entry_values_match_the_transformer(monkeypatch):
+    # --local-opt reads each improving entry's value from one LP over its
+    # evaluation rows (the presolved statement, strict atoms relaxed); it
+    # must be the transformer's over the statement as parsed
+    from invgen.cli import gen_expo
+
+    values = []
+    real = engine._entry_value
+
+    def entry_value(eq, key, entry, bounds, stats):
+        value = real(eq, key, entry, bounds, stats)
+        if isinstance(entry, StratPath):
+            values.append((value, _entry_value(eq, key, entry, bounds), key, entry))
+        return value
+
+    monkeypatch.setattr(engine, "_entry_value", entry_value)
+    for path in corpus_files():
+        analyze(path, local_opt=True)
+    for n in (1, 2, 3, 4):
+        g, template = program_to_cfg(parse_program(gen_expo(n)))
+        run(compress(g, feedback_vertex_set(g)), template, EngineOptions(local_opt=True))
+    rng = random.Random(37)
+    T = Template([parse_linexpr(row) for row in ("x", "-x", "y", "-y", "x - y")])
+    for _ in range(100):
+        g = random_cfg(rng)
+        run(compress(g, feedback_vertex_set(g)), T, EngineOptions(local_opt=True))
+    for got, want, key, entry in values:
+        assert got == want, (key, entry)
+    assert len(values) > 300
+    assert sum(1 for got, *_ in values if got.is_pos_inf) > 50
+
+
 def test_evaluate_detects_infinity_by_unboundedness():
     g = Cfg(["st", "n"], "st",
              [("st", parse_statement("x' = 0"), "n"),

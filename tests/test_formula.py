@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from invgen.cfg import Cfg
-from invgen.engine import EquationSystem, StratPath, Template, _entry_value
+from invgen.engine import EngineError, EquationSystem, StratPath, Template, _entry_value
 from invgen.formula import (
     FALSE_ATOM, TRUE, And, Atom, FormulaError, LinExpr, Or, ParseError,
     build_psi, eliminate_equalities, formula_size, formula_vars, label_selectors, map_atoms,
@@ -432,13 +432,14 @@ def test_deep_disjunction_chain_is_rebuilt_without_recursion():
     deepest, shallowest = {s: 0 for s in range(4999)}, {0: 1}
     assert walked(stmt, deepest) == (["x' <= 1", "-x' <= -1"], [])
     assert walked(stmt, shallowest) == (["x' <= 5000", "-x' <= -5000"], [])
-    # --local-opt's transformer walks the statement as parsed
+    # --local-opt reads an entry's value from its evaluation rows, which walk
+    # the presolved statement; an open path is an engine contract violation
     g = Cfg(["st", "a"], "st", [("st", f, "a")], ["x"])
     eq = EquationSystem(g, Template([parse_linexpr("x")]))
     bounds = {("st", 0): POS_INF, ("a", 0): NEG_INF}
     assert _entry_value(eq, ("a", 0), StratPath(0, deepest), bounds, None) == ext(1)
     assert _entry_value(eq, ("a", 0), StratPath(0, shallowest), bounds, None) == ext(5000)
-    with pytest.raises(FormulaError):
+    with pytest.raises(EngineError):
         _entry_value(eq, ("a", 0), StratPath(0, {}), bounds, None)
     # the SMT-LIB2 term nests each disjunction in the one above it
 

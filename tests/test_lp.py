@@ -4,14 +4,14 @@ import pytest
 
 from invgen.lp import (
     Constraint, FeasResult, INFEASIBLE, LpError, LpProblem, LpResult, OPTIMAL,
-    UNBOUNDED, lp_feasible_strict, lp_solve,
+    UNBOUNDED, _Tableau, lp_feasible_strict, lp_solve,
 )
 from invgen.numeric import Rat
 
 from generators import degenerate_lp, random_lp, sparse_lp
 from oracles import (
-    constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, negated, rational_lp_solve,
-    rows_of, strictly,
+    _RationalTableau, constraint_of, fm_feasible, fm_solve, fm_strict_rows, lp_text, negated,
+    rational_lp_solve, rows_of, strictly,
 )
 
 
@@ -164,13 +164,27 @@ def test_degenerate_cases_match_fourier_motzkin_oracle():
             lp_text(problem)
 
 
-def test_matches_rational_tableau_oracle():
-    # Same pivots, so the same witness even where the optimum is not unique.
+def test_matches_rational_tableau_oracle(monkeypatch):
+    # Exactly the pivots: both tableaus number rows and columns alike, so
+    # their (leave, enter) sequences must be equal, and with them the
+    # witness, even where the optimum is not unique.
+    pivots = {_Tableau: [], _RationalTableau: []}
+    for cls, log in pivots.items():
+        def recorded(self, leave, enter, pivot=cls._pivot, log=log):
+            log.append((leave, enter))
+            pivot(self, leave, enter)
+        monkeypatch.setattr(cls, "_pivot", recorded)
     rng = random.Random(23)
     problems = DEGENERATE + [random_lp(rng) for _ in range(300)] + \
         [degenerate_lp(rng) for _ in range(300)] + [sparse_lp(rng) for _ in range(100)]
+    total = 0
     for problem in problems:
+        for log in pivots.values():
+            log.clear()
         assert lp_solve(problem) == rational_lp_solve(problem), lp_text(problem)
+        assert pivots[_Tableau] == pivots[_RationalTableau], lp_text(problem)
+        total += len(pivots[_Tableau])
+    assert total > len(problems)
 
 
 def _scaled(problem, rng):
