@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set
 
 from .formula import (
     TRUE, Or, conjoin, formula_vars, is_primed, primed, rename_vars,
@@ -28,8 +27,7 @@ class CfgError(Exception):
     """Ill-formed graph or invalid cut set."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: str
     statement: object
     target: str
@@ -46,12 +44,10 @@ class Cfg:
         if start not in self.nodes:
             raise CfgError(f"start node {start!r} is not declared")
         self.start = start
-        self.edges: List[Edge] = []
-        for e in edges:
-            edge = e if isinstance(e, Edge) else Edge(*e)
+        self.edges = [Edge(*e) for e in edges]
+        for edge in self.edges:
             if edge.source not in self.nodes or edge.target not in self.nodes:
                 raise CfgError(f"edge {edge.source!r} -> {edge.target!r} uses undeclared nodes")
-            self.edges.append(edge)
         self.program_vars = list(program_vars)
         if len(set(self.program_vars)) != len(self.program_vars):
             raise CfgError("duplicate program variables")

@@ -32,8 +32,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .cfg import Cfg, CfgError, Edge, compress, feedback_vertex_set
 from .engine import (
@@ -53,24 +52,23 @@ class ProgramError(Exception):
     """Semantic error in a program file (undeclared node, bad template, ...)."""
 
 
-@dataclass
-class RawEdge:
+class RawEdge(NamedTuple):
     source: str
     target: str
     int_relax: bool
     statement: object
 
 
-@dataclass
 class ProgramFile:
-    variables: List[str] = field(default_factory=list)
-    int_vars: Set[str] = field(default_factory=set)
-    template_kind: Optional[str] = None  # interval | octagon | explicit
-    template_rows: List[LinExpr] = field(default_factory=list)
-    nodes: List[str] = field(default_factory=list)
-    start: Optional[str] = None
-    edges: List[RawEdge] = field(default_factory=list)
-    cutset: Optional[List[str]] = None
+    __slots__ = ("variables", "int_vars", "template_kind", "template_rows", "nodes",
+                 "start", "edges", "cutset")
+
+    def __init__(self):
+        self.variables, self.nodes, self.edges = [], [], []  # names, names, RawEdges
+        self.int_vars: Set[str] = set()
+        self.template_kind: Optional[str] = None  # interval | octagon | explicit
+        self.template_rows: List[LinExpr] = []
+        self.start = self.cutset = None  # a node name, a list of node names
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +276,14 @@ def program_to_cfg(prog: ProgramFile) -> Tuple[Cfg, Template]:
 # analysis driver and reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     nodes: List[str]
     labels: List[str]
     bounds: Dict[Tuple[str, int], ExtRat]
     stats: Stats
-    certified: Optional[bool] = None
-    counterexample: Optional[str] = None
-    lints: List[str] = field(default_factory=list)
+    certified: Optional[bool]
+    counterexample: Optional[str]
+    lints: List[str]
 
 
 def analyze(path: str, *, solver: Optional[str] = None, local_opt: bool = False,
@@ -308,17 +305,15 @@ def analyze(path: str, *, solver: Optional[str] = None, local_opt: bool = False,
         bounds, stats = run(g, template, opts)
         cert = check_post_fixpoint(g, template, bounds, backend=backend,
                                    stats=stats) if check else None
-    report = Report(list(g.nodes), list(template.labels), bounds, stats, lints=lints)
-    if cert is not None:
-        report.certified = cert.verified
-        if not cert.verified:
-            edge = g.edges[cert.edge_index]
-            point = {v: str(q) for v, q in sorted(cert.model.reals.items())
-                     if not v.startswith("$")}
-            report.counterexample = (
-                f"edge {edge.source} -> {edge.target}, row "
-                f"{template.labels[cert.row]}, state {point}")
-    return report
+    counterexample = None
+    if cert is not None and not cert.verified:
+        edge = g.edges[cert.edge_index]
+        point = {v: str(q) for v, q in sorted(cert.model.reals.items())
+                 if not v.startswith("$")}
+        counterexample = (f"edge {edge.source} -> {edge.target}, row "
+                          f"{template.labels[cert.row]}, state {point}")
+    return Report(list(g.nodes), list(template.labels), bounds, stats,
+                  None if cert is None else cert.verified, counterexample, lints)
 
 
 def emit_report(report: Report, fmt: str = "text", show_stats: bool = False) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .cfg import Cfg
@@ -80,13 +79,12 @@ class Template:
         return len(self.rows)
 
 
-@dataclass
 class Stats:
-    improvement_steps: int = 0
-    smt_queries: int = 0
-    lp_solves: int = 0
-    wall_time: float = 0.0
-    converged: bool = True
+    __slots__ = ("improvement_steps", "smt_queries", "lp_solves", "wall_time", "converged")
+
+    def __init__(self):
+        self.improvement_steps = self.smt_queries = self.lp_solves = 0
+        self.wall_time, self.converged = 0.0, True
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -467,8 +465,7 @@ def evaluate(eq: EquationSystem, strategy, bounds, stats: Optional[Stats] = None
 
 # -- the main loop -------------------------------------------------------------
 
-@dataclass
-class EngineOptions:
+class EngineOptions(NamedTuple):
     local_opt: bool = False
     # None = internal backend; a solver command gets one session per run
     smt_cmd: Optional[Union[SmtSession, str, Sequence[str]]] = None
@@ -541,8 +538,7 @@ def run(g: Cfg, template: Template,
 
 # -- certification and test oracle ---------------------------------------------
 
-@dataclass
-class CertResult:
+class CertResult(NamedTuple):
     verified: bool
     edge_index: Optional[int] = None  # None, if not verified: a start row below +inf
     row: Optional[int] = None

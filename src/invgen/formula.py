@@ -430,9 +430,11 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
     walk(statement, {}, atoms, [])
     for node in atoms:
         if node.rel == REL_LE:
-            items = node.lin.coeffs.items()
-            if (frozenset((v, -c) for v, c in items), -node.bound) not in halves:
-                halves.add((frozenset(items), node.bound))
+            # keyed on integers: hashing a Fraction costs a modular inverse
+            items = [(v, c.numerator, c.denominator) for v, c in node.lin.coeffs.items()]
+            p, q = node.bound.numerator, node.bound.denominator
+            if (frozenset((v, -a, d) for v, a, d in items), -p, q) not in halves:
+                halves.add((frozenset(items), p, q))
                 continue
             lin = node.lin.substitute(defs)
             v = next((u for u in lin.coeffs if u not in keep), None)

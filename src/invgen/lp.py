@@ -39,8 +39,6 @@ asserts rows, checks, and backtracks by starting from an older check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,27 +55,42 @@ class LpError(Exception):
     """Malformed problem (undeclared variable, bad warm start, ...)."""
 
 
-@dataclass(frozen=True)
 class Constraint:
     """A row ``sum(coeffs) <= rhs``, or ``<`` when ``strict``: its relation,
     which only ``lp_feasible_strict`` reads."""
 
-    coeffs: Tuple[Tuple[str, Rat], ...]
-    rhs: Rat
-    strict: bool = False
+    __slots__ = ("coeffs", "rhs", "strict", "_ints")
 
-    @cached_property
+    def __init__(self, coeffs: Tuple[Tuple[str, Rat], ...], rhs: Rat, strict: bool = False):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "strict", strict)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Constraint is immutable")
+
+    @property
     def ints(self) -> Tuple[Dict[str, int], int, int]:
         """The row over the lcm of its denominators: each variable's nonzero
         numerator (a repeated variable's summed), the right-hand side's
-        numerator and that denominator."""
-        rhs = self.rhs
-        den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in self.coeffs))
-        nums: Dict[str, int] = {}
-        for v, c in self.coeffs:
-            nums[v] = nums.get(v, 0) + int(c.numerator) * (den // int(c.denominator))
-        return ({v: a for v, a in nums.items() if a},
-                int(rhs.numerator) * (den // int(rhs.denominator)), den)
+        numerator and that denominator; computed on first use and kept."""
+        try:
+            return self._ints
+        except AttributeError:
+            rhs = self.rhs
+            den = lcm(int(rhs.denominator), *(int(c.denominator) for _, c in self.coeffs))
+            nums: Dict[str, int] = {}
+            for v, c in self.coeffs:
+                nums[v] = nums.get(v, 0) + int(c.numerator) * (den // int(c.denominator))
+            ints = ({v: a for v, a in nums.items() if a},
+                    int(rhs.numerator) * (den // int(rhs.denominator)), den)
+            object.__setattr__(self, "_ints", ints)
+            return ints
+
+    def __eq__(self, other):
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return (self.coeffs, self.rhs, self.strict) == (other.coeffs, other.rhs, other.strict)
 
 
 class LpProblem:

@@ -37,9 +37,8 @@ import subprocess
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .formula import REL_LT, And, Atom, Or, formula_vars, selectors_of, walk
 from .lp import lp_feasible_strict
@@ -53,14 +52,12 @@ class SmtBackendError(Exception):
     """External solver failed: subprocess, protocol or cross-check error."""
 
 
-@dataclass(frozen=True)
-class SmtModel:
+class SmtModel(NamedTuple):
     selectors: Dict[int, int]
     reals: Dict[str, Rat]
 
 
-@dataclass(frozen=True)
-class SmtResult:
+class SmtResult(NamedTuple):
     status: str
     model: Optional[SmtModel] = None
 

@@ -3,6 +3,7 @@
 Run from the repository root::
 
     python3 tools/alternate.py OLD_TREE NEW_TREE --workload expo --rounds 40
+    python3 tools/alternate.py OLD_TREE NEW_TREE --imports --rounds 60
 
 Each tree is a checkout with a ``src/invgen`` package.  Both are imported
 into this process, and every round runs one perfbench pass of each
@@ -15,6 +16,13 @@ phase (``engine.run`` done), the failed analyses, and in how many rounds
 its pass was the faster one.  Paired in one process, two trees can be
 told apart by a few per cent, which separate benchmark runs on a busy
 machine cannot do; run a tree against a copy of itself for a control.
+
+With ``--imports`` each round instead imports the seven invgen layers of
+each tree afresh, as ``perfbench/run.py``'s ``load_invgen`` does (every
+``invgen`` module is dropped from ``sys.modules`` first), and prints each
+tree's median import time and quartiles.  Modules outside ``invgen`` stay
+loaded, so this times invgen's own modules; without
+``PYTHONDONTWRITEBYTECODE`` the trees' cached bytecode is read.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import argparse
 import os
 import statistics
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -30,29 +39,67 @@ import run  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def load(tree: str, workload: str, seed: int):
-    """Import ``tree``'s invgen and build the workload's jobs with it."""
+def source(tree: str) -> str:
+    """The ``src`` directory of ``tree``."""
     src = os.path.join(os.path.abspath(tree), "src")
     if not os.path.isdir(os.path.join(src, "invgen")):
         raise SystemExit(f"error: no invgen sources under {src}")
+    return src
+
+
+def import_tree(src: str):
+    """Import the invgen layers under ``src`` afresh; returns them and the
+    seconds the import took."""
     sys.path.insert(0, src)
     try:
+        started = time.perf_counter()
         inv = run.load_invgen()
+        seconds = time.perf_counter() - started
     finally:
         sys.path.remove(src)
     loaded = os.path.dirname(os.path.dirname(inv.cli.__file__))
     if os.path.realpath(loaded) != os.path.realpath(src):
         raise SystemExit(f"error: imported invgen from {loaded}, not {src}")
+    return inv, seconds
+
+
+def load(tree: str, workload: str, seed: int):
+    """Import ``tree``'s invgen and build the workload's jobs with it."""
+    src = source(tree)
+    inv, _ = import_tree(src)
     return src, run.Client(inv, WORKLOADS[workload](inv.cli, seed))
+
+
+def alternate_imports(trees, rounds: int) -> None:
+    srcs = [source(tree) for tree in trees]
+    times = [[], []]
+    for r in range(rounds):
+        for k in ((0, 1) if r % 2 == 0 else (1, 0)):
+            times[k].append(import_tree(srcs[k])[1])
+    for k, tree in enumerate(trees):
+        q1, q2, q3 = statistics.quantiles(times[k], n=4)
+        wins = sum(1 for mine, other in zip(times[k], times[1 - k]) if mine < other)
+        print(f"{tree}: import p50 {q2 * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-"
+              f"{q3 * 1e3:.2f} ms, faster in {wins} of {rounds} rounds")
+    ratio = statistics.median(times[1]) / statistics.median(times[0])
+    print(f"import p50 ratio (second / first): {ratio:.3f}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, metavar="TREE")
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=sorted(WORKLOADS))
+    what.add_argument("--imports", action="store_true",
+                      help="time fresh imports of the invgen layers instead")
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
+    if args.imports:
+        if args.rounds < 2:
+            parser.error("--imports needs at least 2 rounds for quartiles")
+        alternate_imports(args.trees, args.rounds)
+        return 0
 
     loaded = [load(tree, args.workload, args.seed) for tree in args.trees]
     passes = [[], []]
