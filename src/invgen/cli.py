@@ -39,7 +39,7 @@ from .engine import (
     EngineError, EngineOptions, Stats, Template, check_post_fixpoint, run,
 )
 from .formula import (
-    Atom, LinExpr, ParseError, REL_LT, TokenStream, formula_vars, is_primed,
+    Atom, LinExpr, ParseError, TokenStream, formula_vars, is_primed,
     map_atoms, parse_expr_tokens, parse_statement_tokens, primed, tokenize,
 )
 from .numeric import ExtRat, Rat
@@ -178,6 +178,9 @@ def _validate(prog: ProgramFile) -> None:
         raise ProgramError("no variables declared")
     if len(set(prog.variables)) != len(prog.variables):
         raise ProgramError("duplicate variable declaration")
+    for v in prog.variables:
+        if is_primed(v):
+            raise ProgramError(f"vars declares primed variable {v!r}")
     for v in prog.int_vars:
         if v not in prog.variables:
             raise ProgramError(f"ints declares unknown variable {v!r}")
@@ -229,12 +232,12 @@ def relax_integer_atoms(statement, int_vars: Set[str]):
     when every variable (ignoring primes) is integer and every coefficient
     is an integer, so the left side is integer-valued."""
     def fix(atom: Atom) -> Atom:
-        if atom.rel != REL_LT:
+        if not atom.strict:
             return atom
         for v, c in atom.lin.coeffs.items():
             if c.denominator != 1 or (v[:-1] if is_primed(v) else v) not in int_vars:
                 return atom
-        c = atom.bound
+        c = atom.rhs
         new_bound = c - 1 if c.denominator == 1 else _floor(c)
         return Atom(atom.lin, "<=", new_bound)
 
@@ -255,7 +258,7 @@ def lint_program(prog: ProgramFile) -> List[str]:
                 + ", ".join(primed(v) for v in missing)
                 + " (unchanged variables need an explicit frame conjunct)")
         for v in names:
-            if is_primed(v) and v[:-1] not in prog.variables and not v.startswith("$"):
+            if is_primed(v) and v[:-1] not in prog.variables:
                 notes.append(f"edge {e.source} -> {e.target}: {v} is primed but "
                              f"{v[:-1]} is not a declared variable")
     return notes

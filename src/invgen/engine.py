@@ -177,13 +177,12 @@ def abstract_transform_row(path: Sequence[Atom], d: Sequence[ExtRat], template: 
              for i, row in enumerate(rows) if d[i].is_finite]
     atoms.extend(path)
     target = rows[j].rename({v: primed(v) for v in rows[j].variables()})
-    constraints = [a.row for a in atoms]
-    feas = lp_feasible_strict(constraints)
+    feas = lp_feasible_strict(atoms)
     if not feas.feasible:
         return NEG_INF
-    columns = dict.fromkeys(v for row in constraints for v, _ in row.coeffs)
+    columns = dict.fromkeys(v for row in atoms for v, _ in row.coeffs)
     columns.update(dict.fromkeys(target.coeffs))
-    res = lp_solve(LpProblem(list(columns), dict(target.coeffs), constraints))
+    res = lp_solve(LpProblem(list(columns), dict(target.coeffs), atoms))
     if res.status == UNBOUNDED:
         return POS_INF
     if res.status != OPTIMAL:
@@ -303,7 +302,7 @@ def _entry_rows(eq: EquationSystem, key: VarKey, entry: StratPath, bounds,
     walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
     if unresolved:
         raise EngineError(f"the strategy path of {key} leaves a disjunction open")
-    rows = [Constraint(tuple((prefix + v, c) for v, c in a.lin.coeffs.items()), a.bound)
+    rows = [Constraint(tuple((prefix + v, c) for v, c in a.coeffs), a.rhs)
             for a in atoms]
     post = eq.posts[entry.edge_index][key[1]]
     rows.append(Constraint(((eq.lp_var(key), ONE),) + tuple(

@@ -195,48 +195,35 @@ class LinExpr:
 # formula nodes
 # ---------------------------------------------------------------------------
 
-class Atom:
-    """Normalized atom: linear expression (no constant part) rel bound."""
+class Atom(Constraint):
+    """Normalized atom ``lin rel bound``, ``lin`` without a constant part.
 
-    __slots__ = ("lin", "rel", "bound", "_row")
+    It is its own LP row: ``coeffs`` are ``lin``'s items in order, ``rhs``
+    is the bound and the row is strict for ``<``."""
+
+    __slots__ = ("lin",)
 
     def __init__(self, lin: LinExpr, rel: str, bound):
         if rel not in (REL_LE, REL_LT):
             raise FormulaError(f"bad relation {rel!r}")
         if lin.const:
             lin = LinExpr._of(lin.coeffs, ZERO)
+        Constraint.__init__(self, tuple(lin.coeffs.items()), as_rat(bound), rel == REL_LT)
         object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "bound", as_rat(bound))
 
-    def __setattr__(self, *args):
-        raise AttributeError("Atom is immutable")
+    @property
+    def rel(self) -> str:
+        return REL_LT if self.strict else REL_LE
 
     def holds(self, env: Dict[str, Rat]) -> bool:
         val = self.lin.evaluate(env)
-        return val <= self.bound if self.rel == REL_LE else val < self.bound
-
-    @property
-    def row(self) -> Constraint:
-        """``lin rel bound`` as an LP row, built on first use and kept, so
-        its integer form is computed once however many LPs it enters."""
-        try:
-            return self._row
-        except AttributeError:
-            row = Constraint(tuple(self.lin.coeffs.items()), self.bound, self.rel == REL_LT)
-            object.__setattr__(self, "_row", row)
-            return row
+        return val < self.rhs if self.strict else val <= self.rhs
 
     def rename(self, mapping: Dict[str, str]) -> "Atom":
-        return Atom(self.lin.rename(mapping), self.rel, self.bound)
-
-    def __eq__(self, other):
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.rel == other.rel and self.bound == other.bound and self.lin == other.lin
+        return Atom(self.lin.rename(mapping), self.rel, self.rhs)
 
     def __str__(self):
-        return f"{self.lin} {self.rel} {self.bound}"
+        return f"{self.lin} {self.rel} {self.rhs}"
 
     def __repr__(self):
         return f"Atom({self})"
@@ -429,10 +416,10 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
     atoms: List[Atom] = []
     walk(statement, {}, atoms, [])
     for node in atoms:
-        if node.rel == REL_LE:
+        if not node.strict:
             # keyed on integers: hashing a Fraction costs a modular inverse
             items = [(v, c.numerator, c.denominator) for v, c in node.lin.coeffs.items()]
-            p, q = node.bound.numerator, node.bound.denominator
+            p, q = node.rhs.numerator, node.rhs.denominator
             if (frozenset((v, -a, d) for v, a, d in items), -p, q) not in halves:
                 halves.add((frozenset(items), p, q))
                 continue
@@ -443,7 +430,7 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
             c = lin.coeffs[v]
             f = -1 / c
             expr = LinExpr._of({u: a * f for u, a in lin.coeffs.items() if u != v},
-                               (lin.const - node.bound) * f)
+                               (lin.const - node.rhs) * f)
             for w, old in defs.items():
                 if v in old.coeffs:
                     defs[w] = old.substitute({v: expr})
@@ -455,7 +442,7 @@ def eliminate_equalities(statement, keep) -> Tuple[object, Dict[str, LinExpr]]:
         if defs.keys().isdisjoint(atom.lin.coeffs):
             return atom
         lin = atom.lin.substitute(defs)
-        new = Atom(lin, atom.rel, atom.bound - lin.const if lin.const else atom.bound)
+        new = Atom(lin, atom.rel, atom.rhs - lin.const if lin.const else atom.rhs)
         return new if new.lin.coeffs else TRUE if new.holds({}) else FALSE_ATOM
 
     return map_atoms(statement, fold), defs
@@ -620,9 +607,6 @@ def _parse(ts: TokenStream, formula: bool):
                 values.append(LinExpr.constant(Rat(tok.text)))
                 operand = False
             elif tok.kind == "ident":
-                if tok.text.startswith("$"):
-                    raise ParseError("variable names starting with '$' are reserved",
-                                     tok.line, tok.column)
                 values.append(LinExpr.var(tok.text))
                 operand = False
             else:

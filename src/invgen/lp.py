@@ -13,7 +13,9 @@ to ``int`` numerators over one positive ``int`` denominator, so the pivot
 loop does integer arithmetic only and pays for nonzeros, not for the
 width of the tableau.  Each ``Constraint`` computes its integer form
 (numerators, right-hand side, one denominator) once and keeps it, so
-building a tableau only places integers.  ``Rat`` values appear again only
+building a tableau only places integers.  A formula atom is such a row
+(``formula.Atom`` extends ``Constraint``), so its integer form is computed
+once however many checks it enters.  ``Rat`` values appear again only
 in the result: the value is read from the objective's basic columns, and
 the witness is read from the final tableau when it is first asked for.
 The pivot sequence is exactly that of a dense tableau of rationals.  Every

@@ -6,25 +6,25 @@ is a path through the formula plus an exact rational point on that path.
 The internal backend searches selector assignments in index order, depth
 first on an explicit stack, and asks the exact LP layer whether the atoms
 forced so far are consistent; an infeasible prefix prunes the whole
-subtree.  Each atom's LP row (``Atom.row``) carries its own strictness,
-so the search passes rows only, and the LP layer alone reads it.
+subtree.  An atom is its own LP row (``formula.Atom`` extends
+``lp.Constraint``), strict or not, so the search passes atoms as they are.
 Each node keeps its frontier, the reachable disjunctions without a value.
 Giving one a value walks only its chosen branch, once per time the
 disjunction is reached: the atoms found there are the rows that the
 child's theory check adds to its parent's (``lp_feasible_strict`` with the
 parent's check as ``start``), and the disjunctions found there join the
-child's frontier.  Each atom's LP row is built once, and each check is
-solved warm from its parent's optimal tableau, so a node pays only for its
-branch's rows; backtracking is starting from an older check.
+child's frontier.  Each check is solved warm from its parent's optimal
+tableau, so a node pays only for its branch's rows; backtracking is
+starting from an older check.
 
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
 ``(push 1)`` / ``(pop 1)`` frame and every answer is read under a deadline.
 The solver supplies only the verdict and, on sat, the selector values: a
-path through the formula.  The model's rational point always comes from the
-exact LP on the atoms of that path, so no number is read from the solver,
-and a path that leaves a disjunction open or is infeasible surfaces as a
-backend error, never as a wrong verdict.
+path through the formula, whose selectors alone the model keeps.  The
+model's rational point always comes from the exact LP on the atoms of that
+path, so no number is read from the solver, and an infeasible path
+surfaces as a backend error, never as a wrong verdict.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .formula import REL_LT, And, Atom, Or, formula_vars, selectors_of, walk
+from .formula import And, Atom, Or, formula_vars, selectors_of, walk
 from .lp import lp_feasible_strict
 from .numeric import Rat, ZERO
 
@@ -94,7 +94,7 @@ def smt_check(formula) -> SmtResult:
         for node in subtrees:
             walk(node, assign, atoms, reached)
         frontier = _open(rest, reached)
-        feas = lp_feasible_strict([a.row for a in atoms], start)
+        feas = lp_feasible_strict(atoms, start)
         if not feas.feasible:
             continue
         if not frontier:
@@ -164,8 +164,7 @@ def _smt_formula(node) -> str:
         if isinstance(node, str):
             out.append(node)
         elif isinstance(node, Atom):
-            op = "<" if node.rel == REL_LT else "<="
-            out.append(f"({op} {_smt_expr(node.lin)} {_smt_rat(node.bound)})")
+            out.append(f"({node.rel} {_smt_expr(node.lin)} {_smt_rat(node.rhs)})")
         elif isinstance(node, And):
             if len(node.children) == 1:
                 stack.append(node.children[0])
@@ -456,13 +455,20 @@ def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
         else:
             raise SmtBackendError(f"missing Boolean value for selector {sel}")
 
+    # the selectors on the path, as in smt_check's models; the others' values are arbitrary
+    path: Dict[int, int] = {}
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Or):
+            path[node.selector] = selectors[node.selector]
+            stack.append(node.right if path[node.selector] else node.left)
+        elif isinstance(node, And):
+            stack.extend(node.children)
     atoms: List[Atom] = []
-    pending: List[Or] = []
-    walk(formula, selectors, atoms, pending)
-    if pending:
-        raise SmtBackendError("solver assignment leaves a reachable disjunction open")
-    feas = lp_feasible_strict([a.row for a in atoms])
+    walk(formula, path, atoms, [])
+    feas = lp_feasible_strict(atoms)
     if not feas.feasible:
         raise SmtBackendError("solver said sat but its selected path is infeasible")
     reals = {v: feas.witness.get(v, ZERO) for v in formula_vars(formula)}
-    return SmtResult(SAT, SmtModel(selectors, reals))
+    return SmtResult(SAT, SmtModel(path, reals))

@@ -428,7 +428,7 @@ def atoms_of(formula) -> List[Atom]:
 
 def _atoms_feasible(atoms):
     """One cold strict-feasibility check of a conjunction of atoms."""
-    return lp_feasible_strict([Constraint(tuple(a.lin.coeffs.items()), a.bound, a.rel == REL_LT)
+    return lp_feasible_strict([Constraint(tuple(a.lin.coeffs.items()), a.rhs, a.rel == REL_LT)
                                for a in atoms])
 
 
@@ -637,7 +637,7 @@ class _RationalTableau:
 
 def relaxed(atom: Atom) -> Atom:
     """The non-strict closure of an atom."""
-    return atom if atom.rel == REL_LE else Atom(atom.lin, REL_LE, atom.bound)
+    return atom if atom.rel == REL_LE else Atom(atom.lin, REL_LE, atom.rhs)
 
 
 def nonstrict_relaxation(formula):
@@ -699,7 +699,7 @@ def full_evaluate(eq, strategy, bounds):
             mapping.setdefault(x, f"$q{copy_id}_{x}")
             mapping.setdefault(primed(x), f"$q{copy_id}_{primed(x)}")
         for atom in atoms_of(rename_vars(seq, mapping)):
-            add_row(dict(atom.lin.coeffs), atom.bound)
+            add_row(dict(atom.lin.coeffs), atom.rhs)
         row = rows[key[1]]
         target = row.rename({v: mapping[primed(v)] for v in row.variables()})
         add_row({lp_var[key]: ONE, **target.scale(-1).coeffs}, 0)

@@ -114,6 +114,18 @@ def test_fvs_random_graphs_always_valid():
         assert is_valid_cutset(g, cut)
 
 
+@pytest.mark.parametrize("nodes, start, edges, program_vars, message", [
+    (["a", "a"], "a", [], ["x"], "duplicate node names"),
+    (["a"], "b", [], ["x"], "start node 'b' is not declared"),
+    (["a"], "a", [("a", None, "b")], ["x"], "'a' -> 'b' uses undeclared nodes"),
+    (["a"], "a", [], ["x", "x"], "duplicate program variables"),
+])
+def test_ill_formed_graph_rejected(nodes, start, edges, program_vars, message):
+    # the CLI's program checks catch these first; the library checks its own
+    with pytest.raises(CfgError, match=message):
+        Cfg(nodes, start, edges, program_vars)
+
+
 def test_invalid_cutset_rejected():
     g = g1_cfg()
     assert not is_valid_cutset(g, frozenset())

@@ -317,6 +317,7 @@ PREAMBLE = ["vars x ;", "template interval ;", "nodes a ;", "start a ;"]
     ("edge a -> a [real] : x' = x ;", None,
      "expected 'int' edge annotation, found 'real' (line 5, column 14)"),
     ("vars x x ;", 0, "duplicate variable declaration"),
+    ("vars x' ;", 0, "vars declares primed variable \"x'\""),
     ("cutset z ;", None, "cutset names undeclared node 'z'"),
     ("edge a -> a : x' = x / y ;", None, "division by a non-constant (line 5, column 22)"),
     # numbers are ASCII: other scripts' digits are neither misread nor a traceback
@@ -432,6 +433,29 @@ def test_selector_names_cannot_clash_with_program_variables(tmp_path, capsys):
     assert main(["analyze", str(prog), "--check",
                  "--solver", "external:" + " ".join(LOOPBACK)]) == 0
     assert capsys.readouterr().out == internal
+
+
+def test_trace_names_the_same_paths_through_an_external_solver(tmp_path):
+    # a model keeps only the selectors on its path, whichever backend
+    # answers, though the loopback gives a value to every selector
+    from conftest import LOOPBACK
+    prog = tmp_path / "nested.prg"
+    prog.write_text("vars x ; template interval ; nodes st h ; start st ;"
+                    "edge st -> h : x' = 0 ;"
+                    "edge h -> h : x <= 5 & ((x' = x + 1 | x' = x + 2) | "
+                    "(x' = x + 3 | x' = x + 4)) ;")
+    traces = []
+    for flags in ([], ["--solver", "external:" + " ".join(LOOPBACK)]):
+        trace = tmp_path / f"trace{len(traces)}.jsonl"
+        assert main(["analyze", str(prog), "--trace", str(trace), *flags]) == 0
+        traces.append(trace.read_bytes())
+    assert b"path[0:0,1:0]" in traces[0]
+    assert traces[1] == traces[0]
+
+
+def test_empty_solver_command_is_a_backend_error(capsys):
+    assert main(["analyze", corpus("updown.prg"), "--solver", "external:"]) == 3
+    assert capsys.readouterr().err == "solver backend error: empty solver command\n"
 
 
 def test_cli_external_solver_from_environment(capsys, monkeypatch):

@@ -70,7 +70,7 @@ def test_rational_coefficients():
     atom = f
     assert isinstance(atom, Atom)
     assert atom.lin.coeffs["x"] == Rat(1, 2)
-    assert atom.bound == Rat(7, 4)
+    assert atom.rhs == Rat(7, 4)
 
 
 def test_negation_rejected():
@@ -88,7 +88,7 @@ def test_parse_errors_carry_location():
         parse_statement("x * y <= 1")  # nonlinear
     with pytest.raises(ParseError):
         parse_statement("x <= 1 <= 2")  # chained relation
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"unexpected character '\$'"):
         parse_statement("$v <= 1")  # reserved namespace
 
 
@@ -322,7 +322,7 @@ def test_relations_desugar_like_the_reference():
             for x, y in zip(got, want):
                 assert x == y and x.lin.const == 0
                 assert_same_expr(x.lin, y.lin)
-                assert type(x.bound) is Rat
+                assert type(x.rhs) is Rat
 
 
 def _presolve(text, keep):
@@ -421,7 +421,7 @@ def test_deep_disjunction_chain_is_rebuilt_without_recursion():
     assert selectors_of(chain) == list(range(4999))
     relabelled = label_selectors(chain, 10)
     assert selectors_of(relabelled)[-1] == 5008
-    shifted = map_atoms(chain, lambda a: Atom(a.lin, a.rel, a.bound + 1))
+    shifted = map_atoms(chain, lambda a: Atom(a.lin, a.rel, a.rhs + 1))
     deepest = shifted
     while isinstance(deepest, Or):
         deepest = deepest.left

@@ -76,6 +76,8 @@ def test_undeclared_variable_rejected():
         lp(["x"], {"y": 1}, [])
     with pytest.raises(LpError):
         lp(["x"], {}, [({"z": 1}, "<=", 0)])
+    with pytest.raises(LpError, match="duplicate variable"):
+        LpProblem(["x", "x"], {}, [])
 
 
 def test_strict_feasibility_basics():

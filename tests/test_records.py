@@ -9,7 +9,8 @@ import pytest
 import invgen
 from invgen.cfg import Edge
 from invgen.engine import CertResult, EngineOptions
-from invgen.lp import Constraint
+from invgen.formula import parse_statement
+from invgen.lp import Constraint, LpProblem, lp_feasible_strict, lp_solve
 from invgen.numeric import Rat
 from invgen.smt import SAT, SmtModel, SmtResult
 
@@ -43,6 +44,23 @@ def test_constraint_keeps_its_integer_form_and_compares_by_value():
     assert row == twin
     assert negated(negated(row)) == row != negated(row)
     assert row != Constraint(row.coeffs, row.rhs, True)
+
+
+def test_an_atom_is_its_own_lp_row():
+    # parsed atoms, a strict one among them, enter LPs as they are
+    atoms = parse_statement("x < 1 & x >= 0").children
+    assert [(a.coeffs, a.rhs, a.strict) for a in atoms] == \
+        [((("x", 1),), 1, True), ((("x", -1),), 0, False)]
+    assert atoms[0] == Constraint((("x", Rat(1)),), Rat(1), True)
+    assert atoms[0].ints is atoms[0].ints
+    feas = lp_feasible_strict(atoms)
+    assert feas.feasible and 0 <= feas.witness["x"] < 1
+    assert not lp_feasible_strict(parse_statement("x < 1 & x >= 1").children).feasible
+    # any other solve reads the strict row as its closure
+    res = lp_solve(LpProblem(["x"], {"x": Rat(1)}, []).extend(atoms))
+    assert res.value == 1
+    with pytest.raises(AttributeError):
+        atoms[0].rhs = Rat(2)
 
 
 def test_importing_every_layer_loads_neither_dataclasses_nor_inspect():

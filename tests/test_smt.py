@@ -14,7 +14,7 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _smt_declarations, smt_check,
+    SmtBackendError, SmtSession, _read_sexp, _smt_declarations, smt_check,
     smt_check_external,
 )
 
@@ -105,7 +105,7 @@ def test_shared_subtrees_and_repeated_atoms(monkeypatch):
         return result
 
     def feasible(atoms):  # one call per node of the cold search
-        nodes.append(Counter(id(a.row) for a in atoms))
+        nodes.append(Counter(id(a) for a in atoms))
         return real_feasible(atoms)
 
     monkeypatch.setattr(smt, "lp_feasible_strict", check)
@@ -230,6 +230,25 @@ def test_external_unknown_is_backend_error():
 def test_external_missing_binary_is_backend_error():
     with pytest.raises(SmtBackendError):
         smt_check_external(parse_statement("x <= 0"), ["/no/such/solver"])
+
+
+def test_unbalanced_solver_output_is_backend_error():
+    with pytest.raises(SmtBackendError, match="unbalanced solver output"):
+        _read_sexp(")")
+
+
+def test_selector_left_out_of_the_values_is_backend_error(tmp_path):
+    # this solver answers sat, then gives a value to sel!0 but not to sel!1
+    script = tmp_path / "forgetful.py"
+    script.write_text("import sys\n"
+                      "for line in sys.stdin:\n"
+                      "    if line.startswith('(check-sat)'):\n"
+                      "        print('sat', flush=True)\n"
+                      "    elif line.startswith('(get-value'):\n"
+                      "        print('((sel!0 true))', flush=True)\n")
+    with pytest.raises(SmtBackendError, match="missing Boolean value for selector 1"):
+        smt_check_external(parse_statement("x <= -1 | (x = 2 | x = 3)"),
+                           [sys.executable, str(script)])
 
 
 def test_lying_sat_claim_fails_cross_check():

@@ -19,15 +19,17 @@ machine cannot do; run a tree against a copy of itself for a control.
 
 With ``--imports`` each round instead imports the seven invgen layers of
 each tree afresh, as ``perfbench/run.py``'s ``load_invgen`` does (every
-``invgen`` module is dropped from ``sys.modules`` first), and prints each
-tree's median import time and quartiles.  Modules outside ``invgen`` stay
-loaded, so this times invgen's own modules; without
+``invgen`` module is dropped from ``sys.modules`` first, garbage is
+collected, and the collector is paused while the import runs), and prints
+each tree's median import time and quartiles.  Modules outside
+``invgen`` stay loaded, so this times invgen's own modules; without
 ``PYTHONDONTWRITEBYTECODE`` the trees' cached bytecode is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import statistics
 import sys
@@ -49,13 +51,18 @@ def source(tree: str) -> str:
 
 def import_tree(src: str):
     """Import the invgen layers under ``src`` afresh; returns them and the
-    seconds the import took."""
+    seconds the import took.  The garbage that earlier rounds left is
+    collected first and the collector is paused during the import, so that
+    neither tree pays for a collection the other's garbage set off."""
     sys.path.insert(0, src)
+    gc.collect()
+    gc.disable()
     try:
         started = time.perf_counter()
         inv = run.load_invgen()
         seconds = time.perf_counter() - started
     finally:
+        gc.enable()
         sys.path.remove(src)
     loaded = os.path.dirname(os.path.dirname(inv.cli.__file__))
     if os.path.realpath(loaded) != os.path.realpath(src):
