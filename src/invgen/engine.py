@@ -224,7 +224,7 @@ def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
             return TOP
         res = _query(eq, idx, bounds, key[1], threshold, stats, backend)
         if res.is_sat:
-            return StratPath(idx, dict(res.model.selectors))
+            return StratPath(idx, res.model.selectors)
     return None
 
 
@@ -553,9 +553,9 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
     inside the source bounds strictly above any finite target row bound.
 
     Checks, per edge and finite row, that the improvement formula against
-    the candidate's own bound is unsatisfiable; a model, completed from the
-    edge's definitions so that it satisfies the original statement, is a
-    concrete escaping transition (counterexample to inductiveness).  It
+    the candidate's own bound is unsatisfiable; a model, completed to fit
+    the original statement (its other variables 0, then the edge's
+    definitions), is a concrete escaping transition (counterexample).  It
     re-runs the search that ``improve`` uses, on the same presolved
     formulas of its own ``EquationSystem``, so it is not independent of
     that search.  ``backend`` is None (internal), an open

@@ -172,8 +172,10 @@ class FeasResult(NamedTuple):
 
     @property
     def witness(self) -> Optional[Dict[str, Rat]]:
-        """``lp``'s witness, with the slack ``$strict``, if feasible."""
-        return self.lp.witness if self.feasible else None
+        """A point of the system as a new dict, if feasible; no ``$strict``."""
+        if self.feasible:
+            return {v: q for v, q in self.lp.witness.items() if v != _DELTA}
+        return None
 
 
 def lp_solve(problem: LpProblem, start: Optional[LpResult] = None) -> LpResult:

@@ -3,28 +3,31 @@
 The formulas decided here have a very specific Boolean shape: the only
 Boolean structure is the selector attached to each disjunction, so a model
 is a path through the formula plus an exact rational point on that path.
-The internal backend searches selector assignments in index order, depth
-first on an explicit stack, and asks the exact LP layer whether the atoms
-forced so far are consistent; an infeasible prefix prunes the whole
-subtree.  An atom is its own LP row (``formula.Atom`` extends
-``lp.Constraint``), strict or not, so the search passes atoms as they are.
-Each node keeps its frontier, the reachable disjunctions without a value.
-Giving one a value walks only its chosen branch, once per time the
-disjunction is reached: the atoms found there are the rows that the
-child's theory check adds to its parent's (``lp_feasible_strict`` with the
-parent's check as ``start``), and the disjunctions found there join the
-child's frontier.  Each check is solved warm from its parent's optimal
-tableau, so a node pays only for its branch's rows; backtracking is
-starting from an older check.
+One search decides them: it assigns selectors in index order, depth first
+on an explicit stack, and asks the exact LP layer whether the atoms forced
+so far are consistent; an infeasible prefix prunes the whole subtree.  An
+atom is its own LP row (``formula.Atom`` extends ``lp.Constraint``),
+strict or not, so the search passes atoms as they are.  Each node keeps
+its frontier, the reachable disjunctions without a value.  Giving one a
+value walks only its chosen branch, once per time the disjunction is
+reached: the atoms found there are the rows that the child's theory check
+adds to its parent's (``lp_feasible_strict`` with the parent's check as
+``start``), and the disjunctions found there join the child's frontier.
+Each check is solved warm from its parent's optimal tableau, so a node
+pays only for its branch's rows; backtracking is starting from an older
+check.  A model is the path's selectors and the witness of its last check,
+which holds only the variables of the path's atoms.
 
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
 ``(push 1)`` / ``(pop 1)`` frame and every answer is read under a deadline.
 The solver supplies only the verdict and, on sat, the selector values: a
-path through the formula, whose selectors alone the model keeps.  The
-model's rational point always comes from the exact LP on the atoms of that
-path, so no number is read from the solver, and an infeasible path
-surfaces as a backend error, never as a wrong verdict.
+path through the formula, which steers the same search (it tries the
+solver's value of each selector first), as a DPLL(T) solver's Boolean
+assignment is checked by its theory solver.  Both backends therefore give
+the same model for the same path, no number is read from the solver, and
+a path that the search does not confirm surfaces as a backend error, never
+as a wrong verdict.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from .formula import And, Atom, Or, formula_vars, selectors_of, walk
 from .lp import lp_feasible_strict
-from .numeric import Rat, ZERO
+from .numeric import Rat
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -71,17 +74,19 @@ class SmtResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def smt_check(formula) -> SmtResult:
-    """Decide the formula exactly; a sat answer carries a checked model,
-    with a value for each variable of the formula.
+    """Decide the formula exactly; a sat answer carries a checked model: the
+    value of each selector on its path, and a point on that path, which
+    holds only the variables of the path's atoms.  ``smt_check_external``
+    gives the same model whenever its solver names the same path."""
+    return _search(formula, {})
 
-    The search is depth first, value 0 before 1, on an explicit stack.  A
-    search node holds its frontier (each selector without a value, with the
-    disjunctions that carry it, once per time each is reached) and its
-    theory check.  A pending node holds what it is grown from: its depth,
-    the selector value it adds, the subtrees that value reaches, its
+
+def _search(formula, prefer: Dict[int, int]) -> SmtResult:
+    """The selector search, depth first on an explicit stack, trying each
+    selector's value in ``prefer`` first, else 0.  A pending node holds its
+    depth, the selector value it adds, the subtrees that value reaches, its
     parent's frontier without that selector and the parent's check, which
-    its own check extends by the atoms those subtrees force.  The root is
-    the whole formula, checked cold."""
+    its own check extends by the atoms those subtrees force."""
     assign: Dict[int, int] = {}  # in the order assigned, so a prefix is a path
     pending: List[tuple] = [(0, {}, (formula,), {}, None)]
     while pending:
@@ -98,13 +103,12 @@ def smt_check(formula) -> SmtResult:
         if not feas.feasible:
             continue
         if not frontier:
-            witness = feas.witness
-            reals = {v: witness.get(v, ZERO) for v in formula_vars(formula)}
-            return SmtResult(SAT, SmtModel(dict(assign), reals))
+            return SmtResult(SAT, SmtModel(dict(assign), feas.witness))
         sel = min(frontier)
         rest = dict(frontier)
         nodes = rest.pop(sel)
-        for value in (1, 0):
+        first = prefer.get(sel, 0)
+        for value in (1 - first, first):
             subtrees = [node.right if value else node.left for node in nodes]
             pending.append((len(assign), {sel: value}, subtrees, rest, feas))
     return SmtResult(UNSAT)
@@ -126,10 +130,9 @@ def _open(frontier: Dict[int, Tuple[Or, ...]], reached: List[Or]
 # ---------------------------------------------------------------------------
 
 def _sym(name: str) -> str:
-    if name and (name[0].isalpha() or name[0] == "_") and \
-            all(ch.isalnum() or ch == "_" for ch in name):
-        return name
-    return f"|{name}|"
+    """``name`` as an SMT-LIB2 symbol: simple if it is an ASCII identifier,
+    else quoted, since simple symbols are ASCII only."""
+    return name if name.isascii() and name.isidentifier() else f"|{name}|"
 
 
 def _selector_name(sel: int) -> str:
@@ -409,10 +412,11 @@ def smt_check_external(formula, solver: Union[SmtSession, str, Sequence[str]],
     session is opened for this one query and closed again.  The query is
     framed by ``(push 1)`` / ``(pop 1)``, so a session can answer any number
     of them in turn; each answer must arrive within ``timeout`` seconds.
-    Only the verdict and the Boolean selector values come from the solver;
-    the rational values are the exact LP's witness on the selected path, as
-    in ``smt_check``.  Everything unexpected raises ``SmtBackendError`` and
-    closes the session.
+    Only the verdict and the Boolean selector values come from the solver:
+    they steer ``smt_check``'s search, which must find the path they select
+    and so returns the model that ``smt_check`` gives on that path.
+    Everything unexpected raises ``SmtBackendError`` and closes the
+    session.
     """
     with solver_session(solver) as session:
         try:
@@ -455,20 +459,7 @@ def _external_query(formula, session: SmtSession, timeout: float) -> SmtResult:
         else:
             raise SmtBackendError(f"missing Boolean value for selector {sel}")
 
-    # the selectors on the path, as in smt_check's models; the others' values are arbitrary
-    path: Dict[int, int] = {}
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Or):
-            path[node.selector] = selectors[node.selector]
-            stack.append(node.right if path[node.selector] else node.left)
-        elif isinstance(node, And):
-            stack.extend(node.children)
-    atoms: List[Atom] = []
-    walk(formula, path, atoms, [])
-    feas = lp_feasible_strict(atoms)
-    if not feas.feasible:
+    res = _search(formula, selectors)
+    if not (res.is_sat and res.model.selectors.items() <= selectors.items()):
         raise SmtBackendError("solver said sat but its selected path is infeasible")
-    reals = {v: feas.witness.get(v, ZERO) for v in formula_vars(formula)}
-    return SmtResult(SAT, SmtModel(path, reals))
+    return res

@@ -10,11 +10,11 @@ import pytest
 
 from invgen.formula import (
     FALSE_ATOM, And, Atom, build_psi, eliminate_equalities, formula_vars,
-    parse_linexpr, parse_statement, primed,
+    parse_linexpr, parse_statement, primed, selectors_of, walk,
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _read_sexp, _smt_declarations, smt_check,
+    SmtBackendError, SmtSession, _read_sexp, _search, _smt_declarations, smt_check,
     smt_check_external,
 )
 
@@ -176,6 +176,38 @@ def test_emission_mentions_everything():
     assert "(check-sat" not in text  # epilogue belongs to the session
 
 
+def test_non_ascii_names_are_quoted_symbols():
+    # SMT-LIB2 simple symbols are ASCII only; the parser takes any
+    # alphanumeric identifier
+    text = _smt_declarations(parse_statement("xé² <= 1 & y_1 <= 2"))
+    assert "(declare-const |xé²| Real)" in text
+    assert "(declare-const y_1 Real)" in text
+    assert "(<= |xé²| 1)" in text
+
+
+def test_steered_search_returns_the_steered_path_when_it_is_feasible():
+    # steered by every full assignment in turn, the search returns that very
+    # path, with a model on it, exactly when the path is feasible
+    rng = random.Random(71)
+    steered = 0
+    for _ in range(60):
+        stmt, rows, d, j, c = random_psi_inputs(rng, max_selectors=3)
+        problem = build_psi(stmt, d, rows, j, c)
+        sels = sorted(selectors_of(problem))
+        for bits in range(2 ** len(sels)):
+            prefer = {sel: bits >> i & 1 for i, sel in enumerate(sels)}
+            atoms = []
+            walk(problem, prefer, atoms, [])
+            feasible = oracles._atoms_feasible(atoms).feasible
+            got = _search(problem, prefer)
+            assert got.is_sat == smt_check(problem).is_sat
+            assert feasible == (got.is_sat and got.model.selectors.items() <= prefer.items())
+            if feasible:
+                steered += 1
+                assert check_model(problem, got.model)
+    assert steered > 40  # 53 at this seed
+
+
 # -- external backend ---------------------------------------------------------
 
 def test_external_agrees_on_examples():
@@ -253,10 +285,11 @@ def test_selector_left_out_of_the_values_is_backend_error(tmp_path):
 
 def test_lying_sat_claim_fails_cross_check():
     # claim-sat answers sat with an all-false assignment and no values; on an
-    # unsatisfiable problem the selected path cannot be rationalized
-    with pytest.raises(SmtBackendError):
-        smt_check_external(parse_statement("x <= 0 & 0 < x"),
-                           LOOPBACK + ["--mode", "claim-sat"])
+    # unsatisfiable problem the selected path cannot be rationalized, nor on
+    # a satisfiable one whose all-false path is the contradictory branch
+    for text in ("x <= 0 & 0 < x", "(x <= 0 & 0 < x) | x = 2"):
+        with pytest.raises(SmtBackendError, match="selected path is infeasible"):
+            smt_check_external(parse_statement(text), LOOPBACK + ["--mode", "claim-sat"])
 
 
 def test_lying_unsat_claim_is_caught_by_differential_harness():
@@ -301,6 +334,21 @@ def test_session_matches_one_shot_calls_on_reused_names(launched):
     assert len(launched) == 4
     assert [r.status for r in one_shot] == ["sat", "unsat", "sat"]
     assert all(p.returncode is not None for p in launched)
+
+
+def test_both_backends_give_the_same_model_on_random_queries():
+    # the loopback solver names the internal search's path, so the external
+    # answer must be the internal one: same selectors and the same point
+    rng = random.Random(5)
+    sat = 0
+    with SmtSession(LOOPBACK) as session:
+        for _ in range(300):
+            stmt, rows, d, j, c = random_psi_inputs(rng)
+            problem = build_psi(stmt, d, rows, j, c)
+            internal = smt_check(problem)
+            assert smt_check_external(problem, session) == internal
+            sat += internal.is_sat
+    assert sat > 100
 
 
 def test_print_success_solver_frames_correctly():
