@@ -23,10 +23,14 @@ until no query succeeds, which is exactly when the bounds are the least
 solution, i.e. the strongest inductive invariant expressible with the
 template.  Termination needs no widening: strategies never repeat.
 
-Both steps, and certification, read each edge statement presolved once
-per analysis: its top-level equalities are substituted away, into the
+Both steps, and certification, read each edge statement presolved on its
+first query: its top-level equalities are substituted away, into the
 statement and into the template rows over the post-state, so no query or
-LP carries them, and every query keeps its verdict.
+LP carries them, and every query keeps its verdict.  Only what can change
+is asked: a query from an empty source region is unsat without a query,
+and since bounds only grow, ``improve`` skips a query whose source bounds
+equal those of the last unsat answer for its (edge, row) and whose
+threshold is no lower (a transition above it is above that answer's).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .formula import (
 from .lp import Constraint, LpProblem, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_solve
 from .numeric import NEG_INF, ONE, POS_INF, ZERO, ExtRat, ext
 from .smt import (
-    SmtModel, SmtResult, SmtSession, smt_check, smt_check_external, solver_session,
+    UNSAT, SmtModel, SmtResult, SmtSession, smt_check, smt_check_external, solver_session,
 )
 
 VarKey = Tuple[str, int]  # (node, template row index)
@@ -121,10 +125,12 @@ class StratPath(NamedTuple):
 class EquationSystem:
     """The per-(node, row) maximum equations of a program and template,
     with what the improvement queries and evaluation LPs of one analysis
-    share whatever the bounds.  Per edge: its statement presolved by
-    ``eliminate_equalities`` (the unprimed program variables kept), the
-    definitions of the eliminated variables and each template row over the
-    post-state with them substituted."""
+    share.  Per edge, on its first query (``presolved``): its statement
+    presolved by ``eliminate_equalities`` (the unprimed program variables
+    kept), the definitions of the eliminated variables and each template
+    row over the post-state with them substituted.  Per (edge, row),
+    ``unsat`` holds the source bounds and threshold of the last unsat
+    answer of ``improve``'s queries."""
 
     def __init__(self, cfg: Cfg, template: Template):
         self.cfg = cfg
@@ -142,11 +148,20 @@ class EquationSystem:
         # the operands of each key's maximum: incoming edge indices, or [TOP]
         self.choices: Dict[VarKey, List] = {key: incoming[key[0]] for key in self.order}
         self.index = {key: k for k, key in enumerate(self.order)}
-        presolved = [eliminate_equalities(edge.statement, declared) for edge in cfg.edges]
-        self.statements = [statement for statement, _ in presolved]
-        self.definitions = [defs for _, defs in presolved]
-        self.posts = [[row.rename({v: primed(v) for v in row.variables()}).substitute(defs)
-                       for row in template.rows] for defs in self.definitions]
+        self._declared = declared
+        self._presolved: Dict[int, tuple] = {}
+        self.unsat: Dict[Tuple[int, int], Tuple[List[ExtRat], ExtRat]] = {}
+
+    def presolved(self, idx: int) -> Tuple[object, Dict[str, LinExpr], List[LinExpr]]:
+        """Edge ``idx``'s presolved statement, definitions and post rows."""
+        entry = self._presolved.get(idx)
+        if entry is None:
+            statement, defs = eliminate_equalities(self.cfg.edges[idx].statement,
+                                                   self._declared)
+            posts = [row.rename({v: primed(v) for v in row.variables()}).substitute(defs)
+                     for row in self.template.rows]
+            entry = self._presolved[idx] = (statement, defs, posts)
+        return entry
 
     def initial_strategy(self) -> Dict[VarKey, object]:
         return {key: BOTTOM for key in self.order}
@@ -200,31 +215,51 @@ def _source_bounds(eq: EquationSystem, idx: int, bounds) -> List[ExtRat]:
 
 def _psi(eq: EquationSystem, idx: int, d: Sequence[ExtRat], j: int, c: ExtRat):
     """The improvement query of row ``j`` over edge ``idx``'s presolved statement."""
-    return build_psi(eq.statements[idx], d, eq.template, j, c, post=eq.posts[idx][j])
+    statement, _, posts = eq.presolved(idx)
+    return build_psi(statement, d, eq.template, j, c, post=posts[j])
 
 
-def _query(eq: EquationSystem, idx: int, bounds, j: int, c: ExtRat,
+def _query(eq: EquationSystem, idx: int, d: List[ExtRat], j: int, c: ExtRat,
            stats: Optional[Stats], backend) -> SmtResult:
-    """Counted query: can edge ``idx`` take a state within ``bounds`` to one
-    strictly above ``c`` in row ``j``?  ``backend`` None decides internally."""
+    """Counted query: can edge ``idx`` take a state within the source bounds
+    ``d`` to one strictly above ``c`` in row ``j``?  ``backend`` None
+    decides internally.  An empty source region (a -inf bound) is unsat
+    without a query."""
+    if any(di.is_neg_inf for di in d):
+        return SmtResult(UNSAT)
     if stats is not None:
         stats.smt_queries += 1
-    formula = _psi(eq, idx, _source_bounds(eq, idx, bounds), j, c)
+    formula = _psi(eq, idx, d, j, c)
     if backend is None:
         return smt_check(formula)
     return smt_check_external(formula, backend)
 
 
+def _known_unsat(eq: EquationSystem, idx: int, d: List[ExtRat], j: int, c: ExtRat) -> bool:
+    """Whether the memo shows the query of row ``j`` over edge ``idx`` from
+    ``d`` against ``c`` unsat: its last unsat answer had the same source
+    bounds and a threshold at most ``c``, and a transition above ``c`` is
+    above that threshold too."""
+    last = eq.unsat.get((idx, j))
+    return last is not None and last[0] == d and c >= last[1]
+
+
 def _find_improving(eq: EquationSystem, key: VarKey, bounds, threshold: ExtRat,
                     stats, backend):
     """First operand of the maximum whose value strictly exceeds the
-    threshold (always below +inf), in declared order; None if there is none."""
+    threshold (always below +inf), in declared order; None if there is none.
+    Queries the memo shows unsat are not asked."""
+    j = key[1]
     for idx in eq.choices[key]:
         if idx is TOP:
             return TOP
-        res = _query(eq, idx, bounds, key[1], threshold, stats, backend)
+        d = _source_bounds(eq, idx, bounds)
+        if _known_unsat(eq, idx, d, j, threshold):
+            continue
+        res = _query(eq, idx, d, j, threshold, stats, backend)
         if res.is_sat:
             return StratPath(idx, res.model.selectors)
+        eq.unsat[(idx, j)] = (d, threshold)
     return None
 
 
@@ -256,7 +291,8 @@ def improve(eq: EquationSystem, strategy, bounds, *, stats: Optional[Stats] = No
     model found); with ``local`` each changed variable gets a locally
     optimal operand, found by re-querying with the threshold raised to the
     value of the best operand so far.  Variables whose bound is already
-    +inf cannot improve and are not queried.
+    +inf cannot improve and are not queried, and neither are operands that
+    ``eq.unsat`` shows unsat; each unsat answer is put there.
     """
     changed: Dict[VarKey, object] = {}
     for key in eq.order:
@@ -299,12 +335,13 @@ def _entry_rows(eq: EquationSystem, key: VarKey, entry: StratPath, bounds,
     prefix = f"$q{eq.index[key]}_"
     atoms: List[Atom] = []
     unresolved: List = []
-    walk(eq.statements[entry.edge_index], entry.path, atoms, unresolved)
+    statement, _, posts = eq.presolved(entry.edge_index)
+    walk(statement, entry.path, atoms, unresolved)
     if unresolved:
         raise EngineError(f"the strategy path of {key} leaves a disjunction open")
     rows = [Constraint(tuple((prefix + v, c) for v, c in a.coeffs), a.rhs)
             for a in atoms]
-    post = eq.posts[entry.edge_index][key[1]]
+    post = posts[key[1]]
     rows.append(Constraint(((eq.lp_var(key), ONE),) + tuple(
         (prefix + v, -c) for v, c in post.coeffs.items()), post.const))
     source = eq.cfg.edges[entry.edge_index].source
@@ -572,11 +609,11 @@ def check_post_fixpoint(g: Cfg, template: Template, bounds,
                 c = bounds[(edge.target, j)]
                 if c.is_pos_inf:
                     continue
-                res = _query(eq, idx, bounds, j, c, stats, session)
+                res = _query(eq, idx, _source_bounds(eq, idx, bounds), j, c, stats, session)
                 if res.is_sat:
                     reals = dict.fromkeys(formula_vars(edge.statement), ZERO)
                     reals.update(res.model.reals)
-                    for v, expr in eq.definitions[idx].items():
+                    for v, expr in eq.presolved(idx)[1].items():
                         reals[v] = expr.evaluate(reals)
                     return CertResult(False, idx, j, SmtModel(res.model.selectors, reals))
     return CertResult(True)

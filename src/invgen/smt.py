@@ -129,10 +129,19 @@ def _open(frontier: Dict[int, Tuple[Or, ...]], reached: List[Or]
 # SMT-LIB2 emission
 # ---------------------------------------------------------------------------
 
+# the reserved words of SMT-LIB 2.6 that are identifiers; the others hold
+# "!" or "-", so they are no identifiers and are quoted anyway
+_RESERVED = frozenset("_ as BINARY DECIMAL exists forall HEXADECIMAL let match NUMERAL "
+                      "par STRING assert echo exit pop push reset".split())
+
+
 def _sym(name: str) -> str:
-    """``name`` as an SMT-LIB2 symbol: simple if it is an ASCII identifier,
-    else quoted, since simple symbols are ASCII only."""
-    return name if name.isascii() and name.isidentifier() else f"|{name}|"
+    """``name`` as an SMT-LIB2 symbol: simple if it is an ASCII identifier
+    and no reserved word, else quoted, since simple symbols are ASCII only
+    and a reserved word is no symbol."""
+    if name.isascii() and name.isidentifier() and name not in _RESERVED:
+        return name
+    return f"|{name}|"
 
 
 def _selector_name(sel: int) -> str:

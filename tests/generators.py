@@ -203,3 +203,18 @@ def gen_octagon(n: int) -> str:
             "start st ;\n"
             f"edge st -> h : {init} ;\n"
             f"edge h -> h : x0 <= 9 & {step} ;\n")
+
+
+def gen_chain(k: int) -> str:
+    """A chain of k + 1 loops over x and y with the interval template: x
+    and y start at 0; loop l_i adds 1 to x while x <= 10(i+1), and 1 or 0
+    to y; l_i exits to l_{i+1} once x >= 10(i+1)."""
+    loops = "".join(f"edge l{i} -> l{i} : x <= {10 * (i + 1)} & x' = x + 1 & "
+                    f"(y' = y + 1 | y' = y) ;\n" for i in range(k + 1))
+    exits = "".join(f"edge l{i} -> l{i + 1} : x >= {10 * (i + 1)} & x' = x & y' = y ;\n"
+                    for i in range(k))
+    return ("vars x y ;\n"
+            "template interval ;\n"
+            f"nodes st {' '.join(f'l{i}' for i in range(k + 1))} ;\n"
+            "start st ;\n"
+            "edge st -> l0 : x' = 0 & y' = 0 ;\n" + loops + exits)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import shlex
 import time
 import warnings
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import pytest
 
 from invgen import engine
 from invgen.cfg import Cfg, compress, feedback_vertex_set
-from invgen.cli import analyze, parse_program, program_to_cfg
+from invgen.cli import analyze, gen_expo, parse_program, program_to_cfg
 from invgen.engine import (
     BOTTOM, TOP, EngineError, EngineOptions, EquationSystem, StratPath, Template,
     abstract_transform_row, check_post_fixpoint, evaluate, Stats, improve, kleene_oracle,
@@ -18,10 +19,11 @@ from invgen.engine import (
 from invgen.formula import parse_linexpr, parse_statement
 from invgen.numeric import NEG_INF, POS_INF, ext
 
-from conftest import corpus_files
-from generators import gen_octagon, random_cfg
+from conftest import LOOPBACK, corpus_files
+from generators import gen_chain, gen_octagon, random_cfg
 from oracles import (
-    atoms_of, enumerate_path_choices, eval_formula, full_evaluate, select_path,
+    atoms_of, cold_smt_check, enumerate_path_choices, eval_formula, full_evaluate,
+    select_path,
 )
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
@@ -591,3 +593,107 @@ def test_octagon_six_variables_within_time_gate():
     # one evaluation LP of 1,554 rows over 147 variables, 1.4 % dense: a
     # tableau must pay for its nonzeros, not for its 1,848 columns
     _octagon_within_time_gate(6)
+
+
+# -- what improvement asks -------------------------------------------------------
+
+def _compressed(text):
+    g, T = program_to_cfg(parse_program(text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return compress(g, feedback_vertex_set(g)), T
+
+
+def test_chain_of_loops_asks_linearly_many_queries():
+    # k + 1 loops in a row: a loop's unsat answers hold until its own source
+    # bounds move, so the queries grow linearly in k, not quadratically
+    for k in (10, 40):
+        g, T = _compressed(gen_chain(k))
+        bounds, stats = run(g, T)
+        assert stats.converged and stats.improvement_steps == 2 * k + 3
+        assert stats.smt_queries <= 30 * k
+        assert bounds[(f"l{k}", T.labels.index("x"))] == ext(10 * (k + 1) + 1)
+        assert check_post_fixpoint(g, T, bounds).verified
+
+
+def test_memo_skips_only_unsat_queries(monkeypatch):
+    # every (edge, row) query that the unsat memo skips is asked again, of
+    # the cold oracle search, and must be unsat
+    known_unsat = engine._known_unsat
+    skipped = []
+
+    def checked(eq, idx, d, j, c):
+        if not known_unsat(eq, idx, d, j, c):
+            return False
+        assert not cold_smt_check(engine._psi(eq, idx, d, j, c)).is_sat
+        skipped.append(idx)
+        return True
+
+    monkeypatch.setattr(engine, "_known_unsat", checked)
+    texts = [gen_expo(n) for n in (1, 2, 3, 4)] + [gen_octagon(n) for n in (2, 3, 4)]
+    programs = [_compressed(text) for text in texts + [gen_chain(10)]]
+    rng = random.Random(2828)
+    T = Template([parse_linexpr(s) for s in ("x", "-x", "y", "-y")])
+    for _ in range(30):
+        g = random_cfg(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            programs.append((compress(g, feedback_vertex_set(g)), T))
+    for local in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unreachable nodes in the corpus
+            for path in corpus_files():
+                analyze(path, local_opt=local)
+        for g, T in programs:
+            run(g, T, EngineOptions(local_opt=local))
+    assert len(skipped) > 2000  # 3,897 at this seed
+
+
+def test_memo_answers_for_the_same_source_bounds_and_no_lower_threshold():
+    # the loop takes x up to 6: unsat against 6, so against 7 too, but not
+    # against 5, nor once x's bound at the source has moved
+    eq = EquationSystem(_loop_cfg("x <= 5 & x' = x + 1 & y' = y"),
+                        Template([parse_linexpr("x"), parse_linexpr("y")]))
+    bounds = {("st", 0): POS_INF, ("st", 1): POS_INF, ("n", 0): ext(6), ("n", 1): ext(0)}
+    moved = dict(bounds)
+    moved[("n", 1)] = ext(1)
+    stats = Stats()
+    for at, threshold, want, queries in ((bounds, ext(6), None, 2), (bounds, ext(7), None, 2),
+                                         (bounds, ext(5), StratPath(1, {}), 4),
+                                         (moved, ext(7), None, 5)):
+        got = engine._find_improving(eq, ("n", 0), at, threshold, stats, None)
+        assert (got, stats.smt_queries) == (want, queries)
+
+
+def test_empty_source_region_reaches_no_backend(monkeypatch):
+    # a query from a -inf source bound is unsat without a query: neither
+    # backend sees it, and it is not counted
+    query, internal, external = engine._query, engine.smt_check, engine.smt_check_external
+    seen = SimpleNamespace(empty=False, empties=0, asked=0)
+
+    def watched(eq, idx, d, j, c, stats, backend):
+        seen.empty = any(di.is_neg_inf for di in d)
+        seen.empties += seen.empty
+        try:
+            return query(eq, idx, d, j, c, stats, backend)
+        finally:
+            seen.empty = False
+
+    def asked(check):
+        def asked_check(formula, *backend):
+            assert not seen.empty
+            seen.asked += 1
+            return check(formula, *backend)
+        return asked_check
+
+    monkeypatch.setattr(engine, "_query", watched)
+    monkeypatch.setattr(engine, "smt_check", asked(internal))
+    monkeypatch.setattr(engine, "smt_check_external", asked(external))
+    counted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unreachable nodes in the corpus
+        for path in corpus_files():
+            counted += analyze(path, check=True).stats.smt_queries
+        for path in corpus_files()[:4]:
+            counted += analyze(path, check=True, solver=shlex.join(LOOPBACK)).stats.smt_queries
+    assert seen.empties > 50 and seen.asked == counted  # 94 and 298

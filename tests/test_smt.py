@@ -14,7 +14,7 @@ from invgen.formula import (
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _read_sexp, _search, _smt_declarations, smt_check,
+    SmtBackendError, SmtSession, _read_sexp, _search, _smt_declarations, _sym, smt_check,
     smt_check_external,
 )
 
@@ -183,6 +183,30 @@ def test_non_ascii_names_are_quoted_symbols():
     assert "(declare-const |xé²| Real)" in text
     assert "(declare-const y_1 Real)" in text
     assert "(<= |xé²| 1)" in text
+
+
+# the reserved words of SMT-LIB 2.6: the general ones, then the command names
+SMTLIB_RESERVED = (
+    "! _ as BINARY DECIMAL exists forall HEXADECIMAL let match NUMERAL par STRING "
+    "assert check-sat check-sat-assuming declare-const declare-datatype declare-datatypes "
+    "declare-fun declare-sort define-fun define-fun-rec define-funs-rec define-sort echo "
+    "exit get-assertions get-assignment get-info get-model get-option get-proof "
+    "get-unsat-assumptions get-unsat-core get-value pop push reset reset-assertions "
+    "set-info set-logic set-option").split()
+
+
+def test_reserved_words_are_quoted_symbols():
+    # a reserved word is no symbol; quoted, it names a variable like any other
+    with SmtSession(LOOPBACK) as session:
+        for word in SMTLIB_RESERVED:
+            assert _sym(word) == f"|{word}|"
+            if not word.isidentifier():
+                continue  # the parser reads "-" as minus and rejects "!"
+            problem = parse_statement(f"{word} <= 1 & 0 < {word} + y")
+            text = _smt_declarations(problem)
+            assert f"(declare-const |{word}| Real)" in text
+            assert f"(<= |{word}| 1)" in text
+            assert smt_check_external(problem, session) == smt_check(problem)
 
 
 def test_steered_search_returns_the_steered_path_when_it_is_feasible():
@@ -482,15 +506,16 @@ def test_presolved_queries_match_linked_queries_of_run(monkeypatch):
     queries = []
     real_psi = engine._psi
 
-    def psi(eq, idx, d, j, c):  # every query of run, with its edge and definitions
+    def psi(eq, idx, d, j, c):  # every query asked, with its edge and definitions
         stmt, rows = eq.cfg.edges[idx].statement, eq.template.rows
-        queries.append((real_psi(eq, idx, d, j, c), eq.definitions[idx],
+        queries.append((real_psi(eq, idx, d, j, c), eq.presolved(idx)[1],
                         oracles.linked_psi(stmt, d, rows, j, c), stmt, rows, j))
         return queries[-1][0]
 
     monkeypatch.setattr(engine, "_psi", psi)
     for path in sorted(os.listdir(CORPUS_DIR)):
-        analyze(os.path.join(CORPUS_DIR, path))
+        for local in (False, True):  # run and certification, both improvement modes
+            analyze(os.path.join(CORPUS_DIR, path), local_opt=local, check=True)
     for n in (1, 2, 3):
         g, template = program_to_cfg(parse_program(gen_expo(n)))
         engine.run(compress(g, feedback_vertex_set(g)), template)

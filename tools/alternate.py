@@ -11,11 +11,15 @@ into this process, and every round runs one perfbench pass of each
 alternating from round to round so that drift in machine speed and the
 first, cold pass do not favour either tree.  The loopback solver of the
 corpus workload imports the tree whose pass is running.  Printed per tree:
-the median pass, the p50 of all its analyses, the p50 of their bounds
-phase (``engine.run`` done), the failed analyses, and in how many rounds
-its pass was the faster one.  Paired in one process, two trees can be
-told apart by a few per cent, which separate benchmark runs on a busy
-machine cannot do; run a tree against a copy of itself for a control.
+the median pass, the p50 of all its analyses, the quartiles over rounds of
+each pass's own analysis p50, the p50 of their bounds phase
+(``engine.run`` done), the failed analyses, and in how many rounds its
+pass was the faster one and its pass's analysis p50 the lower one.  A
+pass that is mostly solver process start-up (the corpus loopback job)
+wins about half the rounds whatever the analyses do; the per-round
+analysis p50 tells the analyses apart.  Paired in one process, two trees
+can be told apart by a few per cent, which separate benchmark runs on a
+busy machine cannot do; run a tree against a copy of itself for a control.
 
 With ``--imports`` each round instead imports the seven invgen layers of
 each tree afresh, as ``perfbench/run.py``'s ``load_invgen`` does (every
@@ -77,6 +81,11 @@ def load(tree: str, workload: str, seed: int):
     return src, run.Client(inv, WORKLOADS[workload](inv.cli, seed))
 
 
+def wins(mine, other) -> int:
+    """The rounds in which ``mine`` is below ``other``."""
+    return sum(1 for a, b in zip(mine, other) if a < b)
+
+
 def alternate_imports(trees, rounds: int) -> None:
     srcs = [source(tree) for tree in trees]
     times = [[], []]
@@ -85,9 +94,8 @@ def alternate_imports(trees, rounds: int) -> None:
             times[k].append(import_tree(srcs[k])[1])
     for k, tree in enumerate(trees):
         q1, q2, q3 = statistics.quantiles(times[k], n=4)
-        wins = sum(1 for mine, other in zip(times[k], times[1 - k]) if mine < other)
         print(f"{tree}: import p50 {q2 * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-"
-              f"{q3 * 1e3:.2f} ms, faster in {wins} of {rounds} rounds")
+              f"{q3 * 1e3:.2f} ms, faster in {wins(times[k], times[1 - k])} of {rounds} rounds")
     ratio = statistics.median(times[1]) / statistics.median(times[0])
     print(f"import p50 ratio (second / first): {ratio:.3f}")
 
@@ -102,29 +110,34 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("at least 2 rounds are needed for quartiles")
     if args.imports:
-        if args.rounds < 2:
-            parser.error("--imports needs at least 2 rounds for quartiles")
         alternate_imports(args.trees, args.rounds)
         return 0
 
     loaded = [load(tree, args.workload, args.seed) for tree in args.trees]
     passes = [[], []]
+    p50s = [[], []]  # per round, the p50 of the pass's own analyses
     for r in range(args.rounds):
         for k in ((0, 1) if r % 2 == 0 else (1, 0)):
             src, client = loaded[k]
             # the loopback solver subprocess imports invgen too
             os.environ["PYTHONPATH"] = src
+            first = len(client.outcomes)
             passes[k].append(client.one_pass())
+            p50s[k].append(statistics.median(o.total_s for o in client.outcomes[first:]))
 
     for k, tree in enumerate(args.trees):
         client = loaded[k][1]
-        wins = sum(1 for mine, other in zip(passes[k], passes[1 - k]) if mine < other)
+        q1, _, q3 = statistics.quantiles(p50s[k], n=4)
         print(f"{tree}: pass p50 {statistics.median(passes[k]) * 1e3:.2f} ms, "
               f"analysis p50 {statistics.median(o.total_s for o in client.outcomes) * 1e3:.3f} ms, "
+              f"round p50 quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f} ms, "
               f"bounds p50 {statistics.median(o.bounds_s for o in client.outcomes) * 1e3:.3f} ms, "
               f"failed {client.failed} of {len(client.outcomes)}, "
-              f"faster in {wins} of {args.rounds} rounds")
+              f"faster in {wins(passes[k], passes[1 - k])} of {args.rounds} rounds by pass, "
+              f"{wins(p50s[k], p50s[1 - k])} by analysis p50")
     ratio = statistics.median(o.total_s for o in loaded[1][1].outcomes) / \
         statistics.median(o.total_s for o in loaded[0][1].outcomes)
     print(f"analysis p50 ratio (second / first): {ratio:.3f}")
