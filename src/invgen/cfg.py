@@ -19,7 +19,7 @@ import warnings
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set
 
 from .formula import (
-    TRUE, Or, conjoin, formula_vars, is_primed, primed, rename_vars,
+    TRUE, Or, conjoin, formula_vars, is_primed, map_atoms, primed,
 )
 
 
@@ -181,7 +181,7 @@ def compress(g: Cfg, cut: Iterable[str]) -> Cfg:
                 mapping[v] = target_map[v[:-1]]
             elif v not in mapping:
                 mapping[v] = f"$u{next(instance_ids)}_{v}"
-        return rename_vars(stmt, mapping, selector_ids)
+        return map_atoms(stmt, lambda a: a.rename(mapping), selector_ids)
 
     identity = {x: x for x in g.program_vars}
     post = {x: primed(x) for x in g.program_vars}

@@ -307,11 +307,11 @@ def formula_vars(formula) -> List[str]:
     return out
 
 
-def _rebuild(formula, atom_fn: Callable[[Atom], object],
-             selector_iter: Optional[Iterator[int]] = None):
+def map_atoms(formula, fn: Callable[[Atom], object],
+              selectors: Optional[Iterator[int]] = None):
     """Rebuild each distinct node once, with an explicit stack, passing every
-    atom through ``atom_fn``.  With ``selector_iter`` the Or nodes take its
-    values in pre-order.  A conjunction drops its ``TRUE`` children; it is
+    atom through ``fn``.  With ``selectors`` the Or nodes take its values
+    in pre-order.  A conjunction drops its ``TRUE`` children; it is
     ``FALSE_ATOM`` if one of its children is, and ``TRUE`` if none is left."""
     memo: Dict[int, object] = {}
     # (node, None) enters a node; (node, sel) builds it from its rebuilt children
@@ -322,12 +322,12 @@ def _rebuild(formula, atom_fn: Callable[[Atom], object],
             if id(node) in memo:
                 continue
             if isinstance(node, Atom):
-                memo[id(node)] = atom_fn(node)
+                memo[id(node)] = fn(node)
             elif isinstance(node, And):
                 stack.append((node, 0))
                 stack.extend((ch, None) for ch in reversed(node.children))
             else:
-                sel = next(selector_iter) if selector_iter is not None else node.selector
+                sel = next(selectors) if selectors is not None else node.selector
                 stack.extend(((node, sel), (node.right, None), (node.left, None)))
         elif isinstance(node, And):
             kids = [memo[id(ch)] for ch in node.children if memo[id(ch)] is not TRUE]
@@ -336,17 +336,6 @@ def _rebuild(formula, atom_fn: Callable[[Atom], object],
         else:
             memo[id(node)] = Or(memo[id(node.left)], memo[id(node.right)], sel)
     return memo[id(formula)]
-
-
-def rename_vars(formula, mapping: Dict[str, str],
-                selector_iter: Optional[Iterator[int]] = None):
-    """Rename variables (and optionally re-number selectors) in one pass."""
-    return _rebuild(formula, lambda a: a.rename(mapping), selector_iter)
-
-
-def map_atoms(formula, fn: Callable[[Atom], Atom]):
-    """Rebuild the formula with every atom passed through ``fn``."""
-    return _rebuild(formula, fn)
 
 
 def walk(node, assign: PathChoice, atoms: List[Atom], reached: List[Or]) -> None:
@@ -656,32 +645,28 @@ def parse_expr_tokens(ts: TokenStream) -> LinExpr:
     return _parse(ts, False)
 
 
-def label_selectors(formula, start: int = 0):
-    """Assign pre-order selector ids ``start``, ``start+1``, ... to every Or node."""
-    return _rebuild(formula, lambda a: a, count(start))
-
-
 def parse_statement_tokens(ts: TokenStream):
-    return label_selectors(_parse(ts, True))
+    """A statement, its disjunctions labelled 0, 1, ... in pre-order."""
+    return map_atoms(_parse(ts, True), lambda a: a, count())
+
+
+def _parse_all(text: str, parse):
+    """``parse`` over a token stream of ``text``, which it must consume."""
+    ts = TokenStream(tokenize(text))
+    node = parse(ts)
+    tok = ts.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    return node
 
 
 def parse_statement(text: str):
     """Parse a statement; desugars ``>= > = !=`` and labels disjunctions."""
-    ts = TokenStream(tokenize(text))
-    node = parse_statement_tokens(ts)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return node
+    return _parse_all(text, parse_statement_tokens)
 
 
 def parse_linexpr(text: str) -> LinExpr:
-    ts = TokenStream(tokenize(text))
-    node = parse_expr_tokens(ts)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return node
+    return _parse_all(text, parse_expr_tokens)
 
 
 # ---------------------------------------------------------------------------

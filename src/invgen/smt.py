@@ -21,13 +21,15 @@ which holds only the variables of the path's atoms.
 An external SMT-LIB2 solver can be used instead.  An ``SmtSession`` keeps
 one solver process for many queries: each query is sent inside a
 ``(push 1)`` / ``(pop 1)`` frame and every answer is read under a deadline.
-The solver supplies only the verdict and, on sat, the selector values: a
-path through the formula, which steers the same search (it tries the
-solver's value of each selector first), as a DPLL(T) solver's Boolean
-assignment is checked by its theory solver.  Both backends therefore give
-the same model for the same path, no number is read from the solver, and
-a path that the search does not confirm surfaces as a backend error, never
-as a wrong verdict.
+A query names its constants by index and defines each distinct subformula
+once, so its text is linear in the formula and no name needs quoting; the
+frame scopes the definitions with the declarations.  The solver supplies
+only the verdict and, on sat, the selector values: a path through the
+formula, which steers the same search (it tries the solver's value of each
+selector first), as a DPLL(T) solver's Boolean assignment is checked by
+its theory solver.  Both backends therefore give the same model for the
+same path, no number is read from the solver, and a path that the search
+does not confirm surfaces as a backend error, never as a wrong verdict.
 """
 
 from __future__ import annotations
@@ -129,23 +131,7 @@ def _open(frontier: Dict[int, Tuple[Or, ...]], reached: List[Or]
 # SMT-LIB2 emission
 # ---------------------------------------------------------------------------
 
-# the reserved words of SMT-LIB 2.6 that are identifiers; the others hold
-# "!" or "-", so they are no identifiers and are quoted anyway
-_RESERVED = frozenset("_ as BINARY DECIMAL exists forall HEXADECIMAL let match NUMERAL "
-                      "par STRING assert echo exit pop push reset".split())
-
-
-def _sym(name: str) -> str:
-    """``name`` as an SMT-LIB2 symbol: simple if it is an ASCII identifier
-    and no reserved word, else quoted, since simple symbols are ASCII only
-    and a reserved word is no symbol."""
-    if name.isascii() and name.isidentifier() and name not in _RESERVED:
-        return name
-    return f"|{name}|"
-
-
 def _selector_name(sel: int) -> str:
-    # "!" occurs in no program identifier, so the name cannot clash
     return f"sel!{sel}"
 
 
@@ -157,10 +143,10 @@ def _smt_rat(q) -> str:
     return f"(/ {q.numerator} {q.denominator})"
 
 
-def _smt_expr(lin) -> str:
+def _smt_expr(lin, names: Dict[str, str]) -> str:
     terms = []
     for v, c in lin.coeffs.items():
-        terms.append(_sym(v) if c == 1 else f"(* {_smt_rat(c)} {_sym(v)})")
+        terms.append(names[v] if c == 1 else f"(* {_smt_rat(c)} {names[v]})")
     if not terms:
         return "0"
     if len(terms) == 1:
@@ -168,36 +154,47 @@ def _smt_expr(lin) -> str:
     return "(+ " + " ".join(terms) + ")"
 
 
-def _smt_formula(node) -> str:
-    out: List[str] = []
-    stack: List[object] = [node]  # nodes to write and text to copy, next last
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Atom):
-            out.append(f"({node.rel} {_smt_expr(node.lin)} {_smt_rat(node.rhs)})")
-        elif isinstance(node, And):
-            if len(node.children) == 1:
-                stack.append(node.children[0])
-            elif not node.children:
-                out.append("true")
-            else:
-                stack.append(")")
-                for ch in reversed(node.children[1:]):
-                    stack.extend((ch, " "))
-                stack.extend((node.children[0], "(and "))
-        else:
-            a = _selector_name(node.selector)
-            stack.extend(("))", node.right, f") (and {a} ", node.left, f"(or (and (not {a}) "))
-    return "".join(out)
-
-
 def _smt_declarations(formula) -> str:
+    """The declarations and the assertion of ``formula`` in SMT-LIB2.
+
+    Every name is a simple symbol made by index, so none needs quoting:
+    selector k is ``sel!k``, the k-th variable of ``formula_vars`` is
+    ``x!k``.  Each distinct ``And`` of two or more children and each ``Or``
+    is defined once, children first, as ``n!k``, so the text is linear in
+    the formula however often a subtree is shared; an ``Or`` is
+    ``(ite sel right left)``.  Atoms are written in place, a one-child
+    ``And`` as its child and an empty one as ``true``."""
+    names = {v: f"x!{i}" for i, v in enumerate(formula_vars(formula))}
     lines = [f"(declare-const {_selector_name(sel)} Bool)"
              for sel in sorted(selectors_of(formula))]
-    lines.extend(f"(declare-const {_sym(v)} Real)" for v in formula_vars(formula))
-    lines.append(f"(assert {_smt_formula(formula)})")
+    lines.extend(f"(declare-const {name} Real)" for name in names.values())
+    declared = len(lines)
+    terms: Dict[int, str] = {}  # by node id, the term that stands for it
+    # (node, False) enters a node; (node, True) writes it from its children's terms
+    stack: List[Tuple[object, bool]] = [(formula, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in terms:
+            continue
+        if isinstance(node, Atom):
+            terms[id(node)] = f"({node.rel} {_smt_expr(node.lin, names)} {_smt_rat(node.rhs)})"
+            continue
+        kids = (node.left, node.right) if isinstance(node, Or) else node.children
+        if not ready:
+            stack.append((node, True))
+            stack.extend((ch, False) for ch in reversed(kids))
+            continue
+        subs = [terms[id(ch)] for ch in kids]
+        if isinstance(node, Or):
+            body = f"(ite {_selector_name(node.selector)} {subs[1]} {subs[0]})"
+        elif len(subs) > 1:
+            body = "(and " + " ".join(subs) + ")"
+        else:
+            terms[id(node)] = subs[0] if subs else "true"
+            continue
+        terms[id(node)] = name = f"n!{len(lines) - declared}"
+        lines.append(f"(define-fun {name} () Bool {body})")
+    lines.append(f"(assert {terms[id(formula)]})")
     return "\n".join(lines) + "\n"
 
 

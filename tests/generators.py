@@ -1,9 +1,10 @@
 """Seeded random instance generators shared by property and acceptance tests."""
 
 import random
+from itertools import count
 
 from invgen.cfg import Cfg, Edge
-from invgen.formula import And, Atom, LinExpr, Or, label_selectors, primed
+from invgen.formula import And, Atom, LinExpr, Or, map_atoms, primed
 from invgen.lp import Constraint, LpProblem
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
 
@@ -97,7 +98,7 @@ def random_statement(rng: random.Random, variables, max_selectors: int):
             return Or(build(depth + 1), build(depth + 1), -1)
         return And(build(depth + 1) for _ in range(rng.randint(2, 3)))
 
-    return label_selectors(build(0))
+    return map_atoms(build(0), lambda a: a, count())
 
 
 def random_shared_statement(rng: random.Random, variables, max_selectors: int):
@@ -122,7 +123,7 @@ def random_shared_statement(rng: random.Random, variables, max_selectors: int):
         built.append(node)
         return node
 
-    return label_selectors(build(0))
+    return map_atoms(build(0), lambda a: a, count())
 
 
 def random_psi_inputs(rng: random.Random, make_statement=random_statement,
@@ -183,7 +184,7 @@ def random_cfg(rng: random.Random):
         if rng.random() < 0.3:
             stmt = Or(stmt, And((random_atom(rng, variables),
                                  random_update(rng, variables))), -1)
-        edges.append(Edge(src, label_selectors(stmt), dst))
+        edges.append(Edge(src, map_atoms(stmt, lambda a: a, count()), dst))
     return Cfg(nodes, "n0", edges, variables)
 
 
@@ -218,3 +219,20 @@ def gen_chain(k: int) -> str:
             f"nodes st {' '.join(f'l{i}' for i in range(k + 1))} ;\n"
             "start st ;\n"
             "edge st -> l0 : x' = 0 & y' = 0 ;\n" + loops + exits)
+
+
+def gen_diamond_chain(k: int) -> str:
+    """One loop head h and k diamonds in a row around it, cut at h: diamond
+    i leads from d_i to d_{i+1} (d_0 and d_k are h) by ``x' = x + 1`` or by
+    ``x' = x + 2``, the first only while x <= 10.  Compressed, the
+    self-loop at h has 2^k paths, and each diamond's disjunction is shared
+    by both branches of the next."""
+    at = ["h"] + [f"d{i}" for i in range(1, k)] + ["h"]
+    edges = "".join(f"edge {at[i]} -> {at[i + 1]} : {'x <= 10 & ' if i == 0 else ''}"
+                    f"x' = x + {step} ;\n" for i in range(k) for step in (1, 2))
+    return ("vars x ;\n"
+            "template interval ;\n"
+            f"nodes st {' '.join(at[:-1])} ;\n"
+            "start st ;\n"
+            "cutset h ;\n"
+            "edge st -> h : x' = 0 ;\n" + edges)

@@ -18,7 +18,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from invgen.engine import BOTTOM, TOP, EngineError
 from invgen.formula import (
     FALSE_ATOM, REL_LE, REL_LT, And, Atom, FormulaError, LinExpr, Or, PathChoice,
-    formula_vars, map_atoms, primed, rename_vars, selectors_of,
+    formula_vars, map_atoms, primed, selectors_of,
 )
 from invgen.lp import (
     Constraint, INFEASIBLE, LpError, LpProblem, LpResult, OPTIMAL, UNBOUNDED,
@@ -698,7 +698,7 @@ def full_evaluate(eq, strategy, bounds):
         for x in eq.cfg.program_vars:
             mapping.setdefault(x, f"$q{copy_id}_{x}")
             mapping.setdefault(primed(x), f"$q{copy_id}_{primed(x)}")
-        for atom in atoms_of(rename_vars(seq, mapping)):
+        for atom in atoms_of(map_atoms(seq, lambda a: a.rename(mapping))):
             add_row(dict(atom.lin.coeffs), atom.rhs)
         row = rows[key[1]]
         target = row.rename({v: mapping[primed(v)] for v in row.variables()})

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """A miniature SMT-LIB2 solver for wire-protocol tests.
 
-Reads commands on stdin (set-logic / declare-const / assert / check-sat /
-get-value / push / pop / exit) and answers each one on stdout as soon as
-its closing parenthesis arrives, so it serves one-shot scripts and
-interactive sessions alike.  Satisfiability is decided by the library's own
-internal checker.  Declarations and assertions are scoped by push/pop;
-declaring a symbol that is already declared answers ``(error ...)``, as a
-real solver does.  Modes let tests exercise the client's error paths:
+Reads commands on stdin (set-logic / declare-const / define-fun / assert /
+check-sat / get-value / push / pop / exit) and answers each one on stdout
+as soon as its closing parenthesis arrives, so it serves one-shot scripts
+and interactive sessions alike.  Satisfiability is decided by the library's own
+internal checker.  Declarations, definitions and assertions are scoped by
+push/pop; declaring or defining a symbol that is already declared, a
+reserved word or a function symbol of the logic answers ``(error ...)``,
+as a real solver does.  Modes let tests exercise the client's error paths:
 
     --mode garbage        print something that is not SMT-LIB2
     --mode unknown        answer unknown
@@ -72,35 +73,22 @@ def parse_expr(node):
     raise ValueError(f"bad term {node!r}")
 
 
-def parse_formula(root):
-    """The formula of an asserted term, built bottom-up on an explicit stack,
-    so deep nesting needs no recursion."""
-    done = []  # finished subformulas, in order
-    stack = [(root, False)]  # (term, whether its arguments are in ``done``)
-    while stack:
-        node, built = stack.pop()
-        if node == "true":
-            done.append(And(()))
-            continue
-        head = node[0]
-        if head in ("<=", "<"):
-            diff = parse_expr(node[1]).sub(parse_expr(node[2]))
-            done.append(Atom(LinExpr(diff.coeffs), head, -diff.const))
-        elif head not in ("and", "or"):
-            raise ValueError(f"bad formula {node!r}")
-        elif not built:
-            # emission shape of a disjunction: (or (and (not sel!K) L) (and sel!K R))
-            args = node[1:] if head == "and" else [node[1][2], node[2][2]]
-            stack.append((node, True))
-            stack.extend((arg, False) for arg in reversed(args))
-        elif head == "and":
-            cut = len(done) - (len(node) - 1)
-            args, done[cut:] = done[cut:], []
-            done.append(And(args))
-        else:
-            right = done.pop()
-            done.append(Or(done.pop(), right, selector_index(node[1][1][1])))
-    return done[0]
+def parse_formula(node, defs):
+    """The formula of a Boolean term; a name defined by ``define-fun``
+    stands for the formula already built for it, so shared subterms stay
+    shared.  The client's terms nest only through such names."""
+    if isinstance(node, str):
+        return And(()) if node == "true" else defs(node)
+    head = node[0]
+    if head in ("<=", "<"):
+        diff = parse_expr(node[1]).sub(parse_expr(node[2]))
+        return Atom(LinExpr(diff.coeffs), head, -diff.const)
+    if head == "and":
+        return And([parse_formula(arg, defs) for arg in node[1:]])
+    if head == "ite":  # (ite sel!K right left) is a disjunction with selector K
+        return Or(parse_formula(node[3], defs), parse_formula(node[2], defs),
+                  selector_index(node[1]))
+    raise ValueError(f"bad formula {node!r}")
 
 
 def emit_rat(q):
@@ -126,9 +114,22 @@ def commands(fd):
             read = _read_sexp(text)
 
 
+# SMT-LIB 2.6's reserved words and the function symbols of Core and of
+# the reals: a conforming solver declares or defines no constant so named
+NOT_DECLARABLE = frozenset(
+    "! _ as BINARY DECIMAL exists forall HEXADECIMAL let match NUMERAL par STRING "
+    "assert check-sat check-sat-assuming declare-const declare-datatype declare-datatypes "
+    "declare-fun declare-sort define-fun define-fun-rec define-funs-rec define-sort echo "
+    "exit get-assertions get-assignment get-info get-model get-option get-proof "
+    "get-unsat-assumptions get-unsat-core get-value pop push reset reset-assertions "
+    "set-info set-logic set-option "
+    "true false not => and or xor = distinct ite + - * / <= < >= >".split())
+
+
 class Frame:
     def __init__(self):
         self.bools, self.reals, self.assertions = [], [], []
+        self.defs = {}  # define-fun name -> the formula it stands for
 
 
 class Loopback:
@@ -138,7 +139,13 @@ class Loopback:
         self.result = None  # the last check-sat, until the assertions change
 
     def declared(self, name):
-        return any(name in f.bools or name in f.reals for f in self.frames)
+        return any(name in f.bools or name in f.reals or name in f.defs for f in self.frames)
+
+    def definition(self, name):
+        for frame in self.frames:
+            if name in frame.defs:
+                return frame.defs[name]
+        raise ValueError(f"unknown symbol {name}")
 
     def execute(self, cmd):
         """The answer to one command: a string, or None for no output."""
@@ -156,16 +163,21 @@ class Loopback:
             del self.frames[-levels:]
             self.result = None
             return None
-        if head == "declare-const":
+        if head in ("declare-const", "define-fun"):
             name = strip(cmd[1])
+            if name in NOT_DECLARABLE:
+                return f'(error "{name} is not a declarable symbol")'
             if self.declared(name):
                 return f'(error "symbol {name} already declared")'
             frame = self.frames[-1]
-            (frame.bools if cmd[2] == "Bool" else frame.reals).append(name)
+            if head == "define-fun":
+                frame.defs[name] = parse_formula(cmd[4], self.definition)
+            else:
+                (frame.bools if cmd[2] == "Bool" else frame.reals).append(name)
             self.result = None
             return None
         if head == "assert":
-            self.frames[-1].assertions.append(parse_formula(cmd[1]))
+            self.frames[-1].assertions.append(parse_formula(cmd[1], self.definition))
             self.result = None
             return None
         if head == "check-sat":

@@ -18,7 +18,7 @@ from invgen.engine import (
 from invgen.formula import build_psi, formula_vars, selectors_of
 from invgen.lp import OPTIMAL, lp_solve
 from invgen.numeric import ext
-from invgen.smt import SmtSession, smt_check, smt_check_external
+from invgen.smt import SmtSession, _smt_declarations, smt_check, smt_check_external
 
 from conftest import CORPUS_DIR, corpus_files, external_solver_cmd
 from generators import random_cfg, random_lp, random_psi_inputs, random_state
@@ -195,11 +195,16 @@ def test_criterion_8_smt_matches_brute_force_and_external():
                 assert check_model(problem, external.model)
             external_checked += 1
             total += 1
+            text = _smt_declarations(problem)
             declarations.update(f"(declare-const sel!{s} Bool)"
                                 for s in selectors_of(problem))
-            declarations.update(f"(declare-const |{v}| Real)" for v in formula_vars(problem))
-        # nothing survived the 500 (push 1) / (pop 1) frames: every symbol is
-        # free to declare again, and no assertion is left to contradict
+            declarations.update(f"(declare-const x!{k} Real)"
+                                for k in range(len(formula_vars(problem))))
+            declarations.update(f"(declare-const n!{k} Bool)"
+                                for k in range(text.count("(define-fun ")))
+        # nothing survived the 500 (push 1) / (pop 1) frames: every symbol,
+        # defined ones too, is free to declare again, and no assertion is
+        # left to contradict
         leftover = session.ask("(push 1)\n" + "\n".join(sorted(declarations)) +
                                "\n(check-sat)\n(pop 1)\n")
     clean = leftover == ["sat"]

@@ -70,7 +70,7 @@ def path_formula(g, path):
     re-numbered so distinct disjunctions never share an id."""
     import itertools
 
-    from invgen.formula import rename_vars
+    from invgen.formula import map_atoms
 
     parts = []
     n = len(path)
@@ -83,7 +83,7 @@ def path_formula(g, path):
         for v in formula_vars(e.statement):
             if v not in mapping:
                 mapping[v] = f"$aux{k}_{v}"
-        parts.append(rename_vars(e.statement, mapping, fresh))
+        parts.append(map_atoms(e.statement, lambda a: a.rename(mapping), fresh))
     return And(parts)
 
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -7,7 +8,7 @@ from invgen.cfg import Cfg
 from invgen.engine import EngineError, EquationSystem, StratPath, Template, _entry_value
 from invgen.formula import (
     FALSE_ATOM, TRUE, And, Atom, FormulaError, LinExpr, Or, ParseError,
-    build_psi, eliminate_equalities, formula_size, formula_vars, label_selectors, map_atoms,
+    build_psi, eliminate_equalities, formula_size, formula_vars, map_atoms,
     parse_linexpr, parse_statement, paths, selectors_of, walk,
 )
 from invgen.numeric import NEG_INF, POS_INF, Rat, ext
@@ -407,19 +408,19 @@ def test_relabelling_is_preorder_on_shared_statements():
     rng = random.Random(67)
     for _ in range(50):
         f = random_shared_statement(rng, ["x", "y"], max_selectors=6)
-        again = label_selectors(f, 3)
+        again = map_atoms(f, lambda a: a, count(3))
         assert selectors_of(again) == list(range(3, 3 + len(selectors_of(f))))
         assert formula_size(again) == formula_size(f)
         assert formula_size(map_atoms(f, lambda a: a)) == formula_size(f)
 
 
 def test_deep_disjunction_chain_is_rebuilt_without_recursion():
-    # 5,000 disjuncts nest 4,999 deep: parsing labels them with label_selectors
+    # 5,000 disjuncts nest 4,999 deep: parsing labels them with map_atoms
     text = "y = 1 & (" + " | ".join(f"x' = y + {i}" for i in range(5000)) + ")"
     f = parse_statement(text)
     chain = f.children[-1]
     assert selectors_of(chain) == list(range(4999))
-    relabelled = label_selectors(chain, 10)
+    relabelled = map_atoms(chain, lambda a: a, count(10))
     assert selectors_of(relabelled)[-1] == 5008
     shifted = map_atoms(chain, lambda a: Atom(a.lin, a.rel, a.rhs + 1))
     deepest = shifted
@@ -441,14 +442,17 @@ def test_deep_disjunction_chain_is_rebuilt_without_recursion():
     assert _entry_value(eq, ("a", 0), StratPath(0, shallowest), bounds, None) == ext(5000)
     with pytest.raises(EngineError):
         _entry_value(eq, ("a", 0), StratPath(0, {}), bounds, None)
-    # the SMT-LIB2 term nests each disjunction in the one above it
+    # the SMT-LIB2 text defines each leaf and each disjunction once, children
+    # first, the disjunction of selector s over the one of s + 1
 
     def leaf(i):
-        return f"(and (<= |x'| {i + 1}) (<= (* (- 1) |x'|) (- {i + 1})))"
+        return f"(and (<= x!0 {i + 1}) (<= (* (- 1) x!0) (- {i + 1})))"
 
-    text = _smt_declarations(stmt)
-    assert text.endswith("(declare-const |x'| Real)\n(assert "
-                         + "".join(f"(or (and (not sel!{s}) " for s in range(4999)) + leaf(0)
-                         + "".join(f") (and sel!{s} {leaf(4999 - s)}))" for s in range(4998, -1, -1))
-                         + ")\n")
-    assert text.startswith("(declare-const sel!0 Bool)\n(declare-const sel!1 Bool)\n")
+    defs = [f"(define-fun n!0 () Bool {leaf(0)})"]
+    for i in range(1, 5000):
+        k = len(defs)
+        defs.append(f"(define-fun n!{k} () Bool {leaf(i)})")
+        defs.append(f"(define-fun n!{k + 1} () Bool (ite sel!{4999 - i} n!{k} n!{k - 1}))")
+    assert _smt_declarations(stmt) == (
+        "".join(f"(declare-const sel!{s} Bool)\n" for s in range(4999))
+        + "(declare-const x!0 Real)\n" + "\n".join(defs) + "\n(assert n!9998)\n")

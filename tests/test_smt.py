@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import shlex
@@ -9,18 +10,20 @@ from collections import Counter
 import pytest
 
 from invgen.formula import (
-    FALSE_ATOM, And, Atom, build_psi, eliminate_equalities, formula_vars,
+    FALSE_ATOM, And, Atom, build_psi, eliminate_equalities, formula_size, formula_vars,
     parse_linexpr, parse_statement, primed, selectors_of, walk,
 )
 from invgen.numeric import Rat, ext
 from invgen.smt import (
-    SmtBackendError, SmtSession, _read_sexp, _search, _smt_declarations, _sym, smt_check,
+    SmtBackendError, SmtSession, _read_sexp, _search, _smt_declarations, smt_check,
     smt_check_external,
 )
 
 from conftest import CORPUS_DIR, LOOPBACK, external_solver_cmd
 import oracles
-from generators import random_psi_inputs, random_shared_statement, random_update
+from generators import (
+    gen_diamond_chain, random_psi_inputs, random_shared_statement, random_update,
+)
 from oracles import atoms_of, brute_force_smt, check_model, cold_smt_check, select_path
 
 RUNNING_BODY = ("x1 <= 1000 & x2' = -x1 & "
@@ -168,45 +171,86 @@ def test_determinism():
 
 def test_emission_mentions_everything():
     # the text a session sends inside each (push 1) / (pop 1) frame
-    text = _smt_declarations(running_psi((0, 0), 0, ext(0)))
+    problem = running_psi((0, 0), 0, ext(0))
+    text = _smt_declarations(problem)
     assert "(declare-const sel!0 Bool)" in text
-    assert "(declare-const |x1'| Real)" in text
-    assert "(assert " in text
+    for k in range(len(formula_vars(problem))):
+        assert f"(declare-const x!{k} Real)" in text
+    assert "(define-fun n!0 () Bool " in text and "(ite sel!0 " in text
+    assert text.endswith(f"(assert n!{text.count('(define-fun') - 1})\n")
+    assert "|" not in text  # no name needs quoting
     assert "(set-logic" not in text  # sent once per session
     assert "(check-sat" not in text  # epilogue belongs to the session
 
 
-def test_non_ascii_names_are_quoted_symbols():
-    # SMT-LIB2 simple symbols are ASCII only; the parser takes any
-    # alphanumeric identifier
-    text = _smt_declarations(parse_statement("xé² <= 1 & y_1 <= 2"))
-    assert "(declare-const |xé²| Real)" in text
-    assert "(declare-const y_1 Real)" in text
-    assert "(<= |xé²| 1)" in text
-
-
-# the reserved words of SMT-LIB 2.6: the general ones, then the command names
+# the reserved words of SMT-LIB 2.6, the general ones, then the command
+# names, and the function symbols of Core and of the reals
 SMTLIB_RESERVED = (
     "! _ as BINARY DECIMAL exists forall HEXADECIMAL let match NUMERAL par STRING "
     "assert check-sat check-sat-assuming declare-const declare-datatype declare-datatypes "
     "declare-fun declare-sort define-fun define-fun-rec define-funs-rec define-sort echo "
     "exit get-assertions get-assignment get-info get-model get-option get-proof "
     "get-unsat-assumptions get-unsat-core get-value pop push reset reset-assertions "
-    "set-info set-logic set-option").split()
+    "set-info set-logic set-option "
+    "true false not => and or xor = distinct ite + - * / <= < >= >").split()
 
 
-def test_reserved_words_are_quoted_symbols():
-    # a reserved word is no symbol; quoted, it names a variable like any other
+def _analyse_both_ways(prog, tmp_path, capsys):
+    """``analyze --check --json --trace`` of ``prog`` with the internal
+    backend and through the loopback: the report without its wall time,
+    and the trace, of each."""
+    from invgen.cli import main
+
+    outputs = []
+    for flags in ([], ["--solver", "external:" + shlex.join(LOOPBACK)]):
+        trace = tmp_path / f"trace{len(outputs)}.jsonl"
+        assert main(["analyze", str(prog), "--check", "--json", "--trace", str(trace),
+                     *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["stats"]["wall_ms"]
+        outputs.append((doc, trace.read_bytes()))
+    return outputs
+
+
+def test_theory_symbols_and_non_ascii_names_need_no_quoting(tmp_path, capsys):
+    # constants are named by index, so a variable may be named like a
+    # reserved word or a theory symbol, which the loopback refuses to
+    # declare as a conforming solver does, or hold non-ASCII letters
+    prog = tmp_path / "symbols.prg"
+    prog.write_text("vars true and ite let xé² ; template interval ; nodes st h ; start st ;"
+                    "edge st -> h : true' = 0 & and' = 1 & ite' = 0 & let' = 0 & xé²' = 0 ;"
+                    "edge h -> h : true <= 5 & (true' = true + 1 | true' = true + 2) & "
+                    "and' = and + ite & (ite' = let | ite' = xé²) & let' = let & "
+                    "xé²' = true ;", encoding="utf-8")
+    internal, external = _analyse_both_ways(prog, tmp_path, capsys)
+    assert internal[0]["certified"] is True
+    assert internal[0]["nodes"]["h"]["true"] == "7"
+    assert external == internal
     with SmtSession(LOOPBACK) as session:
-        for word in SMTLIB_RESERVED:
-            assert _sym(word) == f"|{word}|"
+        for word in SMTLIB_RESERVED + ["xé²"]:
             if not word.isidentifier():
                 continue  # the parser reads "-" as minus and rejects "!"
             problem = parse_statement(f"{word} <= 1 & 0 < {word} + y")
-            text = _smt_declarations(problem)
-            assert f"(declare-const |{word}| Real)" in text
-            assert f"(<= |{word}| 1)" in text
             assert smt_check_external(problem, session) == smt_check(problem)
+
+
+def test_emission_is_linear_in_a_shared_formula(tmp_path, capsys):
+    # compressed, k diamonds in a row are one self-loop with 2^k paths, each
+    # diamond's disjunction shared by both branches of the next; written
+    # once per distinct node, its text stays within 100 characters a node,
+    # where writing every shared subtree out again takes 9,600 at k = 12
+    from test_engine import _compressed
+
+    for k in (4, 8, 12):
+        g, _ = _compressed(gen_diamond_chain(k))
+        (stmt,) = [e.statement for e in g.edges if e.source == e.target == "h"]
+        assert len(_smt_declarations(stmt)) <= 100 * formula_size(stmt)
+    # the loopback rebuilds the shared graph from the definitions
+    prog = tmp_path / "diamonds.prg"
+    prog.write_text(gen_diamond_chain(6))
+    internal, external = _analyse_both_ways(prog, tmp_path, capsys)
+    assert internal[0]["nodes"]["h"] == {"x": "22", "-x": "0"}
+    assert external == internal
 
 
 def test_steered_search_returns_the_steered_path_when_it_is_feasible():

@@ -9,8 +9,9 @@ Each tree is a checkout with a ``src/invgen`` package.  Both are imported
 into this process, and every round runs one perfbench pass of each
 (``perfbench/run.py``'s ``analyze`` over the workload's jobs), the order
 alternating from round to round so that drift in machine speed and the
-first, cold pass do not favour either tree.  The loopback solver of the
-corpus workload imports the tree whose pass is running.  Printed per tree:
+first, cold pass do not favour either tree.  The corpus workload's
+loopback job runs the loopback solver of the tree whose pass is running,
+and that solver imports the same tree.  Printed per tree:
 the median pass, the p50 of all its analyses, the quartiles over rounds of
 each pass's own analysis p50, the p50 of their bounds phase
 (``engine.run`` done), the failed analyses, and in how many rounds its
@@ -38,6 +39,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -75,10 +77,16 @@ def import_tree(src: str):
 
 
 def load(tree: str, workload: str, seed: int):
-    """Import ``tree``'s invgen and build the workload's jobs with it."""
+    """Import ``tree``'s invgen and build the workload's jobs with it; a
+    job through the loopback solver runs ``tree``'s own loopback, which
+    speaks the SMT-LIB2 that ``tree`` writes."""
     src = source(tree)
     inv, _ = import_tree(src)
-    return src, run.Client(inv, WORKLOADS[workload](inv.cli, seed))
+    loopback = (sys.executable, os.path.join(os.path.dirname(src), "tests", "solvers",
+                                             "loopback_smt.py"))
+    jobs = [replace(job, solver=loopback) if job.solver else job
+            for job in WORKLOADS[workload](inv.cli, seed)]
+    return src, run.Client(inv, jobs)
 
 
 def wins(mine, other) -> int:
