@@ -215,7 +215,8 @@ def _analyse_both_ways(prog, tmp_path, capsys):
 def test_theory_symbols_and_non_ascii_names_need_no_quoting(tmp_path, capsys):
     # constants are named by index, so a variable may be named like a
     # reserved word or a theory symbol, which the loopback refuses to
-    # declare as a conforming solver does, or hold non-ASCII letters
+    # declare as a conforming solver does, or hold non-ASCII letters;
+    # the whole analysis agrees through the loopback
     prog = tmp_path / "symbols.prg"
     prog.write_text("vars true and ite let xé² ; template interval ; nodes st h ; start st ;"
                     "edge st -> h : true' = 0 & and' = 1 & ite' = 0 & let' = 0 & xé²' = 0 ;"
@@ -226,11 +227,32 @@ def test_theory_symbols_and_non_ascii_names_need_no_quoting(tmp_path, capsys):
     assert internal[0]["certified"] is True
     assert internal[0]["nodes"]["h"]["true"] == "7"
     assert external == internal
+
+
+def test_non_ascii_names_are_quoted_symbols():
+    # SMT-LIB2 simple symbols are ASCII only; the parser takes any
+    # alphanumeric identifier, which reaches the solver as its index
+    problem = parse_statement("xé² <= 1 & y_1 <= 2")
+    text = _smt_declarations(problem)
+    assert text.isascii()
+    assert "xé²" not in text and "y_1" not in text
+    assert "(declare-const x!0 Real)" in text and "(declare-const x!1 Real)" in text
+    assert "|" not in text
     with SmtSession(LOOPBACK) as session:
-        for word in SMTLIB_RESERVED + ["xé²"]:
+        assert smt_check_external(problem, session) == smt_check(problem)
+
+
+def test_reserved_words_are_quoted_symbols():
+    # a reserved word or theory symbol is no symbol a solver declares; named
+    # by its index, it names a variable like any other
+    with SmtSession(LOOPBACK) as session:
+        for word in SMTLIB_RESERVED:
             if not word.isidentifier():
                 continue  # the parser reads "-" as minus and rejects "!"
             problem = parse_statement(f"{word} <= 1 & 0 < {word} + y")
+            text = _smt_declarations(problem)
+            assert f"(declare-const {word} " not in text
+            assert text.startswith("(declare-const x!0 Real)\n(declare-const x!1 Real)\n")
             assert smt_check_external(problem, session) == smt_check(problem)
 
 
